@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of everything the decision procedure and the synthesizer print.
+
+Run it on two checkouts to show that a refactoring left the output
+byte-identical.  Each line digests one section:
+
+- ``depth2``: verdict, ``format_trace`` and ``format_derivation(synthesize(...))``
+  for all 6,084 depth-2 pairs over the built-in hierarchy, in both modes and
+  with both strategies;
+- ``random``: the same for seeded random pairs over ``random_hierarchy``;
+- ``nf-derivations``: ``derive_sub_nf`` and ``derive_nf_sub`` for every type of
+  depth at most three over the built-in hierarchy, in both modes.
+
+Usage:
+    PYTHONPATH=src python3 scripts/output_digests.py [--seed 808] [--random 9000]
+"""
+
+import argparse
+import hashlib
+import random
+
+from tagsub.core import DEFAULT_HIERARCHY
+from tagsub.derivation import derive_nf_sub, derive_sub_nf, format_derivation, synthesize
+from tagsub.gen import random_hierarchy, random_type, types_up_to
+from tagsub.semantics import Mode
+from tagsub.subtyping import Strategy, format_trace, reductive_sub
+
+
+def decisions(h, pairs, digest):
+    count = 0
+    for t1, t2 in pairs:
+        for mode in Mode:
+            for strategy in Strategy:
+                verdict, trace = reductive_sub(h, t1, t2, mode, strategy)
+                digest.update(f"{t1} <: {t2} [{mode.value} {strategy.value}] {verdict}\n".encode())
+                if trace is not None:
+                    digest.update(format_trace(trace).encode() + b"\n")
+                    digest.update(format_derivation(synthesize(h, trace, mode)).encode() + b"\n")
+                count += 1
+    return count
+
+
+def random_pairs(seed: int, total: int, per_hierarchy: int = 200):
+    rng = random.Random(seed)
+    while total > 0:
+        h = random_hierarchy(rng, 10)
+        n = min(per_hierarchy, total)
+        yield h, [(random_type(rng, h, 4, 256), random_type(rng, h, 4, 256)) for _ in range(n)]
+        total -= n
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=808)
+    ap.add_argument("--random", type=int, default=9000, help="number of random pairs")
+    args = ap.parse_args()
+
+    h = DEFAULT_HIERARCHY
+    ts = types_up_to(h, 2)
+    digest = hashlib.sha256()
+    n = decisions(h, [(t1, t2) for t1 in ts for t2 in ts], digest)
+    print(f"depth2          {n:6d} decisions  {digest.hexdigest()}")
+
+    digest, n = hashlib.sha256(), 0
+    for rh, pairs in random_pairs(args.seed, args.random):
+        n += decisions(rh, pairs, digest)
+    print(f"random          {n:6d} decisions  {digest.hexdigest()}")
+
+    digest, n = hashlib.sha256(), 0
+    for t in types_up_to(h, 3):
+        for mode in Mode:
+            digest.update(format_derivation(derive_sub_nf(h, t, mode)).encode() + b"\n")
+            digest.update(format_derivation(derive_nf_sub(h, t, mode)).encode() + b"\n")
+            n += 1
+    print(f"nf-derivations  {n:6d} types      {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

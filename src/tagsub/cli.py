@@ -156,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (TagsubError, OSError) as err:
+    except (TagsubError, OSError, RecursionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

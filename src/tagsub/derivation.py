@@ -179,24 +179,13 @@ def _synth(h, tr: ReductiveTrace, mode: Mode) -> Derivation:
         if tr.lhs == tr.rhs:
             return _refl(tr.lhs)
         return Derivation(SD_NOM, tr.lhs, tr.rhs)
-    if tr.rule == SR_PAIR:
-        return Derivation(
-            SD_PAIR,
-            tr.lhs,
-            tr.rhs,
-            (_synth(h, tr.premises[0], mode), _synth(h, tr.premises[1], mode)),
-        )
-    if tr.rule == SR_UNION_L:
-        return Derivation(
-            SD_UNION_L,
-            tr.lhs,
-            tr.rhs,
-            (_synth(h, tr.premises[0], mode), _synth(h, tr.premises[1], mode)),
-        )
-    if tr.rule == SR_UNION_R1:
-        return _inj_left(_synth(h, tr.premises[0], mode), tr.rhs)
-    if tr.rule == SR_UNION_R2:
-        return _inj_right(_synth(h, tr.premises[0], mode), tr.rhs)
+    if tr.rule in (SR_PAIR, SR_UNION_L):
+        rule = SD_PAIR if tr.rule == SR_PAIR else SD_UNION_L
+        premises = tuple(_synth(h, p, mode) for p in tr.premises)
+        return Derivation(rule, tr.lhs, tr.rhs, premises)
+    if tr.rule in (SR_UNION_R1, SR_UNION_R2):
+        inj = SD_UNION_R1 if tr.rule == SR_UNION_R1 else SD_UNION_R2
+        return _inj(_synth(h, tr.premises[0], mode), tr.rhs, inj)
     if tr.rule == SR_NF:
         normed = nf_for_mode(h, tr.lhs, mode)
         left = derive_sub_nf(h, tr.lhs, mode)
@@ -205,19 +194,24 @@ def _synth(h, tr: ReductiveTrace, mode: Mode) -> Derivation:
     raise InvalidTrace(f"unknown rule {tr.rule!r}")
 
 
-def _inj_left(d: Derivation, target: TypeExpr) -> Derivation:
-    """Lift d: a <: target.left to a <: target, target being a union."""
-    axiom = Derivation(SD_UNION_R1, target.left, target)
-    if d.lhs == target.left:
+def _inj(d: Derivation, target: Union, rule: str) -> Derivation:
+    """Lift d: a <: arm to a <: target, arm being the side of target that
+    the injection rule (SD-UnionR1 or SD-UnionR2) names."""
+    arm = target.left if rule == SD_UNION_R1 else target.right
+    axiom = Derivation(rule, arm, target)
+    if d.lhs == arm:
         return axiom
-    return Derivation(SD_TRANS, d.lhs, target, (d, axiom), witness=target.left)
+    return Derivation(SD_TRANS, d.lhs, target, (d, axiom), witness=arm)
 
 
-def _inj_right(d: Derivation, target: TypeExpr) -> Derivation:
-    axiom = Derivation(SD_UNION_R2, target.right, target)
-    if d.lhs == target.right:
-        return axiom
-    return Derivation(SD_TRANS, d.lhs, target, (d, axiom), witness=target.right)
+def _armwise(target: Union, d1: Derivation, d2: Derivation) -> Derivation:
+    """Derive a1|a2 <: target from d1: a1 <: target.left, d2: a2 <: target.right."""
+    return Derivation(
+        SD_UNION_L,
+        Union(d1.lhs, d2.lhs),
+        target,
+        (_inj(d1, target, SD_UNION_R1), _inj(d2, target, SD_UNION_R2)),
+    )
 
 
 def derive_sub_nf(
@@ -232,10 +226,9 @@ def derive_sub_nf(
         # union of concrete descendants.
         return Derivation(SD_ABS_UNION, t, normed)
     if isinstance(t, Union):
-        target = normed
-        d1 = _inj_left(derive_sub_nf(h, t.left, mode), target)
-        d2 = _inj_right(derive_sub_nf(h, t.right, mode), target)
-        return Derivation(SD_UNION_L, t, target, (d1, d2))
+        return _armwise(
+            normed, derive_sub_nf(h, t.left, mode), derive_sub_nf(h, t.right, mode)
+        )
     # Pair: go componentwise to the pair of normal forms, then distribute.
     ln = nf_for_mode(h, t.left, mode)
     rn = nf_for_mode(h, t.right, mode)
@@ -252,38 +245,29 @@ def derive_sub_nf(
     return Derivation(SD_TRANS, t, normed, (componentwise, distributed), witness=mid)
 
 
+def _distribute(x: TypeExpr, y: TypeExpr) -> tuple[str, Pair, Pair] | None:
+    """One distribution step of the pair (x, y): the rule and the two pairs
+    it splits into, over x if x is a union (SD-Distr1) and else over y."""
+    if isinstance(x, Union):
+        return SD_DISTR1, Pair(x.left, y), Pair(x.right, y)
+    if isinstance(y, Union):
+        return SD_DISTR2, Pair(x, y.left), Pair(x, y.right)
+    return None
+
+
 def _pair_below_unprs(x: TypeExpr, y: TypeExpr) -> Derivation:
     """Derivation of (x, y) as a pair <: un_prs(x, y), for normalized x, y."""
     lhs = Pair(x, y)
-    if isinstance(x, Union):
-        step = Union(Pair(x.left, y), Pair(x.right, y))
-        target = un_prs(x, y)
-        distr = Derivation(SD_DISTR1, lhs, step)
-        rest = Derivation(
-            SD_UNION_L,
-            step,
-            target,
-            (
-                _inj_left(_pair_below_unprs(x.left, y), target),
-                _inj_right(_pair_below_unprs(x.right, y), target),
-            ),
-        )
-        return Derivation(SD_TRANS, lhs, target, (distr, rest), witness=step)
-    if isinstance(y, Union):
-        step = Union(Pair(x, y.left), Pair(x, y.right))
-        target = un_prs(x, y)
-        distr = Derivation(SD_DISTR2, lhs, step)
-        rest = Derivation(
-            SD_UNION_L,
-            step,
-            target,
-            (
-                _inj_left(_pair_below_unprs(x, y.left), target),
-                _inj_right(_pair_below_unprs(x, y.right), target),
-            ),
-        )
-        return Derivation(SD_TRANS, lhs, target, (distr, rest), witness=step)
-    return _refl(lhs)
+    step = _distribute(x, y)
+    if step is None:
+        return _refl(lhs)
+    rule, a, b = step
+    split, target = Union(a, b), un_prs(x, y)
+    rest = _armwise(
+        target, _pair_below_unprs(a.left, a.right), _pair_below_unprs(b.left, b.right)
+    )
+    distr = Derivation(rule, lhs, split)
+    return Derivation(SD_TRANS, lhs, target, (distr, rest), witness=split)
 
 
 def derive_nf_sub(
@@ -296,9 +280,9 @@ def derive_nf_sub(
     if isinstance(t, Name):
         return _union_below_name(normed, t)
     if isinstance(t, Union):
-        d1 = _inj_left(derive_nf_sub(h, t.left, mode), t)
-        d2 = _inj_right(derive_nf_sub(h, t.right, mode), t)
-        return Derivation(SD_UNION_L, normed, t, (d1, d2))
+        return _armwise(
+            t, derive_nf_sub(h, t.left, mode), derive_nf_sub(h, t.right, mode)
+        )
     # Pair: collapse the distributed union back, then go componentwise.
     ln = nf_for_mode(h, t.left, mode)
     rn = nf_for_mode(h, t.right, mode)
@@ -330,48 +314,26 @@ def _union_below_name(u: TypeExpr, t: Name) -> Derivation:
 def _unprs_below_pair(x: TypeExpr, y: TypeExpr) -> Derivation:
     """Derivation of un_prs(x, y) <: (x, y) as a pair, for normalized x, y."""
     target = Pair(x, y)
-    if isinstance(x, Union):
-        lhs = un_prs(x, y)
+    step = _distribute(x, y)
+    if step is None:
+        return _refl(target)
+    rule, a, b = step
 
-        def arm(xi: TypeExpr, inj: str) -> Derivation:
-            # un_prs(xi, y) <: (xi, y) <: (x, y)
-            widen = Derivation(
-                SD_PAIR,
-                Pair(xi, y),
-                target,
-                (Derivation(inj, xi, x), _refl(y)),
-            )
-            sub = _unprs_below_pair(xi, y)
-            if sub.lhs == Pair(xi, y) and sub.rule == SD_REFL:
-                return widen
-            return Derivation(
-                SD_TRANS, sub.lhs, target, (sub, widen), witness=Pair(xi, y)
-            )
+    def arm(p: Pair, inj: str) -> Derivation:
+        # un_prs(p) <: p <: (x, y), widening the component that was split.
+        if rule == SD_DISTR1:
+            widen_parts = (Derivation(inj, p.left, x), _refl(y))
+        else:
+            widen_parts = (_refl(x), Derivation(inj, p.right, y))
+        widen = Derivation(SD_PAIR, p, target, widen_parts)
+        sub = _unprs_below_pair(p.left, p.right)
+        if sub.rule == SD_REFL:
+            return widen
+        return Derivation(SD_TRANS, sub.lhs, target, (sub, widen), witness=p)
 
-        return Derivation(
-            SD_UNION_L, lhs, target, (arm(x.left, SD_UNION_R1), arm(x.right, SD_UNION_R2))
-        )
-    if isinstance(y, Union):
-        lhs = un_prs(x, y)
-
-        def arm(yi: TypeExpr, inj: str) -> Derivation:
-            widen = Derivation(
-                SD_PAIR,
-                Pair(x, yi),
-                target,
-                (_refl(x), Derivation(inj, yi, y)),
-            )
-            sub = _unprs_below_pair(x, yi)
-            if sub.lhs == Pair(x, yi) and sub.rule == SD_REFL:
-                return widen
-            return Derivation(
-                SD_TRANS, sub.lhs, target, (sub, widen), witness=Pair(x, yi)
-            )
-
-        return Derivation(
-            SD_UNION_L, lhs, target, (arm(y.left, SD_UNION_R1), arm(y.right, SD_UNION_R2))
-        )
-    return _refl(target)
+    return Derivation(
+        SD_UNION_L, un_prs(x, y), target, (arm(a, SD_UNION_R1), arm(b, SD_UNION_R2))
+    )
 
 
 def format_derivation(d: Derivation) -> str:

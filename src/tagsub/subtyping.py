@@ -1,9 +1,10 @@
 """Reductive subtyping: a terminating decision procedure with proof traces.
 
-The procedure normalizes the left-hand side once and then applies
-syntax-directed rules bottom up; the only backtracking point is the choice
-between the two right-union rules.  Every positive answer comes with a trace
-that :func:`check_reductive_trace` can validate independently.
+One recursive procedure applies syntax-directed rules bottom up, either to
+the normal form of the left-hand side or, normalizing locally where it gets
+stuck, to the left-hand side itself; the only backtracking point is the
+choice between the two right-union rules.  Every positive answer comes with
+a trace that :func:`check_reductive_trace` can validate independently.
 """
 
 from __future__ import annotations
@@ -58,18 +59,19 @@ def reductive_sub(
 ) -> tuple[bool, ReductiveTrace | None]:
     """Decide t1 <: t2, returning the verdict and a trace when it holds.
 
-    NORMALIZE_FIRST applies the normalization rule once at the root and then
-    proceeds syntax-directedly.  SHORT_PATH_FIRST first attempts a direct
-    syntax-directed derivation, normalizing locally only at nodes whose
-    left-hand side is an abstract name or a pair containing a union; if that
-    attempt fails it falls back to NORMALIZE_FIRST, so both strategies always
-    agree on the verdict.
+    One syntax-directed procedure serves both strategies.  NORMALIZE_FIRST
+    applies the normalization rule once at the root and runs it on the normal
+    form.  SHORT_PATH_FIRST runs it on t1 itself, normalizing locally where no
+    direct rule applies at a left-hand side that is an abstract name or a pair
+    containing a union; if that search fails it falls back to NORMALIZE_FIRST,
+    so both strategies always agree on the verdict.  The fallback is needed:
+    ``Real*Int <: Int*Int|Flt*Int`` is provable only through a root SR-NF.
     """
     if strategy is Strategy.SHORT_PATH_FIRST:
-        trace = _decide_short(h, t1, t2, mode, {})
+        trace = _decide(h, t1, t2, mode, local_nf=True)
         if trace is not None:
             return True, trace
-    trace = _decide(h, nf_for_mode(h, t1, mode), t2, mode)
+    trace = _decide(h, nf_for_mode(h, t1, mode), t2, mode, local_nf=False)
     if trace is None:
         return False, None
     return True, ReductiveTrace(SR_NF, t1, t2, (trace,))
@@ -86,37 +88,35 @@ def _nominal_step(h, lhs: Name, rhs: Name, mode: Mode) -> ReductiveTrace | None:
     return None
 
 
-def _decide(h, lhs: TypeExpr, rhs: TypeExpr, mode: Mode) -> ReductiveTrace | None:
-    # lhs is expected to be in (mode-appropriate) normal form here.
+def _decide(
+    h, lhs: TypeExpr, rhs: TypeExpr, mode: Mode, local_nf: bool
+) -> ReductiveTrace | None:
+    # Without local_nf, lhs is expected to be in (mode-appropriate) normal form.
     if isinstance(lhs, Union):
-        p1 = _decide(h, lhs.left, rhs, mode)
-        if p1 is None:
-            return None
-        p2 = _decide(h, lhs.right, rhs, mode)
-        if p2 is None:
-            return None
-        return ReductiveTrace(SR_UNION_L, lhs, rhs, (p1, p2))
+        p1 = _decide(h, lhs.left, rhs, mode, local_nf)
+        p2 = p1 and _decide(h, lhs.right, rhs, mode, local_nf)
+        return p2 and ReductiveTrace(SR_UNION_L, lhs, rhs, (p1, p2))
+    direct: ReductiveTrace | None = None
     if isinstance(rhs, Name):
         if isinstance(lhs, Name):
-            return _nominal_step(h, lhs, rhs, mode)
-        return None
-    if isinstance(rhs, Pair):
-        if not isinstance(lhs, Pair):
-            return None
-        p1 = _decide(h, lhs.left, rhs.left, mode)
-        if p1 is None:
-            return None
-        p2 = _decide(h, lhs.right, rhs.right, mode)
-        if p2 is None:
-            return None
-        return ReductiveTrace(SR_PAIR, lhs, rhs, (p1, p2))
-    p = _decide(h, lhs, rhs.left, mode)
-    if p is not None:
-        return ReductiveTrace(SR_UNION_R1, lhs, rhs, (p,))
-    p = _decide(h, lhs, rhs.right, mode)
-    if p is not None:
-        return ReductiveTrace(SR_UNION_R2, lhs, rhs, (p,))
-    return None
+            direct = _nominal_step(h, lhs, rhs, mode)
+    elif isinstance(rhs, Pair):
+        if isinstance(lhs, Pair):
+            p1 = _decide(h, lhs.left, rhs.left, mode, local_nf)
+            p2 = p1 and _decide(h, lhs.right, rhs.right, mode, local_nf)
+            direct = p2 and ReductiveTrace(SR_PAIR, lhs, rhs, (p1, p2))
+    else:
+        p = _decide(h, lhs, rhs.left, mode, local_nf)
+        if p is not None:
+            direct = ReductiveTrace(SR_UNION_R1, lhs, rhs, (p,))
+        else:
+            p = _decide(h, lhs, rhs.right, mode, local_nf)
+            direct = p and ReductiveTrace(SR_UNION_R2, lhs, rhs, (p,))
+    if direct is None and local_nf and _stuck_head(lhs, mode):
+        sub = _decide(h, nf_for_mode(h, lhs, mode), rhs, mode, local_nf=False)
+        if sub is not None:
+            return ReductiveTrace(SR_NF, lhs, rhs, (sub,))
+    return direct
 
 
 def _stuck_head(lhs: TypeExpr, mode: Mode) -> bool:
@@ -126,49 +126,6 @@ def _stuck_head(lhs: TypeExpr, mode: Mode) -> bool:
     ):
         return True
     return mode is Mode.SEMANTIC and isinstance(lhs, Name) and lhs.name.abstract
-
-
-def _decide_short(h, lhs, rhs, mode, memo) -> ReductiveTrace | None:
-    key = (lhs, rhs)
-    if key in memo:
-        return memo[key]
-    trace = _decide_short_uncached(h, lhs, rhs, mode, memo)
-    memo[key] = trace
-    return trace
-
-
-def _decide_short_uncached(h, lhs, rhs, mode, memo) -> ReductiveTrace | None:
-    if isinstance(lhs, Union):
-        p1 = _decide_short(h, lhs.left, rhs, mode, memo)
-        p2 = p1 and _decide_short(h, lhs.right, rhs, mode, memo)
-        if p1 is not None and p2 is not None:
-            return ReductiveTrace(SR_UNION_L, lhs, rhs, (p1, p2))
-        return None
-    direct: ReductiveTrace | None = None
-    if isinstance(rhs, Name):
-        if isinstance(lhs, Name):
-            direct = _nominal_step(h, lhs, rhs, mode)
-    elif isinstance(rhs, Pair):
-        if isinstance(lhs, Pair):
-            p1 = _decide_short(h, lhs.left, rhs.left, mode, memo)
-            p2 = p1 and _decide_short(h, lhs.right, rhs.right, mode, memo)
-            if p1 is not None and p2 is not None:
-                direct = ReductiveTrace(SR_PAIR, lhs, rhs, (p1, p2))
-    else:
-        p = _decide_short(h, lhs, rhs.left, mode, memo)
-        if p is not None:
-            direct = ReductiveTrace(SR_UNION_R1, lhs, rhs, (p,))
-        else:
-            p = _decide_short(h, lhs, rhs.right, mode, memo)
-            if p is not None:
-                direct = ReductiveTrace(SR_UNION_R2, lhs, rhs, (p,))
-    if direct is not None:
-        return direct
-    if _stuck_head(lhs, mode):
-        sub = _decide(h, nf_for_mode(h, lhs, mode), rhs, mode)
-        if sub is not None:
-            return ReductiveTrace(SR_NF, lhs, rhs, (sub,))
-    return None
 
 
 def check_reductive_trace(

@@ -58,6 +58,12 @@ class TestCheck:
         code, _, err = run(capsys, "check", "Foo", "Flt")
         assert code == 2 and "Foo" in err
 
+    @pytest.mark.parametrize("command", ["check", "eq"])
+    def test_recursion_limit_is_an_error_not_a_verdict(self, capsys, command):
+        deep = "|".join(["Int"] * 3000)
+        code, out, err = run(capsys, command, deep, "Int")
+        assert code == 2 and out == "" and err.startswith("error: ")
+
 
 class TestOtherCommands:
     def test_nf(self, capsys):

@@ -226,6 +226,75 @@ class TestNfEquivalenceDerivations:
     def test_concrete_name_down(self):
         assert derive_nf_sub(TOWER, T("Int")) == Derivation(SD_REFL, T("Int"), T("Int"))
 
+    def test_golden_up_distributes_on_both_sides(self):
+        d = derive_sub_nf(TOWER, T("(Int|Flt)*(Int|Str)"))
+        assert check_declarative(TOWER, d)
+        assert format_derivation(d) == (
+            "SD-Trans: (Int|Flt)*(Int|Str) <: Int*Int|Int*Str|(Flt*Int|Flt*Str)\n"
+            "  witness: (Int|Flt)*(Int|Str)\n"
+            "  SD-Pair: (Int|Flt)*(Int|Str) <: (Int|Flt)*(Int|Str)\n"
+            "    SD-Refl: Int|Flt <: Int|Flt\n"
+            "    SD-Refl: Int|Str <: Int|Str\n"
+            "  SD-Trans: (Int|Flt)*(Int|Str) <: Int*Int|Int*Str|(Flt*Int|Flt*Str)\n"
+            "    witness: Int*(Int|Str)|Flt*(Int|Str)\n"
+            "    SD-Distr1: (Int|Flt)*(Int|Str) <: Int*(Int|Str)|Flt*(Int|Str)\n"
+            "    SD-UnionL: Int*(Int|Str)|Flt*(Int|Str) <: Int*Int|Int*Str|(Flt*Int|Flt*Str)\n"
+            "      SD-Trans: Int*(Int|Str) <: Int*Int|Int*Str|(Flt*Int|Flt*Str)\n"
+            "        witness: Int*Int|Int*Str\n"
+            "        SD-Trans: Int*(Int|Str) <: Int*Int|Int*Str\n"
+            "          witness: Int*Int|Int*Str\n"
+            "          SD-Distr2: Int*(Int|Str) <: Int*Int|Int*Str\n"
+            "          SD-UnionL: Int*Int|Int*Str <: Int*Int|Int*Str\n"
+            "            SD-UnionR1: Int*Int <: Int*Int|Int*Str\n"
+            "            SD-UnionR2: Int*Str <: Int*Int|Int*Str\n"
+            "        SD-UnionR1: Int*Int|Int*Str <: Int*Int|Int*Str|(Flt*Int|Flt*Str)\n"
+            "      SD-Trans: Flt*(Int|Str) <: Int*Int|Int*Str|(Flt*Int|Flt*Str)\n"
+            "        witness: Flt*Int|Flt*Str\n"
+            "        SD-Trans: Flt*(Int|Str) <: Flt*Int|Flt*Str\n"
+            "          witness: Flt*Int|Flt*Str\n"
+            "          SD-Distr2: Flt*(Int|Str) <: Flt*Int|Flt*Str\n"
+            "          SD-UnionL: Flt*Int|Flt*Str <: Flt*Int|Flt*Str\n"
+            "            SD-UnionR1: Flt*Int <: Flt*Int|Flt*Str\n"
+            "            SD-UnionR2: Flt*Str <: Flt*Int|Flt*Str\n"
+            "        SD-UnionR2: Flt*Int|Flt*Str <: Int*Int|Int*Str|(Flt*Int|Flt*Str)"
+        )
+
+    def test_golden_down_distributes_on_both_sides(self):
+        d = derive_nf_sub(TOWER, T("(Int|Flt)*(Int|Str)"))
+        assert check_declarative(TOWER, d)
+        assert format_derivation(d) == (
+            "SD-Trans: Int*Int|Int*Str|(Flt*Int|Flt*Str) <: (Int|Flt)*(Int|Str)\n"
+            "  witness: (Int|Flt)*(Int|Str)\n"
+            "  SD-UnionL: Int*Int|Int*Str|(Flt*Int|Flt*Str) <: (Int|Flt)*(Int|Str)\n"
+            "    SD-Trans: Int*Int|Int*Str <: (Int|Flt)*(Int|Str)\n"
+            "      witness: Int*(Int|Str)\n"
+            "      SD-UnionL: Int*Int|Int*Str <: Int*(Int|Str)\n"
+            "        SD-Pair: Int*Int <: Int*(Int|Str)\n"
+            "          SD-Refl: Int <: Int\n"
+            "          SD-UnionR1: Int <: Int|Str\n"
+            "        SD-Pair: Int*Str <: Int*(Int|Str)\n"
+            "          SD-Refl: Int <: Int\n"
+            "          SD-UnionR2: Str <: Int|Str\n"
+            "      SD-Pair: Int*(Int|Str) <: (Int|Flt)*(Int|Str)\n"
+            "        SD-UnionR1: Int <: Int|Flt\n"
+            "        SD-Refl: Int|Str <: Int|Str\n"
+            "    SD-Trans: Flt*Int|Flt*Str <: (Int|Flt)*(Int|Str)\n"
+            "      witness: Flt*(Int|Str)\n"
+            "      SD-UnionL: Flt*Int|Flt*Str <: Flt*(Int|Str)\n"
+            "        SD-Pair: Flt*Int <: Flt*(Int|Str)\n"
+            "          SD-Refl: Flt <: Flt\n"
+            "          SD-UnionR1: Int <: Int|Str\n"
+            "        SD-Pair: Flt*Str <: Flt*(Int|Str)\n"
+            "          SD-Refl: Flt <: Flt\n"
+            "          SD-UnionR2: Str <: Int|Str\n"
+            "      SD-Pair: Flt*(Int|Str) <: (Int|Flt)*(Int|Str)\n"
+            "        SD-UnionR2: Flt <: Int|Flt\n"
+            "        SD-Refl: Int|Str <: Int|Str\n"
+            "  SD-Pair: (Int|Flt)*(Int|Str) <: (Int|Flt)*(Int|Str)\n"
+            "    SD-Refl: Int|Flt <: Int|Flt\n"
+            "    SD-Refl: Int|Str <: Int|Str"
+        )
+
     @given(type_exprs())
     def test_both_directions_check_in_both_modes(self, t):
         for mode in Mode:

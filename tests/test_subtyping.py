@@ -100,6 +100,41 @@ class TestGoldenTraces:
             "      SR-BaseRefl: Flt <: Flt"
         )
 
+    def test_short_path_root_fallback(self):
+        # No direct derivation exists; only the root normalization proves it.
+        verdict, trace = sub(
+            "Real*Int", "Int*Int|Flt*Int", strategy=Strategy.SHORT_PATH_FIRST
+        )
+        assert verdict and trace.size() == 10
+        assert format_trace(trace) == (
+            "SR-NF: Real*Int <: Int*Int|Flt*Int\n"
+            "  SR-UnionL: Int*Int|Flt*Int <: Int*Int|Flt*Int\n"
+            "    SR-UnionR1: Int*Int <: Int*Int|Flt*Int\n"
+            "      SR-Pair: Int*Int <: Int*Int\n"
+            "        SR-BaseRefl: Int <: Int\n"
+            "        SR-BaseRefl: Int <: Int\n"
+            "    SR-UnionR2: Flt*Int <: Int*Int|Flt*Int\n"
+            "      SR-Pair: Flt*Int <: Flt*Int\n"
+            "        SR-BaseRefl: Flt <: Flt\n"
+            "        SR-BaseRefl: Int <: Int"
+        )
+
+    def test_short_path_inner_normalization(self):
+        verdict, trace = sub(
+            "Int*Real", "Int*(Int|Flt)", strategy=Strategy.SHORT_PATH_FIRST
+        )
+        assert verdict and trace.size() == 8
+        assert format_trace(trace) == (
+            "SR-Pair: Int*Real <: Int*(Int|Flt)\n"
+            "  SR-BaseRefl: Int <: Int\n"
+            "  SR-NF: Real <: Int|Flt\n"
+            "    SR-UnionL: Int|Flt <: Int|Flt\n"
+            "      SR-UnionR1: Int <: Int|Flt\n"
+            "        SR-BaseRefl: Int <: Int\n"
+            "      SR-UnionR2: Flt <: Int|Flt\n"
+            "        SR-BaseRefl: Flt <: Flt"
+        )
+
 
 def _rules(trace):
     out = [trace.rule]
