@@ -182,7 +182,9 @@ class NominalHierarchy:
     def lookup(self, name: str | NominalName) -> NominalName:
         text = name.text if isinstance(name, NominalName) else name
         found = self._names.get(text)
-        if found is None or (isinstance(name, NominalName) and found != name):
+        if found is not name and (
+            found is None or (isinstance(name, NominalName) and found != name)
+        ):
             raise UnknownName(f"name {text!r} is not declared in this hierarchy")
         return found
 

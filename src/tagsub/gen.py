@@ -17,10 +17,9 @@ from .core import (
     Pair,
     TypeExpr,
     Union,
-    abstract_descendants,
-    concrete_descendants,
     validate_hierarchy,
 )
+from .normalize import nf_weight
 
 
 def atom_types(h: NominalHierarchy) -> list[TypeExpr]:
@@ -49,22 +48,6 @@ def value_types_up_to(h: NominalHierarchy, depth: int) -> list[TypeExpr]:
         out = [Name(n) for n in h.concrete_names]
         out.extend(Pair(a, b) for a in prev for b in prev)
     return out
-
-
-def nf_weight(h: NominalHierarchy, t: TypeExpr) -> int:
-    """Upper bound on the number of leaves of either normal form of t.
-
-    Names weigh as many tags as they can expand to, unions add, pairs
-    multiply; deep pair nests over wide names blow up exponentially, which is
-    exactly what this estimate lets callers guard against.
-    """
-    if isinstance(t, Name):
-        if not t.name.abstract:
-            return 1
-        return len(concrete_descendants(h, t.name)) + len(abstract_descendants(h, t.name))
-    if isinstance(t, Pair):
-        return nf_weight(h, t.left) * nf_weight(h, t.right)
-    return nf_weight(h, t.left) + nf_weight(h, t.right)
 
 
 def random_type(

@@ -16,6 +16,7 @@ from .core import (
     TagsubError,
     TypeExpr,
     Union,
+    abstract_descendants,
     concrete_descendants,
     is_value_type,
 )
@@ -84,6 +85,22 @@ def in_nf_atomic(t: TypeExpr) -> bool:
     if isinstance(t, Union):
         return in_nf_atomic(t.left) and in_nf_atomic(t.right)
     return _atom_tree(t)
+
+
+def nf_weight(h: NominalHierarchy, t: TypeExpr) -> int:
+    """Upper bound on the number of leaves of either normal form of t.
+
+    Names weigh as many tags as they can expand to, unions add, pairs
+    multiply; deep pair nests over wide names blow up exponentially, which is
+    exactly what this estimate lets callers guard against.
+    """
+    if isinstance(t, Name):
+        if not t.name.abstract:
+            return 1
+        return len(concrete_descendants(h, t.name)) + len(abstract_descendants(h, t.name))
+    if isinstance(t, Pair):
+        return nf_weight(h, t.left) * nf_weight(h, t.right)
+    return nf_weight(h, t.left) + nf_weight(h, t.right)
 
 
 def nf_for_mode(h: NominalHierarchy, t: TypeExpr, mode: Mode) -> TypeExpr:

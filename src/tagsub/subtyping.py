@@ -1,10 +1,16 @@
 """Reductive subtyping: a terminating decision procedure with proof traces.
 
-One recursive procedure applies syntax-directed rules bottom up, either to
-the normal form of the left-hand side or, normalizing locally where it gets
-stuck, to the left-hand side itself; the only backtracking point is the
-choice between the two right-union rules.  Every positive answer comes with
-a trace that :func:`check_reductive_trace` can validate independently.
+A query is answered in two steps: the verdict first, the trace on demand.
+The verdict decides inclusion of tag sets directly, without normalizing the
+left-hand side as a whole: a pair against several pair arms is decided by
+product decomposition, one group of left tags at a time, so its cost
+depends on the right-hand arms rather than on the left side's normal form.
+A true verdict comes with a trace that the reductive search builds only
+when it is first read: one recursive procedure that applies syntax-directed
+rules bottom up, either to the normal form of the left-hand side or,
+normalizing locally where it gets stuck, to the left-hand side itself; the
+only backtracking point is the choice between the two right-union rules.
+Every trace can be validated independently by :func:`check_reductive_trace`.
 """
 
 from __future__ import annotations
@@ -19,9 +25,10 @@ from .core import (
     TypeExpr,
     Union,
     UnknownName,
+    concrete_descendants,
     nominal_subtype,
 )
-from .normalize import EmptyAbstract, nf_for_mode
+from .normalize import EmptyAbstract, nf_for_mode, nf_weight
 from .semantics import Mode
 
 SR_BASE_REFL = "SR-BaseRefl"
@@ -38,7 +45,7 @@ class Strategy(Enum):
     SHORT_PATH_FIRST = "short-path-first"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReductiveTrace:
     rule: str
     lhs: TypeExpr
@@ -49,6 +56,43 @@ class ReductiveTrace:
         """Number of rule applications in the trace."""
         return 1 + sum(p.size() for p in self.premises)
 
+    # Equality and hashing by value, so a trace built on demand compares and
+    # hashes like the same trace built eagerly.
+    def _key(self) -> tuple:
+        return (self.rule, self.lhs, self.rhs, self.premises)
+
+    def __eq__(self, other):
+        if not isinstance(other, ReductiveTrace):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class _OnDemandTrace(ReductiveTrace):
+    """A positive trace whose rule and premises are searched for on first read."""
+
+    def __init__(self, h, lhs: TypeExpr, rhs: TypeExpr, mode: Mode, strategy: Strategy):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "_query", (h, mode, strategy))
+        object.__setattr__(self, "_root", None)
+
+    def _built(self) -> ReductiveTrace:
+        if self._root is None:
+            h, mode, strategy = self._query
+            object.__setattr__(self, "_root", _search(h, self.lhs, self.rhs, mode, strategy))
+        return self._root
+
+    @property
+    def rule(self) -> str:
+        return self._built().rule
+
+    @property
+    def premises(self) -> tuple[ReductiveTrace, ...]:
+        return self._built().premises
+
 
 def reductive_sub(
     h: NominalHierarchy,
@@ -57,24 +101,116 @@ def reductive_sub(
     mode: Mode = Mode.SEMANTIC,
     strategy: Strategy = Strategy.NORMALIZE_FIRST,
 ) -> tuple[bool, ReductiveTrace | None]:
-    """Decide t1 <: t2, returning the verdict and a trace when it holds.
+    """Decide t1 <: t2: the verdict first, the trace on demand.
 
-    One syntax-directed procedure serves both strategies.  NORMALIZE_FIRST
-    applies the normalization rule once at the root and runs it on the normal
-    form.  SHORT_PATH_FIRST runs it on t1 itself, normalizing locally where no
-    direct rule applies at a left-hand side that is an abstract name or a pair
-    containing a union; if that search fails it falls back to NORMALIZE_FIRST,
-    so both strategies always agree on the verdict.  The fallback is needed:
-    ``Real*Int <: Int*Int|Flt*Int`` is provable only through a root SR-NF.
+    The verdict never builds t1's normal form, but raises what normalizing
+    t1 would raise (``UnknownName``; ``EmptyAbstract`` in semantic mode).  A
+    false verdict returns ``(False, None)`` without any search.  A true one
+    returns a trace whose rule and premises are found on first access by the
+    reductive search of the chosen strategy.  NORMALIZE_FIRST applies the
+    normalization rule once at the root and searches the normal form.
+    SHORT_PATH_FIRST searches t1 itself, normalizing locally where no direct
+    rule applies at a left-hand side that is an abstract name or a pair
+    containing a union; if that search fails it falls back to
+    NORMALIZE_FIRST, which is needed: ``Real*Int <: Int*Int|Flt*Int`` is
+    provable only through a root SR-NF.
     """
+    _check_normalizable(h, t1, mode)
+    if not _holds(h, t1, _arms(t2), mode):
+        return False, None
+    return True, _OnDemandTrace(h, t1, t2, mode, strategy)
+
+
+def _search(h, t1: TypeExpr, t2: TypeExpr, mode: Mode, strategy: Strategy) -> ReductiveTrace:
+    # The reductive search for a query whose verdict is known to be true.
     if strategy is Strategy.SHORT_PATH_FIRST:
         trace = _decide(h, t1, t2, mode, local_nf=True)
         if trace is not None:
-            return True, trace
+            return trace
     trace = _decide(h, nf_for_mode(h, t1, mode), t2, mode, local_nf=False)
-    if trace is None:
-        return False, None
-    return True, ReductiveTrace(SR_NF, t1, t2, (trace,))
+    assert trace is not None, f"no trace for the true verdict {t1} <: {t2}"
+    return ReductiveTrace(SR_NF, t1, t2, (trace,))
+
+
+def _check_normalizable(h, t: TypeExpr, mode: Mode) -> None:
+    # Raise what nf_for_mode(h, t, mode) raises, in the same left-to-right
+    # order, without building the normal form.
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Name):
+            n = h.lookup(x.name)
+            if mode is Mode.SEMANTIC and n.abstract and not concrete_descendants(h, n):
+                raise EmptyAbstract(f"abstract name {n} has no concrete descendants")
+        else:
+            todo.append(x.right)
+            todo.append(x.left)
+
+
+def _arms(t: TypeExpr) -> list[TypeExpr]:
+    """The top-level union arms of t, left to right: names and pairs."""
+    out, todo = [], [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Union):
+            todo.append(x.right)
+            todo.append(x.left)
+        else:
+            out.append(x)
+    return out
+
+
+def _holds(h, lhs: TypeExpr, arms: list[TypeExpr], mode: Mode) -> bool:
+    """Whether every tag of lhs lies in one of the arms.
+
+    Every name in lhs has a nonempty interpretation (checked up front), so a
+    pair holds against a single pair arm exactly when both components do.
+    Against several pair arms the lighter component is split into its
+    normal-form leaves; each leaf is covered by a set of arms, and the other
+    component must lie in the union of those arms' other components.  In
+    atomic mode a leaf with abstract names stands for several tags, but its
+    all-sentinel tag is covered by the fewest arms, so deciding the leaf's
+    own arm set is exact.
+    """
+    if isinstance(lhs, Union):
+        return _holds(h, lhs.left, arms, mode) and _holds(h, lhs.right, arms, mode)
+    if isinstance(lhs, Name):
+        names = [a.name for a in arms if isinstance(a, Name)]
+        n = lhs.name
+        if any(nominal_subtype(h, n, m) for m in names):
+            return True
+        return (
+            mode is Mode.SEMANTIC
+            and n.abstract
+            and all(
+                any(nominal_subtype(h, c, m) for m in names)
+                for c in concrete_descendants(h, n)
+            )
+        )
+    pairs = [a for a in arms if isinstance(a, Pair)]
+    if len(pairs) == 1:
+        (p,) = pairs
+        return _holds(h, lhs.left, _arms(p.left), mode) and _holds(
+            h, lhs.right, _arms(p.right), mode
+        )
+    if not pairs:
+        return False
+    if nf_weight(h, lhs.left) <= nf_weight(h, lhs.right):
+        split, rest = lhs.left, lhs.right
+        covers = [(_arms(p.left), _arms(p.right)) for p in pairs]
+    else:
+        split, rest = lhs.right, lhs.left
+        covers = [(_arms(p.right), _arms(p.left)) for p in pairs]
+    decided = set()
+    for leaf in _arms(nf_for_mode(h, split, mode)):
+        group = tuple(i for i, (mine, _) in enumerate(covers) if _holds(h, leaf, mine, mode))
+        if group in decided:
+            continue
+        decided.add(group)
+        others = [a for i in group for a in covers[i][1]]
+        if not _holds(h, rest, others, mode):
+            return False
+    return True
 
 
 def _nominal_step(h, lhs: Name, rhs: Name, mode: Mode) -> ReductiveTrace | None:

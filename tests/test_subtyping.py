@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import TOWER, T, type_exprs
-from tagsub.core import Decl, Name, Pair, Union, validate_hierarchy
+from tagsub.core import Decl, Name, Pair, Union, UnknownName, validate_hierarchy
 from tagsub.gen import random_hierarchy, random_type, types_up_to, value_types_up_to
-from tagsub.normalize import EmptyAbstract
+from tagsub.normalize import EmptyAbstract, nf
 from tagsub.semantics import Mode, matches, semantic_sub
 from tagsub.subtyping import (
     SR_BASE_REFL,
@@ -70,6 +70,68 @@ class TestVerdicts:
         # Atomic mode keeps the name atomic, so the query is decidable.
         assert reductive_sub(h, void, void, Mode.ATOMIC)[0] is True
         assert reductive_sub(h, void, i, Mode.ATOMIC)[0] is False
+
+
+VOID = validate_hierarchy([Decl("Void", True), Decl("Int", False), Decl("Str", False)])
+
+
+def V(src: str):
+    return T(src, VOID)
+
+
+class TestErrorParity:
+    """A query raises what normalizing its left side raises, in both strategies."""
+
+    @pytest.mark.parametrize("strategy", BOTH)
+    def test_empty_abstract_behind_a_false_arm(self, strategy):
+        # Str alone already fails against Int; the error must still surface.
+        with pytest.raises(EmptyAbstract) as raised:
+            reductive_sub(VOID, V("Str|Void"), V("Int"), Mode.SEMANTIC, strategy)
+        with pytest.raises(EmptyAbstract) as normalized:
+            nf(VOID, V("Str|Void"))
+        assert str(raised.value) == str(normalized.value)
+
+    @pytest.mark.parametrize("strategy", BOTH)
+    def test_empty_abstract_inside_a_pair(self, strategy):
+        with pytest.raises(EmptyAbstract):
+            reductive_sub(VOID, V("Int*Void"), V("Int*Int|Str"), Mode.SEMANTIC, strategy)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("strategy", BOTH)
+    def test_foreign_name_on_the_left(self, mode, strategy):
+        foreign = Pair(V("Int"), Name(TOWER.lookup("Real")))
+        with pytest.raises(UnknownName):
+            reductive_sub(VOID, foreign, V("Int"), mode, strategy)
+        with pytest.raises(UnknownName):
+            reductive_sub(VOID, Union(V("Str"), foreign), V("Int*Int"), mode, strategy)
+
+    def test_first_bad_name_decides_the_error(self):
+        # Left to right, as normalization meets them: Void before Real.
+        bad = Pair(V("Void"), Name(TOWER.lookup("Real")))
+        for strategy in BOTH:
+            with pytest.raises(EmptyAbstract):
+                reductive_sub(VOID, bad, V("Int"), Mode.SEMANTIC, strategy)
+            with pytest.raises(UnknownName):
+                reductive_sub(VOID, bad, V("Int"), Mode.ATOMIC, strategy)
+
+    @pytest.mark.parametrize("strategy", BOTH)
+    @pytest.mark.parametrize(
+        "t1,t2,expected",
+        [
+            ("Void", "Void", True),
+            ("Void", "Int", False),
+            ("Str|Void", "Int", False),
+            ("Void", "Str|Void", True),
+            ("Void*Int", "Void*Int|Str", True),
+            ("Void*Int", "Int*Int|Void*Str", False),
+            ("Int|Void", "Void|Int", True),
+        ],
+    )
+    def test_atomic_void_verdicts(self, strategy, t1, t2, expected):
+        verdict, trace = reductive_sub(VOID, V(t1), V(t2), Mode.ATOMIC, strategy)
+        assert verdict is expected
+        if verdict:
+            assert check_reductive_trace(VOID, trace, Mode.ATOMIC)
 
 
 class TestGoldenTraces:

@@ -1,0 +1,223 @@
+"""The verdict pass of ``reductive_sub`` and its on-demand traces.
+
+The verdict is decided without normalizing the left side as a whole, and the
+reductive search runs only when a trace is read.  These tests pin that the
+verdict agrees with the set-based oracle and with the normal-form search,
+that it stays polynomial in pair arity, and that the search is deferred.
+"""
+
+import random
+import time
+
+import pytest
+
+from conftest import TOWER, T
+from tagsub import subtyping
+from tagsub.core import Name, Pair, Union
+from tagsub.gen import random_hierarchy, random_type
+from tagsub.normalize import nf_for_mode, nf_weight
+from tagsub.semantics import Mode, semantic_sub
+from tagsub.subtyping import (
+    SR_NF,
+    ReductiveTrace,
+    Strategy,
+    check_reductive_trace,
+    format_trace,
+    reductive_sub,
+)
+
+BOTH = [Strategy.NORMALIZE_FIRST, Strategy.SHORT_PATH_FIRST]
+
+
+def chain(parts, right_nested: bool):
+    """The pair chain of parts, nested to the right or to the left."""
+    if right_nested:
+        out = parts[-1]
+        for p in reversed(parts[:-1]):
+            out = Pair(p, out)
+        return out
+    out = parts[0]
+    for p in parts[1:]:
+        out = Pair(out, p)
+    return out
+
+
+def union_of(arms):
+    out = arms[0]
+    for a in arms[1:]:
+        out = Union(out, a)
+    return out
+
+
+class TestVerdictDifferential:
+    """Replaces the strategy comparison of criterion 8, which now compares
+    one verdict procedure with itself."""
+
+    def _component(self, rng, h, mine):
+        r = rng.random()
+        if r < 0.5:
+            return mine
+        if r < 0.75:
+            return Name(rng.choice(h.names))
+        return random_type(rng, h, 2, max_nf_weight=4)
+
+    def _query(self, rng, h, q):
+        if q % 3 == 0:
+            return random_type(rng, h, 4, 128), random_type(rng, h, 4, 128), False
+        # A chain against a union of 2-6 chains of the same shape whose
+        # components often repeat the left side's, so both verdicts occur.
+        right_nested = q % 3 == 1
+        k = rng.randint(2, 4)
+        parts = [random_type(rng, h, 2, max_nf_weight=4) for _ in range(k)]
+        arms = [
+            chain([self._component(rng, h, p) for p in parts], right_nested)
+            for _ in range(rng.randint(2, 6))
+        ]
+        return chain(parts, right_nested), union_of(arms), True
+
+    def test_verdicts_match_the_oracle_and_the_search(self):
+        rng = random.Random(303)
+        union_rhs = {True: 0, False: 0}
+        total = 0
+        for _ in range(40):
+            h = random_hierarchy(rng, 8)
+            for q in range(150):
+                t1, t2, pair_union = self._query(rng, h, q)
+                if max(nf_weight(h, t1), nf_weight(h, t2)) > 1024:
+                    continue
+                mode = Mode.SEMANTIC if q % 2 == 0 else Mode.ATOMIC
+                verdict, _ = reductive_sub(h, t1, t2, mode)
+                assert verdict == semantic_sub(h, t1, t2, mode), f"{t1} <: {t2} [{mode}]"
+                found = subtyping._decide(
+                    h, nf_for_mode(h, t1, mode), t2, mode, local_nf=False
+                )
+                assert (found is not None) == verdict, f"{t1} <: {t2} [{mode}]"
+                total += 1
+                if pair_union:
+                    union_rhs[verdict] += 1
+        assert sum(union_rhs.values()) * 3 >= total
+        assert min(union_rhs.values()) * 10 >= sum(union_rhs.values())
+
+
+def _best_of_3(query):
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        verdict = query()
+        best = min(best, time.perf_counter() - start)
+    return verdict, best
+
+
+class TestArity:
+    """``Num^k`` queries no longer grow with the left side's normal form."""
+
+    @pytest.mark.parametrize("right_nested", [True, False], ids=["right", "left"])
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("strategy", BOTH)
+    def test_num_k_under_10ms_at_16(self, right_nested, mode, strategy):
+        k = 16
+        num, real = T("Num"), T("Real")
+        num_k = chain([num] * k, right_nested)
+        below_real = chain([num] * (k - 1) + [real], right_nested)
+        for t2, expected in ((num_k, True), (below_real, False)):
+            verdict, best = _best_of_3(
+                lambda: reductive_sub(TOWER, num_k, t2, mode, strategy)[0]
+            )
+            assert verdict is expected
+            assert best < 0.010, f"k={k} {expected}: {best * 1000:.2f}ms"
+
+    @pytest.mark.parametrize("right_nested", [True, False], ids=["right", "left"])
+    def test_num_k_verdicts_at_24(self, right_nested):
+        k = 24
+        num, real = T("Num"), T("Real")
+        num_k = chain([num] * k, right_nested)
+        below_real = chain([num] * (k - 1) + [real], right_nested)
+        for mode in Mode:
+            for strategy in BOTH:
+                assert reductive_sub(TOWER, num_k, num_k, mode, strategy)[0] is True
+                assert reductive_sub(TOWER, num_k, below_real, mode, strategy)[0] is False
+
+
+@pytest.fixture
+def nf_calls(monkeypatch):
+    """The arguments of every call to ``subtyping.nf_for_mode``."""
+    calls = []
+    real = subtyping.nf_for_mode
+
+    def counted(h, t, mode):
+        calls.append(t)
+        return real(h, t, mode)
+
+    monkeypatch.setattr(subtyping, "nf_for_mode", counted)
+    return calls
+
+
+class TestOnDemandTrace:
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("strategy", BOTH)
+    @pytest.mark.parametrize(
+        "t1,t2",
+        [
+            ("(Int|Flt)*Num", "Int*Num|Str"),
+            ("Num", "Str"),
+            ("Real*Int", "Int*Int|Str"),
+            ("Num*(Num*Num)", "Num*(Num*Real)"),
+        ],
+    )
+    def test_false_verdicts_never_normalize(self, nf_calls, mode, strategy, t1, t2):
+        assert reductive_sub(TOWER, T(t1), T(t2), mode, strategy) == (False, None)
+        assert nf_calls == []
+
+    def test_true_verdict_normalizes_once_when_the_trace_is_read(self, nf_calls):
+        verdict, trace = reductive_sub(TOWER, T("Str*(Int|Flt)"), T("Str*Real"))
+        assert verdict and nf_calls == []
+        assert trace.rule == SR_NF
+        assert nf_calls == [T("Str*(Int|Flt)")]
+        assert trace.size() == 8
+        assert nf_calls == [T("Str*(Int|Flt)")]
+        assert check_reductive_trace(TOWER, trace)
+
+    def test_decomposition_normalizes_only_the_lighter_component(self, nf_calls):
+        verdict, _ = reductive_sub(TOWER, T("(Int|Flt)*Num"), T("Int*Num|Flt*Num"))
+        assert verdict
+        assert nf_calls == [T("Int|Flt")]
+
+    @pytest.mark.parametrize("strategy", BOTH)
+    @pytest.mark.parametrize(
+        "t1,t2,mode",
+        [
+            ("Str*(Int|Flt)", "Str*Real", Mode.SEMANTIC),
+            ("Real*Int", "Int*Int|Flt*Int", Mode.SEMANTIC),
+            ("Int*Real", "Int*(Int|Flt)", Mode.SEMANTIC),
+            ("Int", "Int", Mode.SEMANTIC),
+            ("Str*(Int|Flt)", "Str*Real", Mode.ATOMIC),
+            ("Real*Int", "Num*Real", Mode.ATOMIC),
+            ("(Int|Real)*Str", "Real*Str|Int*Int", Mode.ATOMIC),
+        ],
+    )
+    def test_on_demand_trace_equals_the_eager_one(self, strategy, t1, t2, mode):
+        a, b = T(t1), T(t2)
+        verdict, lazy = reductive_sub(TOWER, a, b, mode, strategy)
+        assert verdict
+        eager = subtyping._search(TOWER, a, b, mode, strategy)
+        assert type(eager) is ReductiveTrace
+        assert isinstance(lazy, ReductiveTrace)
+        assert hash(lazy) == hash(eager)
+        assert lazy == eager and eager == lazy
+        assert format_trace(lazy) == format_trace(eager)
+        assert {lazy, eager} == {eager}
+
+    def test_reading_twice_builds_once(self, monkeypatch):
+        built = []
+        real = subtyping._search
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(subtyping, "_search", counted)
+        _, trace = reductive_sub(TOWER, T("Real"), T("Int|Flt"))
+        assert built == []
+        first = format_trace(trace)
+        assert format_trace(trace) == first
+        assert trace.size() == 6 and len(built) == 1
