@@ -9,7 +9,10 @@ byte-identical.  Each line digests one section:
   with both strategies;
 - ``random``: the same for seeded random pairs over ``random_hierarchy``;
 - ``nf-derivations``: ``derive_sub_nf`` and ``derive_nf_sub`` for every type of
-  depth at most three over the built-in hierarchy, in both modes.
+  depth at most three over the built-in hierarchy, in both modes;
+- ``parse``: the outcome of ``parse_type`` on every string of at most five
+  tokens over ``PARSE_ALPHABET``: the printed type, or the error's class,
+  message and position.
 
 Usage:
     PYTHONPATH=src python3 scripts/output_digests.py [--seed 808] [--random 9000]
@@ -20,13 +23,37 @@ With the defaults the output is pinned in ``scripts/output_digests.expected``:
 
 import argparse
 import hashlib
+import itertools
 import random
 
-from tagsub.core import DEFAULT_HIERARCHY
+from tagsub.core import DEFAULT_HIERARCHY, UnknownName
 from tagsub.derivation import derive_nf_sub, derive_sub_nf, format_derivation, synthesize
+from tagsub.frontend import ParseError, parse_type
 from tagsub.gen import random_hierarchy, random_type, types_up_to
 from tagsub.semantics import Mode
 from tagsub.subtyping import Strategy, format_trace, reductive_sub
+
+
+# A concrete, an abstract and an undeclared name; every operator spelling;
+# an ASCII and a unicode space; and three characters no token starts with
+# (a zero-width space is not whitespace).
+PARSE_ALPHABET = (
+    "Int", "Num", "Foo", "*", "×", "|", "∪", "(", ")", " ", "\u2003", "\u200b", "3", "_",
+)
+
+
+def parse_outcomes(h, digest, max_tokens=5):
+    count = 0
+    for k in range(max_tokens + 1):
+        for tokens in itertools.product(PARSE_ALPHABET, repeat=k):
+            src = "".join(tokens)
+            try:
+                outcome = str(parse_type(src, h))
+            except (ParseError, UnknownName) as e:
+                outcome = f"{type(e).__name__}: {e} @ {e.position}"
+            digest.update(f"{src!r} -> {outcome}\n".encode())
+            count += 1
+    return count
 
 
 def decisions(h, pairs, digest):
@@ -76,6 +103,10 @@ def main() -> None:
             digest.update(format_derivation(derive_nf_sub(h, t, mode)).encode() + b"\n")
             n += 1
     print(f"nf-derivations  {n:6d} types      {digest.hexdigest()}")
+
+    digest = hashlib.sha256()
+    n = parse_outcomes(h, digest)
+    print(f"parse           {n:6d} strings    {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

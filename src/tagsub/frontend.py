@@ -1,4 +1,4 @@
-"""Concrete syntax for types: recursive-descent parser and printer.
+"""Concrete syntax for types: a one-pass scanner, an iterative parser and a printer.
 
 Grammar (ASCII; the unicode operators are accepted as input aliases):
 
@@ -10,12 +10,16 @@ Grammar (ASCII; the unicode operators are accepted as input aliases):
 '|' and '*' are left-associative and '*' binds tighter, so A*B*C parses as
 (A*B)*C and A|B*C as A|(B*C).  NAME is [A-Za-z][A-Za-z0-9_]*.  Printing uses
 minimal parentheses and round-trips through the parser.
+
+One regex scan turns the whole source into (kind, text, pos) tokens, so a bad
+character anywhere wins over an earlier unknown name.  One loop then parses
+them with the union and product so far and an explicit stack of open groups,
+so parentheses nest to any depth without recursion.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import Name, NominalHierarchy, Pair, TagsubError, TypeExpr, Union, UnknownName
 
@@ -26,92 +30,58 @@ class ParseError(TagsubError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # name, star, bar, lparen, rparen, end
-    text: str
-    pos: int
+# Whitespace matches no group, so finditer skips it; \s is exactly str.isspace.
+_TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)|([*×|∪()])|(\S)")
+_ALIAS = {"×": "*", "∪": "|"}
 
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_PUNCT = {"*": "star", "×": "star", "|": "bar", "∪": "bar", "(": "lparen", ")": "rparen"}
-
-
-def _tokenize(src: str) -> list[_Token]:
+def _scan(src: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    while i < len(src):
-        c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _PUNCT:
-            tokens.append(_Token(_PUNCT[c], c, i))
-            i += 1
-            continue
-        m = _NAME_RE.match(src, i)
-        if m is None:
-            raise ParseError(f"unexpected character {c!r}", i)
-        tokens.append(_Token("name", m.group(), i))
-        i = m.end()
-    tokens.append(_Token("end", "", len(src)))
+    for m in _TOKEN_RE.finditer(src):
+        name, op, bad = m.groups()
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad!r}", m.start())
+        tokens.append(("name", name, m.start()) if op is None else (_ALIAS.get(op, op), op, m.start()))
+    tokens.append(("end", "", len(src)))
     return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], hierarchy: NominalHierarchy):
-        self.tokens = tokens
-        self.pos = 0
-        self.hierarchy = hierarchy
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def union(self) -> TypeExpr:
-        t = self.prod()
-        while self.peek().kind == "bar":
-            self.take()
-            t = Union(t, self.prod())
-        return t
-
-    def prod(self) -> TypeExpr:
-        t = self.primary()
-        while self.peek().kind == "star":
-            self.take()
-            t = Pair(t, self.primary())
-        return t
-
-    def primary(self) -> TypeExpr:
-        tok = self.take()
-        if tok.kind == "name":
-            try:
-                return Name(self.hierarchy.lookup(tok.text))
-            except UnknownName:
-                raise UnknownName(
-                    f"unknown name {tok.text!r} at position {tok.pos}", tok.pos
-                ) from None
-        if tok.kind == "lparen":
-            t = self.union()
-            closing = self.take()
-            if closing.kind != "rparen":
-                raise ParseError("expected ')'", closing.pos)
-            return t
-        raise ParseError(f"expected a name or '(', got {tok.text!r}", tok.pos)
 
 
 def parse_type(src: str, h: NominalHierarchy) -> TypeExpr:
     """Parse a type expression, resolving every name against h."""
-    parser = _Parser(_tokenize(src), h)
-    t = parser.union()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(f"unexpected {trailing.text!r}", trailing.pos)
-    return t
+    tokens = iter(_scan(src))
+    groups: list[tuple[TypeExpr | None, TypeExpr | None]] = []  # (union, prod) outside each open '('
+    union = prod = None
+    while True:
+        # Expect a primary: open groups until a name completes an operand.
+        kind, text, pos = next(tokens)
+        if kind == "(":
+            groups.append((union, prod))
+            union = prod = None
+            continue
+        if kind != "name":
+            raise ParseError(f"expected a name or '(', got {text!r}", pos)
+        try:
+            t: TypeExpr = Name(h.lookup(text))
+        except UnknownName:
+            raise UnknownName(f"unknown name {text!r} at position {pos}", pos) from None
+        # Fold the operand in, then close groups until an operator asks for the next one.
+        while True:
+            prod = t if prod is None else Pair(prod, t)
+            kind, text, pos = next(tokens)
+            if kind == "*":
+                break
+            union = prod if union is None else Union(union, prod)
+            prod = None
+            if kind == "|":
+                break
+            if not groups:
+                if kind != "end":
+                    raise ParseError(f"unexpected {text!r}", pos)
+                return union
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
+            t = union
+            union, prod = groups.pop()
 
 
 def print_type(t: TypeExpr) -> str:

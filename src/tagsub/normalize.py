@@ -47,14 +47,19 @@ def un_prs(t1: TypeExpr, t2: TypeExpr) -> TypeExpr:
     return Pair(t1, t2)
 
 
-def nf(h: NominalHierarchy, t: TypeExpr) -> TypeExpr:
+def nf_for_mode(h: NominalHierarchy, t: TypeExpr, mode: Mode) -> TypeExpr:
+    """Distribute pairs over unions; in semantic mode also expand abstract names."""
     if isinstance(t, Name):
-        if not h.lookup(t.name).abstract:
-            return t
-        return descendant_union(h, t.name)
+        if h.lookup(t.name).abstract and mode is Mode.SEMANTIC:
+            return descendant_union(h, t.name)
+        return t
     if isinstance(t, Pair):
-        return un_prs(nf(h, t.left), nf(h, t.right))
-    return Union(nf(h, t.left), nf(h, t.right))
+        return un_prs(nf_for_mode(h, t.left, mode), nf_for_mode(h, t.right, mode))
+    return Union(nf_for_mode(h, t.left, mode), nf_for_mode(h, t.right, mode))
+
+
+def nf(h: NominalHierarchy, t: TypeExpr) -> TypeExpr:
+    return nf_for_mode(h, t, Mode.SEMANTIC)
 
 
 def in_nf(t: TypeExpr) -> bool:
@@ -64,12 +69,7 @@ def in_nf(t: TypeExpr) -> bool:
 
 
 def nf_atomic(h: NominalHierarchy, t: TypeExpr) -> TypeExpr:
-    if isinstance(t, Name):
-        h.lookup(t.name)
-        return t
-    if isinstance(t, Pair):
-        return un_prs(nf_atomic(h, t.left), nf_atomic(h, t.right))
-    return Union(nf_atomic(h, t.left), nf_atomic(h, t.right))
+    return nf_for_mode(h, t, Mode.ATOMIC)
 
 
 def _atom_tree(t: TypeExpr) -> bool:
@@ -101,7 +101,3 @@ def nf_weight(h: NominalHierarchy, t: TypeExpr) -> int:
     if isinstance(t, Pair):
         return nf_weight(h, t.left) * nf_weight(h, t.right)
     return nf_weight(h, t.left) + nf_weight(h, t.right)
-
-
-def nf_for_mode(h: NominalHierarchy, t: TypeExpr, mode: Mode) -> TypeExpr:
-    return nf(h, t) if mode is Mode.SEMANTIC else nf_atomic(h, t)

@@ -64,6 +64,10 @@ class TestCheck:
         code, out, err = run(capsys, command, deep, "Int")
         assert code == 2 and out == "" and err.startswith("error: ")
 
+    def test_deeply_parenthesized_type(self, capsys):
+        code, out, err = run(capsys, "check", "(" * 400 + "Int" + ")" * 400, "Int")
+        assert code == 0 and out == "true\n" and err == ""
+
 
 class TestOtherCommands:
     def test_nf(self, capsys):

@@ -46,6 +46,60 @@ class TestParse:
             parse_type("Int||Flt", TOWER)
         assert info.value.position == 4
 
+    @pytest.mark.parametrize(
+        "src,error,message,position",
+        [
+            # A character no token starts with; every character is scanned
+            # before any name is resolved, so it wins over an unknown name.
+            ("3", ParseError, "unexpected character '3' (at position 0)", 0),
+            ("_", ParseError, "unexpected character '_' (at position 0)", 0),
+            ("Int&Flt", ParseError, "unexpected character '&' (at position 3)", 3),
+            ("Int\u200bFlt", ParseError, "unexpected character '\\u200b' (at position 3)", 3),
+            ("Foo 3", ParseError, "unexpected character '3' (at position 4)", 4),
+            # A missing operand: at the start, after an operator, at the end.
+            ("", ParseError, "expected a name or '(', got '' (at position 0)", 0),
+            ("*Int", ParseError, "expected a name or '(', got '*' (at position 0)", 0),
+            ("()", ParseError, "expected a name or '(', got ')' (at position 1)", 1),
+            ("Int||Flt", ParseError, "expected a name or '(', got '|' (at position 4)", 4),
+            ("Int*)", ParseError, "expected a name or '(', got ')' (at position 4)", 4),
+            ("Int∪×Flt", ParseError, "expected a name or '(', got '×' (at position 4)", 4),
+            ("Int|", ParseError, "expected a name or '(', got '' (at position 4)", 4),
+            ("(", ParseError, "expected a name or '(', got '' (at position 1)", 1),
+            ("(Int×", ParseError, "expected a name or '(', got '' (at position 5)", 5),
+            # An open group that does not close where it must.
+            ("(Int", ParseError, "expected ')' (at position 4)", 4),
+            ("(Int|Flt", ParseError, "expected ')' (at position 8)", 8),
+            ("((Int)", ParseError, "expected ')' (at position 6)", 6),
+            ("(Int Flt)", ParseError, "expected ')' (at position 5)", 5),
+            ("(Int Foo", ParseError, "expected ')' (at position 5)", 5),
+            # A token left over after a complete type outside any group.
+            ("Int)", ParseError, "unexpected ')' (at position 3)", 3),
+            ("Int Flt", ParseError, "unexpected 'Flt' (at position 4)", 4),
+            ("Int\u2003\u2003Flt", ParseError, "unexpected 'Flt' (at position 5)", 5),
+            ("(Int)(Flt)", ParseError, "unexpected '(' (at position 5)", 5),
+            ("Int|Flt Str", ParseError, "unexpected 'Str' (at position 8)", 8),
+            # A name is resolved when it is parsed, before later syntax errors.
+            ("Str*Foo", UnknownName, "unknown name 'Foo' at position 4", 4),
+            ("Foo|(", UnknownName, "unknown name 'Foo' at position 0", 0),
+            ("Int|Foo)", UnknownName, "unknown name 'Foo' at position 4", 4),
+            ("(Str*Bar", UnknownName, "unknown name 'Bar' at position 5", 5),
+        ],
+    )
+    def test_exact_errors(self, src, error, message, position):
+        with pytest.raises(error) as info:
+            parse_type(src, TOWER)
+        assert type(info.value) is error
+        assert str(info.value) == message
+        assert info.value.position == position
+
+    def test_unicode_spaces(self):
+        assert parse_type("Str\u2003*\xa0(Int|Flt)\u2003", TOWER) == T("Str*(Int|Flt)")
+
+    @pytest.mark.parametrize("inner,expected", [("Int", "Int"), ("Str*(Int|Flt)", "Str*(Int|Flt)")])
+    def test_deep_parentheses(self, inner, expected):
+        depth = 5000
+        assert parse_type("(" * depth + inner + ")" * depth, TOWER) == T(expected)
+
 
 class TestPrint:
     @pytest.mark.parametrize(
