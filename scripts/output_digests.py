@@ -12,7 +12,11 @@ byte-identical.  Each line digests one section:
   depth at most three over the built-in hierarchy, in both modes;
 - ``parse``: the outcome of ``parse_type`` on every string of at most five
   tokens over ``PARSE_ALPHABET``: the printed type, or the error's class,
-  message and position.
+  message and position;
+- ``dispatch``: seeded ``random_hierarchy`` tables of two functions, built
+  with ``add_method`` in both modes: each table's method bodies, then the
+  outcome of ``resolve`` on random calls (``S:`` and the selected body,
+  ``A:`` and the candidates' bodies in order, ``N``, or the error's class).
 
 Usage:
     PYTHONPATH=src python3 scripts/output_digests.py [--seed 808] [--random 9000]
@@ -26,8 +30,17 @@ import hashlib
 import itertools
 import random
 
-from tagsub.core import DEFAULT_HIERARCHY, UnknownName
+from tagsub.core import DEFAULT_HIERARCHY, Name, NominalName, Pair, TagsubError, Union, UnknownName
 from tagsub.derivation import derive_nf_sub, derive_sub_nf, format_derivation, synthesize
+from tagsub.dispatch import (
+    Ambiguous,
+    MethodDef,
+    MethodTable,
+    NoApplicableMethod,
+    Selected,
+    add_method,
+    resolve,
+)
 from tagsub.frontend import ParseError, parse_type
 from tagsub.gen import random_hierarchy, random_type, types_up_to
 from tagsub.semantics import Mode
@@ -53,6 +66,61 @@ def parse_outcomes(h, digest, max_tokens=5):
                 outcome = f"{type(e).__name__}: {e} @ {e.position}"
             digest.update(f"{src!r} -> {outcome}\n".encode())
             count += 1
+    return count
+
+
+def _component(rng, h, width):
+    names = rng.sample(h.names, min(len(h.names), rng.randint(1, width)))
+    out = Name(names[0])
+    for n in names[1:]:
+        out = Union(out, Name(n))
+    return out
+
+
+def _signature(rng, h, width):
+    # Mostly pairs of small unions, so that applicable signatures overlap
+    # and are often incomparable; now and then any random type.
+    if rng.random() < 0.85:
+        return Pair(_component(rng, h, width), _component(rng, h, width))
+    return random_type(rng, h, 3, 64)
+
+
+def dispatch_outcomes(seed, digest, tables=150, methods=10, calls=40):
+    # Calls name a third, undefined function now and then, and a few carry a
+    # name the hierarchy does not declare, so errors are digested too.
+    rng = random.Random(seed)
+    ghost = Name(NominalName("Ghost", False))
+    count = 0
+    for _ in range(tables):
+        h = random_hierarchy(rng, 8)
+        defs = [
+            MethodDef(rng.choice("fg"), _signature(rng, h, 3), f"m{i}") for i in range(methods)
+        ]
+        stream = []
+        for _ in range(calls):
+            call = ghost if rng.random() < 0.02 else _signature(rng, h, 1)
+            stream.append((rng.choice("fffffggggh"), call))
+        for mode in Mode:
+            tbl = MethodTable(h, mode)
+            for d in defs:
+                tbl = add_method(tbl, d)
+            bodies = " ".join(m.body for m in tbl.methods)
+            digest.update(f"table [{mode.value}] {bodies}\n".encode())
+            for fn, call in stream:
+                try:
+                    out = resolve(tbl, fn, call)
+                except TagsubError as e:
+                    outcome = type(e).__name__
+                else:
+                    if isinstance(out, Selected):
+                        outcome = f"S:{out.method.body}"
+                    elif isinstance(out, Ambiguous):
+                        outcome = "A:" + ",".join(m.body for m in out.candidates)
+                    else:
+                        assert isinstance(out, NoApplicableMethod)
+                        outcome = "N"
+                digest.update(f"{fn} {call} -> {outcome}\n".encode())
+                count += 1
     return count
 
 
@@ -107,6 +175,10 @@ def main() -> None:
     digest = hashlib.sha256()
     n = parse_outcomes(h, digest)
     print(f"parse           {n:6d} strings    {digest.hexdigest()}")
+
+    digest = hashlib.sha256()
+    n = dispatch_outcomes(args.seed, digest)
+    print(f"dispatch        {n:6d} resolves   {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -144,6 +144,8 @@ class NominalHierarchy:
                 raise ConcreteParent(
                     f"{d.name} extends concrete name {d.parent}; concrete names are leaves"
                 )
+        # Each name's reflexive ancestor set, walked once per name.
+        self._above: dict[str, set[str]] = {}
         for d in decls:
             trail = {d.name}
             cur = d.parent
@@ -152,6 +154,7 @@ class NominalHierarchy:
                     raise CycleDetected(f"cycle through {cur}")
                 trail.add(cur)
                 cur = seen[cur].parent
+            self._above[d.name] = trail
 
         self.decls = decls
         self._names = {d.name: NominalName(d.name, d.abstract) for d in decls}
@@ -161,23 +164,12 @@ class NominalHierarchy:
         self.names = tuple(self._names[d.name] for d in decls)
         self.concrete_names = tuple(n for n in self.names if not n.abstract)
         # Descendant tables in declaration order (reflexive for the own kind).
-        self._concrete_desc: dict[str, tuple[NominalName, ...]] = {}
-        self._abstract_desc: dict[str, tuple[NominalName, ...]] = {}
-        for n in self.names:
-            self._concrete_desc[n.text] = tuple(
-                c for c in self.names if not c.abstract and self._reaches(c, n)
-            )
-            self._abstract_desc[n.text] = tuple(
-                a for a in self.names if a.abstract and self._reaches(a, n)
-            )
-
-    def _reaches(self, below: NominalName, above: NominalName) -> bool:
-        cur: NominalName | None = below
-        while cur is not None:
-            if cur == above:
-                return True
-            cur = self._parent[cur.text]
-        return False
+        self._concrete_desc = {n.text: () for n in self.names}
+        self._abstract_desc = {n.text: () for n in self.names}
+        for m in self.names:
+            table = self._abstract_desc if m.abstract else self._concrete_desc
+            for a in self._above[m.text]:
+                table[a] += (m,)
 
     def lookup(self, name: str | NominalName) -> NominalName:
         text = name.text if isinstance(name, NominalName) else name
@@ -212,7 +204,8 @@ def nominal_subtype(
     h: NominalHierarchy, n1: str | NominalName, n2: str | NominalName
 ) -> bool:
     """True iff n1 reaches n2 by zero or more parent edges (reflexive)."""
-    return h._reaches(h.lookup(n1), h.lookup(n2))
+    above = h._above[h.lookup(n1).text]
+    return h.lookup(n2).text in above
 
 
 def concrete_descendants(
@@ -239,12 +232,15 @@ def is_value_type(t: TypeExpr) -> bool:
 
 
 def validate_type(h: NominalHierarchy, t: TypeExpr) -> None:
-    """Raise UnknownName unless every name in t is declared in h."""
-    if isinstance(t, Name):
-        h.lookup(t.name)
-    else:
-        validate_type(h, t.left)
-        validate_type(h, t.right)
+    """Raise UnknownName for the leftmost name in t that h does not declare."""
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Name):
+            h.lookup(x.name)
+        else:
+            todo.append(x.right)
+            todo.append(x.left)
 
 
 # File format: one declaration per line, '#' comments, e.g.

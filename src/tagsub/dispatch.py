@@ -4,7 +4,8 @@ Method signatures and calls are both plain types; n-ary argument lists are
 encoded as right-nested pairs.  A table is built by inserting methods one at
 a time: inserting at a signature equivalent to an existing one of the same
 function overwrites that method in place, so no two registered signatures of
-a function are ever mutually subtyping.
+a function are ever mutually subtyping.  Resolution relies on that: a call
+selects its single minimal applicable method, or is ambiguous between several.
 """
 
 from __future__ import annotations
@@ -98,27 +99,23 @@ def applicable(tbl: MethodTable, function: str, call: TypeExpr) -> list[MethodDe
 
 
 def resolve(tbl: MethodTable, function: str, call: TypeExpr) -> DispatchOutcome:
-    """Pick the applicable method whose signature subtypes all the others.
+    """The most specific applicable method, found in one pass.
 
-    With replacement-on-equivalence in force the minimum is unique whenever
-    it exists; when it does not, the subtyping-minimal candidates are
-    reported as an ambiguity.
+    A candidate is minimal when no other candidate's signature lies strictly
+    below its own.  Since no two signatures of a function are equivalent, a
+    single minimal candidate is the minimum and is selected; several are
+    reported as an ambiguity, in table order.
     """
     cands = applicable(tbl, function, call)
-    if not cands:
-        return NoApplicableMethod()
-    for m in cands:
-        if all(_sub(tbl, m.signature, o.signature) for o in cands):
-            return Selected(m)
-    minimal = tuple(
-        m
-        for m in cands
-        if not any(
-            _sub(tbl, o.signature, m.signature) and not _sub(tbl, m.signature, o.signature)
-            for o in cands
-        )
-    )
-    return Ambiguous(minimal)
+    minimal = tuple(m for m in cands if not any(_strictly_below(tbl, o, m) for o in cands))
+    if len(minimal) == 1:
+        return Selected(minimal[0])
+    return Ambiguous(minimal) if minimal else NoApplicableMethod()
+
+
+def _strictly_below(tbl: MethodTable, o: MethodDef, m: MethodDef) -> bool:
+    a, b = o.signature, m.signature
+    return o is not m and _sub(tbl, a, b) and not _sub(tbl, b, a)
 
 
 # Method file format, one statement per line, '#' comments:

@@ -25,6 +25,7 @@ from .core import (
     concrete_descendants,
     is_value_type,
     nominal_subtype,
+    validate_type,
 )
 
 
@@ -160,7 +161,8 @@ def matching_sub(h: NominalHierarchy, t1: TypeExpr, t2: TypeExpr) -> bool:
 
     Quantifying over all value types reduces to the members of t1's
     interpretation, because matching t1 coincides with membership in it.
+    Undeclared names raise ``UnknownName``, t1's before t2's.
     """
-    return all(
-        _matches(h, tag_to_type(v), t2) for v in interp(h, t1, Mode.SEMANTIC)
-    )
+    tags = interp(h, t1, Mode.SEMANTIC)
+    validate_type(h, t2)
+    return all(_matches(h, tag_to_type(v), t2) for v in tags)

@@ -27,6 +27,7 @@ from .core import (
     UnknownName,
     concrete_descendants,
     nominal_subtype,
+    validate_type,
 )
 from .normalize import EmptyAbstract, nf_for_mode, nf_weight
 from .semantics import Mode
@@ -104,7 +105,8 @@ def reductive_sub(
     """Decide t1 <: t2: the verdict first, the trace on demand.
 
     The verdict never builds t1's normal form, but raises what normalizing
-    t1 would raise (``UnknownName``; ``EmptyAbstract`` in semantic mode).  A
+    t1 would raise (``UnknownName``; ``EmptyAbstract`` in semantic mode),
+    then ``UnknownName`` for an undeclared name in t2.  A
     false verdict returns ``(False, None)`` without any search.  A true one
     returns a trace whose rule and premises are found on first access by the
     reductive search of the chosen strategy.  NORMALIZE_FIRST applies the
@@ -116,6 +118,7 @@ def reductive_sub(
     provable only through a root SR-NF.
     """
     _check_normalizable(h, t1, mode)
+    validate_type(h, t2)
     if not _holds(h, t1, _arms(t2), mode):
         return False, None
     return True, _OnDemandTrace(h, t1, t2, mode, strategy)

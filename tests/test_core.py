@@ -9,6 +9,8 @@ from tagsub.core import (
     HierarchySyntaxError,
     MultipleParents,
     Name,
+    Pair,
+    Union,
     UnknownName,
     UnknownParent,
     concrete_descendants,
@@ -16,6 +18,7 @@ from tagsub.core import (
     nominal_subtype,
     parse_hierarchy,
     validate_hierarchy,
+    validate_type,
 )
 
 
@@ -137,6 +140,19 @@ class TestIsValueType:
     )
     def test_examples(self, src, expected):
         assert is_value_type(T(src)) is expected
+
+
+class TestValidateType:
+    def test_leftmost_undeclared_name_is_reported(self):
+        other = validate_hierarchy([Decl("Foo", False), Decl("Bar", False)])
+        foo, bar = Name(other.lookup("Foo")), Name(other.lookup("Bar"))
+        with pytest.raises(UnknownName, match="Foo"):
+            validate_type(TOWER, Pair(Union(T("Int"), foo), bar))
+        with pytest.raises(UnknownName, match="Bar"):
+            validate_type(TOWER, Pair(Union(T("Int"), bar), foo))
+
+    def test_wide_union(self):
+        assert validate_type(TOWER, T("|".join(["Int", "Str"] * 1500))) is None
 
 
 class TestHierarchyFile:

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from conftest import EXTENDED, TOWER, T
-from tagsub.core import NominalHierarchy
+from tagsub import dispatch
+from tagsub.core import NominalHierarchy, Union
 from tagsub.dispatch import (
     Ambiguous,
     MethodDef,
@@ -16,7 +19,8 @@ from tagsub.dispatch import (
     resolve,
     tuple_type,
 )
-from tagsub.semantics import Mode
+from tagsub.gen import random_hierarchy, random_type
+from tagsub.semantics import Mode, semantic_sub
 
 
 def mk(fn, sig, body, h=TOWER):
@@ -82,6 +86,14 @@ class TestAddMethod:
                             and reductive_sub(TOWER, b.signature, a.signature, mode)[0]
                         )
 
+    def test_wide_union_signature(self):
+        # The signature's names are checked without one Python frame per arm.
+        wide = T("|".join(["Int", "Flt", "Str"] * 1000))
+        tbl = add_method(MethodTable(TOWER, Mode.SEMANTIC), MethodDef("f", wide, "w"))
+        assert bodies(tbl.methods) == ["w"]
+        out = resolve(tbl, "f", T("Int"))
+        assert isinstance(out, Selected) and out.method.body == "w"
+
 
 class TestApplicable:
     def test_int_int_call(self):
@@ -124,6 +136,102 @@ class TestResolve:
     def test_abstract_call_types_are_allowed(self):
         out = resolve(table(Mode.SEMANTIC, PLUS3), "plus", T("Real*Real"))
         assert isinstance(out, Selected) and out.method.body == "mUU"
+
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_three_way_ambiguity_in_one_pass(self, mode, monkeypatch):
+        tbl = table(
+            mode,
+            [
+                mk("f", "Int*Real", "mIR"),
+                mk("f", "Real*Int", "mRI"),
+                mk("f", "(Int|Str)*(Int|Str)", "mUU"),
+            ],
+        )
+        calls = []
+        decide = dispatch.reductive_sub
+        monkeypatch.setattr(
+            dispatch, "reductive_sub", lambda *args: calls.append(args) or decide(*args)
+        )
+        out = resolve(tbl, "f", T("Int*Int"))
+        assert isinstance(out, Ambiguous)
+        assert out.candidates == tbl.methods
+        assert bodies(out.candidates) == ["mIR", "mRI", "mUU"]
+        # Three applicability checks, then one check per ordered pair of
+        # candidates: none lies below another, so no check runs backwards.
+        assert len(calls) <= 9
+
+    def test_hand_built_equivalent_signatures(self):
+        # add_method would merge Real and Int|Flt in semantic mode; a table
+        # built by hand keeps both, and neither is below the other.
+        methods = (mk("f", "Real", "mR"), mk("f", "Int|Flt", "mU"))
+        out = resolve(MethodTable(TOWER, Mode.SEMANTIC, methods=methods), "f", T("Int"))
+        assert out == Ambiguous(methods)
+        # In atomic mode Int|Flt lies strictly below Real.
+        out = resolve(MethodTable(TOWER, Mode.ATOMIC, methods=methods), "f", T("Int"))
+        assert out == Selected(methods[1])
+
+
+def resolve_by_definition(tbl: MethodTable, function: str, call) -> object:
+    """Resolution as defined, ordered by the set-based oracle.
+
+    The most specific applicable method lies below every other applicable
+    one; without one, the candidates that nothing lies strictly below are
+    ambiguous.
+    """
+
+    def below(a, b):
+        return semantic_sub(tbl.hierarchy, a.signature, b.signature, tbl.mode)
+
+    cands = [
+        m
+        for m in tbl.methods
+        if m.function == function
+        and semantic_sub(tbl.hierarchy, call, m.signature, tbl.mode)
+    ]
+    if not cands:
+        return NoApplicableMethod()
+    most = [m for m in cands if all(below(m, o) for o in cands)]
+    assert len(most) <= 1, "add_method kept two equivalent signatures"
+    if most:
+        return Selected(most[0])
+    return Ambiguous(
+        tuple(m for m in cands if not any(below(o, m) and not below(m, o) for o in cands))
+    )
+
+
+def random_signature(rng, h, width):
+    """Mostly a pair of small unions of names, so that signatures overlap."""
+    if rng.random() < 0.2:
+        return random_type(rng, h, 3, 64)
+    parts = []
+    for _ in range(2):
+        names = rng.sample(h.names, min(len(h.names), rng.randint(1, width)))
+        part = T(names[0].text, h)
+        for n in names[1:]:
+            part = Union(part, T(n.text, h))
+        parts.append(part)
+    return tuple_type(parts)
+
+
+class TestResolveByDefinition:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_random_tables(self, mode):
+        rng = random.Random(4242)
+        kinds = set()
+        for _ in range(60):
+            h = random_hierarchy(rng, 8)
+            tbl = MethodTable(h, mode)
+            for i in range(8):
+                sig = random_signature(rng, h, 3)
+                tbl = add_method(tbl, MethodDef(rng.choice("fg"), sig, f"m{i}"))
+            functions = sorted({m.function for m in tbl.methods})
+            for _ in range(30):
+                fn, call = rng.choice(functions), random_signature(rng, h, 1)
+                expected = resolve_by_definition(tbl, fn, call)
+                assert resolve(tbl, fn, call) == expected, (fn, str(call))
+                kinds.add(type(expected))
+        assert kinds == {Selected, Ambiguous, NoApplicableMethod}
 
 
 class TestStabilityScenario:

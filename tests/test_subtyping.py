@@ -7,7 +7,7 @@ from conftest import TOWER, T, type_exprs
 from tagsub.core import Decl, Name, Pair, Union, UnknownName, validate_hierarchy
 from tagsub.gen import random_hierarchy, random_type, types_up_to, value_types_up_to
 from tagsub.normalize import EmptyAbstract, nf
-from tagsub.semantics import Mode, matches, semantic_sub
+from tagsub.semantics import Mode, matches, matching_sub, semantic_sub
 from tagsub.subtyping import (
     SR_BASE_REFL,
     SR_NF,
@@ -132,6 +132,52 @@ class TestErrorParity:
         assert verdict is expected
         if verdict:
             assert check_reductive_trace(VOID, trace, Mode.ATOMIC)
+
+
+#: Names declared only in other hierarchies than TOWER.
+FOO = Name(validate_hierarchy([Decl("Foo", False)]).lookup("Foo"))
+BAR = Name(validate_hierarchy([Decl("Bar", False)]).lookup("Bar"))
+
+
+class TestUndeclaredNamesOnTheRight:
+    """All three characterizations reject a right side the hierarchy does not declare."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("strategy", BOTH)
+    def test_reductive(self, mode, strategy):
+        with pytest.raises(UnknownName, match="Foo"):
+            reductive_sub(TOWER, T("Int"), Union(T("Int"), FOO), mode, strategy)
+        with pytest.raises(UnknownName, match="Foo"):
+            reductive_sub(TOWER, T("Str"), Union(T("Int"), FOO), mode, strategy)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_semantic(self, mode):
+        with pytest.raises(UnknownName, match="Foo"):
+            semantic_sub(TOWER, T("Int"), Union(T("Int"), FOO), mode)
+
+    def test_matching(self):
+        with pytest.raises(UnknownName, match="Foo"):
+            matching_sub(TOWER, T("Int"), Union(T("Int"), FOO))
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_left_side_error_comes_first(self, mode):
+        rhs = Union(T("Int"), FOO)
+        for strategy in BOTH:
+            with pytest.raises(UnknownName, match="Bar"):
+                reductive_sub(TOWER, BAR, rhs, mode, strategy)
+        with pytest.raises(UnknownName, match="Bar"):
+            semantic_sub(TOWER, BAR, rhs, mode)
+        if mode is Mode.SEMANTIC:
+            with pytest.raises(UnknownName, match="Bar"):
+                matching_sub(TOWER, BAR, rhs)
+            with pytest.raises(EmptyAbstract):
+                reductive_sub(VOID, V("Void"), Union(V("Int"), FOO), mode)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("strategy", BOTH)
+    def test_wide_union_on_the_right(self, mode, strategy):
+        wide = T("|".join(["Str", "Flt", "Int"] * 1000))
+        assert reductive_sub(TOWER, T("Int"), wide, mode, strategy)[0] is True
 
 
 class TestGoldenTraces:
