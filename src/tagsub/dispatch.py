@@ -6,18 +6,37 @@ a time: inserting at a signature equivalent to an existing one of the same
 function overwrites that method in place, so no two registered signatures of
 a function are ever mutually subtyping.  Resolution relies on that: a call
 selects its single minimal applicable method, or is ambiguous between several.
+
+A table compiles each function on its first resolve into a tree of signature
+components (see :class:`_Node`) that answers "which signatures hold this
+type" as one bit mask, so resolving makes no subtype call.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from .core import NominalHierarchy, Pair, TagsubError, TypeExpr, validate_type
+from .core import (
+    Name,
+    NominalHierarchy,
+    NominalName,
+    Pair,
+    TagsubError,
+    TypeExpr,
+    Union,
+    concrete_descendants,
+    nominal_subtype,
+    validate_type,
+)
 from .semantics import Mode
-from .subtyping import reductive_sub
+from .subtyping import _arms, _check_normalizable, _holds
+
+# Dispatch makes no subtype call; the name stays so that code which patches
+# dispatch.reductive_sub to count dispatch's subtype calls still finds it.
+from .subtyping import reductive_sub  # noqa: F401
 
 
 class UnknownFunction(TagsubError):
@@ -40,6 +59,11 @@ class MethodTable:
     hierarchy: NominalHierarchy
     mode: Mode
     methods: tuple[MethodDef, ...] = ()
+    # Function name -> _Function, filled on first use.  A table never changes,
+    # so nothing here is ever invalidated; replace() starts a fresh one.
+    _compiled: dict = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -70,20 +94,135 @@ def tuple_type(parts: Sequence[TypeExpr]) -> TypeExpr:
     return out
 
 
-def _sub(tbl: MethodTable, a: TypeExpr, b: TypeExpr) -> bool:
-    verdict, _ = reductive_sub(tbl.hierarchy, a, b, tbl.mode)
-    return verdict
+class _Node:
+    """The components of several signatures at one position of the tree.
+
+    Bit i stands for signature i.  ``mask(t)`` is the set of signatures whose
+    component here holds t, decided by the same case split as ``_holds``:
+    a union ANDs its arms; a name ORs the entries that cover it (in semantic
+    mode an abstract name ANDs its concrete descendants); a pair ANDs the
+    left and right child nodes over the components with exactly one pair
+    arm, and asks ``_holds`` for components with several.  Names are keyed by
+    their text, which is unique once checked; no type is ever hashed, since
+    that recurses.
+    """
+
+    def __init__(self, h, mode: Mode, parts: list[tuple[int, TypeExpr]]):
+        self.h, self.mode, self.full = h, mode, 0
+        self.entries: dict = {}  # name text -> bits of the components naming it
+        single: dict = {}  # id(pair arm) -> [bits, pair arm]
+        self.multi: list = []  # (bits, arms) of components with several pair arms
+        for bits, t in parts:
+            self.full |= bits
+            arms = _arms(t)
+            pairs = [a for a in arms if isinstance(a, Pair)]
+            for a in arms:
+                if isinstance(a, Name):
+                    self.entries[a.name.text] = self.entries.get(a.name.text, 0) | bits
+            if len(pairs) == 1:
+                single.setdefault(id(pairs[0]), [0, pairs[0]])[0] |= bits
+            elif pairs:
+                self.multi.append((bits, arms))
+        self.single = list(single.values())
+        self.children: tuple[_Node, _Node] | None = None
+        self.names: dict = {}  # name text -> mask, memoized
+
+    def mask(self, t: TypeExpr) -> int:
+        if isinstance(t, Union):
+            out = self.full
+            for x in _arms(t):
+                out &= self.mask(x)
+                if not out:
+                    break
+            return out
+        if isinstance(t, Name):
+            return self._name(t.name)
+        out = 0
+        if self.single:
+            if self.children is None:
+                self.children = (
+                    _Node(self.h, self.mode, [(bits, p.left) for bits, p in self.single]),
+                    _Node(self.h, self.mode, [(bits, p.right) for bits, p in self.single]),
+                )
+            left, right = self.children
+            out = left.mask(t.left)
+            if out:
+                out &= right.mask(t.right)
+        for bits, arms in self.multi:
+            if _holds(self.h, t, arms, self.mode):
+                out |= bits
+        return out
+
+    def _name(self, n: NominalName) -> int:
+        out = self.names.get(n.text)
+        if out is None:
+            if self.mode is Mode.SEMANTIC and n.abstract:
+                out = self.full
+                for c in concrete_descendants(self.h, n):
+                    out &= self._name(c)
+            else:
+                out = 0
+                for e, bits in self.entries.items():
+                    if nominal_subtype(self.h, n, e):
+                        out |= bits
+            self.names[n.text] = out
+        return out
+
+
+class _Function:
+    """One function's methods in a table, compiled on first use."""
+
+    def __init__(self, tbl: MethodTable, function: str):
+        self.h, self.mode = tbl.hierarchy, tbl.mode
+        self.methods = tuple(m for m in tbl.methods if m.function == function)
+        if not self.methods:
+            raise UnknownFunction(f"no methods defined for {function!r}")
+        # By identity: MethodDefs compare by value, and hashing one hashes its
+        # signature, which recurses.
+        self.position = {id(m): i for i, m in enumerate(self.methods)}
+        self._root: _Node | None = None
+        self._up: list[int | None] = [None] * len(self.methods)
+
+    def root(self) -> _Node:
+        if self._root is None:
+            for m in self.methods:
+                validate_type(self.h, m.signature)
+            parts = [(1 << i, m.signature) for i, m in enumerate(self.methods)]
+            self._root = _Node(self.h, self.mode, parts)
+        return self._root
+
+    def up(self, i: int) -> int:
+        """The bits of the signatures at or above signature i."""
+        if self._up[i] is None:
+            sig = self.methods[i].signature
+            _check_normalizable(self.h, sig, self.mode)
+            self._up[i] = self.root().mask(sig)
+        return self._up[i]
+
+    def strictly_below(self, j: int, i: int) -> bool:
+        return j != i and bool(self.up(j) >> i & 1) and not self.up(i) >> j & 1
+
+
+def _function(tbl: MethodTable, function: str) -> _Function:
+    fn = tbl._compiled.get(function)
+    if fn is None:
+        fn = tbl._compiled[function] = _Function(tbl, function)
+    return fn
 
 
 def add_method(tbl: MethodTable, m: MethodDef) -> MethodTable:
     """Insert m, replacing an equivalent-signature method of the same function."""
-    validate_type(tbl.hierarchy, m.signature)
+    h, mode = tbl.hierarchy, tbl.mode
+    validate_type(h, m.signature)
+    above = _Node(h, mode, [(1, m.signature)])
     for i, old in enumerate(tbl.methods):
-        if (
-            old.function == m.function
-            and _sub(tbl, old.signature, m.signature)
-            and _sub(tbl, m.signature, old.signature)
-        ):
+        if old.function != m.function:
+            continue
+        _check_normalizable(h, old.signature, mode)
+        if not above.mask(old.signature):
+            continue
+        _check_normalizable(h, m.signature, mode)
+        if _holds(h, m.signature, _arms(old.signature), mode):
             methods = list(tbl.methods)
             methods[i] = m
             return replace(tbl, methods=tuple(methods))
@@ -92,10 +231,14 @@ def add_method(tbl: MethodTable, m: MethodDef) -> MethodTable:
 
 def applicable(tbl: MethodTable, function: str, call: TypeExpr) -> list[MethodDef]:
     """Methods of the function whose signature is a supertype of the call."""
-    methods = [m for m in tbl.methods if m.function == function]
-    if not methods:
-        raise UnknownFunction(f"no methods defined for {function!r}")
-    return [m for m in methods if _sub(tbl, call, m.signature)]
+    fn = _function(tbl, function)
+    _check_normalizable(tbl.hierarchy, call, tbl.mode)
+    bits, out = fn.root().mask(call), []
+    while bits:
+        low = bits & -bits
+        out.append(fn.methods[low.bit_length() - 1])
+        bits ^= low
+    return out
 
 
 def resolve(tbl: MethodTable, function: str, call: TypeExpr) -> DispatchOutcome:
@@ -107,15 +250,14 @@ def resolve(tbl: MethodTable, function: str, call: TypeExpr) -> DispatchOutcome:
     reported as an ambiguity, in table order.
     """
     cands = applicable(tbl, function, call)
-    minimal = tuple(m for m in cands if not any(_strictly_below(tbl, o, m) for o in cands))
+    fn = _function(tbl, function)
+    at = [fn.position[id(m)] for m in cands]
+    minimal = tuple(
+        m for m, i in zip(cands, at) if not any(fn.strictly_below(j, i) for j in at)
+    )
     if len(minimal) == 1:
         return Selected(minimal[0])
     return Ambiguous(minimal) if minimal else NoApplicableMethod()
-
-
-def _strictly_below(tbl: MethodTable, o: MethodDef, m: MethodDef) -> bool:
-    a, b = o.signature, m.signature
-    return o is not m and _sub(tbl, a, b) and not _sub(tbl, b, a)
 
 
 # Method file format, one statement per line, '#' comments:

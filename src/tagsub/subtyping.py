@@ -152,6 +152,8 @@ def _check_normalizable(h, t: TypeExpr, mode: Mode) -> None:
 
 def _arms(t: TypeExpr) -> list[TypeExpr]:
     """The top-level union arms of t, left to right: names and pairs."""
+    if not isinstance(t, Union):
+        return [t]
     out, todo = [], [t]
     while todo:
         x = todo.pop()
@@ -176,7 +178,15 @@ def _holds(h, lhs: TypeExpr, arms: list[TypeExpr], mode: Mode) -> bool:
     own arm set is exact.
     """
     if isinstance(lhs, Union):
-        return _holds(h, lhs.left, arms, mode) and _holds(h, lhs.right, arms, mode)
+        # The arms of lhs left to right, as _arms lists them, without the list.
+        todo = [lhs]
+        while todo:
+            x = todo.pop()
+            if isinstance(x, Union):
+                todo += (x.right, x.left)
+            elif not _holds(h, x, arms, mode):
+                return False
+        return True
     if isinstance(lhs, Name):
         names = [a.name for a in arms if isinstance(a, Name)]
         n = lhs.name

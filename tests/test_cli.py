@@ -60,9 +60,15 @@ class TestCheck:
 
     @pytest.mark.parametrize("command", ["check", "eq"])
     def test_recursion_limit_is_an_error_not_a_verdict(self, capsys, command):
-        deep = "|".join(["Int"] * 3000)
-        code, out, err = run(capsys, command, deep, "Int")
+        deep = "*".join(["Int"] * 1500)
+        code, out, err = run(capsys, command, deep, deep)
         assert code == 2 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["check", "eq"])
+    def test_wide_union_is_answered(self, capsys, command):
+        wide = "|".join(["Int"] * 3000)
+        code, out, err = run(capsys, command, wide, "Int")
+        assert code == 0 and out == "true\n" and err == ""
 
     def test_deeply_parenthesized_type(self, capsys):
         code, out, err = run(capsys, "check", "(" * 400 + "Int" + ")" * 400, "Int")

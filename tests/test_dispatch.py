@@ -4,7 +4,7 @@ import pytest
 
 from conftest import EXTENDED, TOWER, T
 from tagsub import dispatch
-from tagsub.core import NominalHierarchy, Union
+from tagsub.core import Decl, Name, NominalHierarchy, NominalName, UnknownName, Union, validate_hierarchy
 from tagsub.dispatch import (
     Ambiguous,
     MethodDef,
@@ -20,6 +20,7 @@ from tagsub.dispatch import (
     tuple_type,
 )
 from tagsub.gen import random_hierarchy, random_type
+from tagsub.normalize import EmptyAbstract
 from tagsub.semantics import Mode, semantic_sub
 
 
@@ -232,6 +233,190 @@ class TestResolveByDefinition:
                 assert resolve(tbl, fn, call) == expected, (fn, str(call))
                 kinds.add(type(expected))
         assert kinds == {Selected, Ambiguous, NoApplicableMethod}
+
+
+def chain_of_components(rng, names, arity):
+    """A right-nested chain whose components are names or small unions of names."""
+    parts = []
+    for _ in range(arity):
+        picked = rng.sample(names, min(len(names), rng.choice((1, 1, 2))))
+        part = Name(picked[0])
+        for n in picked[1:]:
+            part = Union(part, Name(n))
+        parts.append(part)
+    return tuple_type(parts)
+
+
+def dispatch_type(rng, h):
+    """An arity-3 or arity-4 chain, a union of several chains, or a bare name."""
+    names = list(h.names)
+    roll = rng.random()
+    if roll < 0.1:
+        return Name(rng.choice(names))
+    arity = rng.choice((3, 4))
+    if roll < 0.3:
+        out = chain_of_components(rng, names, arity)
+        for _ in range(rng.randint(1, 2)):
+            out = Union(out, chain_of_components(rng, names, arity))
+        return out
+    return chain_of_components(rng, names, arity)
+
+
+def counted(monkeypatch):
+    """Count the calls made through dispatch.reductive_sub."""
+    calls = []
+    decide = dispatch.reductive_sub
+    monkeypatch.setattr(
+        dispatch, "reductive_sub", lambda *args: calls.append(args) or decide(*args)
+    )
+    return calls
+
+
+class TestCompiledResolve:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_reused_tables_agree_with_the_definition(self, mode):
+        # One table answers many calls, in shuffled orders and with repeats,
+        # so answers computed early are reused by later calls.
+        rng = random.Random(6060)
+        kinds = set()
+        for round_ in range(24):
+            h = TOWER if round_ % 3 == 0 else random_hierarchy(rng, 7)
+            tbl = MethodTable(h, mode)
+            for i in range(14):
+                sig = dispatch_type(rng, h)
+                tbl = add_method(tbl, MethodDef(rng.choice("fg"), sig, f"m{i}"))
+            functions = sorted({m.function for m in tbl.methods})
+            calls = [(rng.choice(functions), dispatch_type(rng, h)) for _ in range(12)]
+            calls += [(fn, m.signature) for fn in functions for m in tbl.methods[:3]]
+            cases = [(fn, c, resolve_by_definition(tbl, fn, c)) for fn, c in calls]
+            for _ in range(2):
+                rng.shuffle(cases)
+                for fn, call, expected in cases:
+                    assert resolve(tbl, fn, call) == expected, (fn, str(call))
+                    kinds.add(type(expected))
+        assert kinds == {Selected, Ambiguous, NoApplicableMethod}
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_new_call_makes_no_subtype_call(self, mode, monkeypatch):
+        tbl = add_method(table(mode, PLUS3), MRR)
+        resolve(tbl, "plus", T("Int*Int"))
+        calls = counted(monkeypatch)
+        out = resolve(tbl, "plus", T("Flt*Int"))
+        assert isinstance(out, Selected)
+        assert out.method.body == ("mRR" if mode is Mode.SEMANTIC else "mUU")
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_wide_union_call(self, mode):
+        wide = T("|".join(["Int", "Flt"] * 1500))
+        tbl = table(mode, [mk("f", "Real", "mR"), mk("f", "Num", "mN"), mk("f", "Int", "mI")])
+        out = resolve(tbl, "f", wide)
+        assert isinstance(out, Selected) and out.method.body == "mR"
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_wide_union_inside_a_pair_call(self, mode):
+        call = T("Real*(" + "|".join(["Int"] * 3000) + ")")
+        tbl = table(
+            mode,
+            [mk("f", "Real*Int", "mRI"), mk("f", "Num*Num", "mNN"), mk("f", "Int*Int", "mII")],
+        )
+        out = resolve(tbl, "f", call)
+        assert isinstance(out, Selected) and out.method.body == "mRI"
+
+
+VOID = validate_hierarchy([Decl("Void", True), Decl("Int", False), Decl("Str", False)])
+GHOST = Name(NominalName("Ghost", False))
+PHANTOM = Name(NominalName("Phantom", False))
+
+
+def vmk(fn, sig, body):
+    return mk(fn, sig, body, VOID)
+
+
+class TestErrorParity:
+    """Errors and their order, as the uncompiled resolver raised them."""
+
+    def test_undeclared_call_name_comes_before_signature_errors(self):
+        methods = (mk("f", "Int", "mI"), MethodDef("f", Union(T("Int"), GHOST), "mG"))
+        tbl = MethodTable(TOWER, Mode.SEMANTIC, methods=methods)
+        with pytest.raises(UnknownName, match="Phantom"):
+            resolve(tbl, "f", PHANTOM)
+        with pytest.raises(UnknownFunction):
+            resolve(tbl, "g", PHANTOM)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_undeclared_signature_name(self, mode):
+        # The bad signature is not applicable and comes last; it still raises,
+        # on every resolve.
+        methods = (mk("f", "Int", "mI"), MethodDef("f", Union(T("Str"), GHOST), "mG"))
+        tbl = MethodTable(TOWER, mode, methods=methods)
+        for _ in range(2):
+            with pytest.raises(UnknownName, match="Ghost"):
+                resolve(tbl, "f", T("Int"))
+        other = MethodTable(TOWER, mode, methods=methods + (mk("g", "Int", "gI"),))
+        assert resolve(other, "g", T("Int")) == Selected(other.methods[2])
+
+    def test_empty_abstract_call(self):
+        tbl = table(Mode.SEMANTIC, [vmk("f", "Int", "mI"), vmk("f", "Str", "mS")], VOID)
+        with pytest.raises(EmptyAbstract):
+            resolve(tbl, "f", T("Void", VOID))
+        with pytest.raises(EmptyAbstract):
+            resolve(tbl, "f", T("Int*Void|Str", VOID))
+        tbl = table(Mode.ATOMIC, [vmk("f", "Int", "mI"), vmk("f", "Void", "mV")], VOID)
+        assert resolve(tbl, "f", T("Void", VOID)) == Selected(tbl.methods[1])
+
+    def test_empty_abstract_among_candidates(self):
+        # Int*Str is not below Void|Int*Int, so both are kept; a call that
+        # both accept compares them, which checks the Void signature.
+        defs = [vmk("f", "Int*Str|Int*Int", "mA"), vmk("f", "Void|Int*Int", "mV")]
+        tbl = table(Mode.SEMANTIC, defs, VOID)
+        assert bodies(tbl.methods) == ["mA", "mV"]
+        with pytest.raises(EmptyAbstract):
+            resolve(tbl, "f", T("Int*Int", VOID))
+        assert resolve(tbl, "f", T("Int*Str", VOID)) == Selected(tbl.methods[0])
+        assert resolve(tbl, "f", T("Str", VOID)) == NoApplicableMethod()
+
+    def test_tables_compare_equal_after_resolving(self):
+        for mode in Mode:
+            a, b = table(mode, PLUS3), table(mode, PLUS3)
+            resolve(a, "plus", T("Int*Int"))
+            assert a == b and b == a
+            resolve(b, "plus", T("Flt*Int"))
+            assert a == b and hash(a) == hash(b)
+            assert add_method(a, MRR) == add_method(b, MRR)
+            assert a != table(mode, PLUS3[:2])
+
+
+class TestAddMethodErrors:
+    """add_method checks each old signature of the function as it meets it."""
+
+    def test_empty_abstract_in_an_old_signature(self):
+        tbl = table(Mode.SEMANTIC, [vmk("f", "Void*Int", "mV")], VOID)
+        with pytest.raises(EmptyAbstract):
+            add_method(tbl, vmk("f", "Int*Int", "mI"))
+        # Other functions' signatures are not checked.
+        assert bodies(add_method(tbl, vmk("g", "Int*Int", "gI")).methods) == ["mV", "gI"]
+        atomic = table(Mode.ATOMIC, [vmk("f", "Void*Int", "mV")], VOID)
+        assert bodies(add_method(atomic, vmk("f", "Int*Int", "mI")).methods) == ["mV", "mI"]
+
+    def test_empty_abstract_in_the_new_signature_only_on_a_hit(self):
+        tbl = table(Mode.SEMANTIC, [vmk("f", "Int*Str", "mI")], VOID)
+        # Int*Str is not below Void*Int: no backward check, appended.
+        assert bodies(add_method(tbl, vmk("f", "Void*Int", "mV")).methods) == ["mI", "mV"]
+        # Int*Str is below Void|Int*Str: the backward check meets Void.
+        with pytest.raises(EmptyAbstract):
+            add_method(tbl, vmk("f", "Void|Int*Str", "mV"))
+
+    def test_new_signature_is_validated_first(self):
+        tbl = table(Mode.SEMANTIC, [vmk("f", "Void*Int", "mV")], VOID)
+        with pytest.raises(UnknownName, match="Ghost"):
+            add_method(tbl, MethodDef("f", GHOST, "mG"))
+
+    def test_undeclared_name_in_an_old_signature(self):
+        tbl = MethodTable(TOWER, Mode.SEMANTIC, methods=(MethodDef("f", GHOST, "mG"),))
+        with pytest.raises(UnknownName, match="Ghost"):
+            add_method(tbl, mk("f", "Int", "mI"))
+        assert bodies(add_method(tbl, mk("g", "Int", "gI")).methods) == ["mG", "gI"]
 
 
 class TestStabilityScenario:

@@ -179,6 +179,12 @@ class TestUndeclaredNamesOnTheRight:
         wide = T("|".join(["Str", "Flt", "Int"] * 1000))
         assert reductive_sub(TOWER, T("Int"), wide, mode, strategy)[0] is True
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_wide_union_on_the_left(self, mode):
+        # The verdict loops over the left side's arms; the trace is not read.
+        wide = T("|".join(["Int", "Flt"] * 1500))
+        assert reductive_sub(TOWER, wide, T("Real"), mode)[0] is True
+
 
 class TestGoldenTraces:
     def test_normalize_first_has_eight_applications(self):
