@@ -7,9 +7,11 @@ function overwrites that method in place, so no two registered signatures of
 a function are ever mutually subtyping.  Resolution relies on that: a call
 selects its single minimal applicable method, or is ambiguous between several.
 
-A table compiles each function on its first resolve into a tree of signature
-components (see :class:`_Node`) that answers "which signatures hold this
-type" as one bit mask, so resolving makes no subtype call.
+A table compiles each function on its first resolve into the cover-set node
+that subtyping decides verdicts with (see :class:`tagsub.subtyping._Node`),
+taken over all of the function's signatures at once: it answers "which
+signatures hold this type" as one bit mask, so resolving makes no subtype
+call.
 """
 
 from __future__ import annotations
@@ -19,20 +21,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from .core import (
-    Name,
-    NominalHierarchy,
-    NominalName,
-    Pair,
-    TagsubError,
-    TypeExpr,
-    Union,
-    concrete_descendants,
-    nominal_subtype,
-    validate_type,
-)
+from .core import NominalHierarchy, Pair, TagsubError, TypeExpr, validate_type
 from .semantics import Mode
-from .subtyping import _arms, _check_normalizable, _holds
+from .subtyping import _check_normalizable, _Node
 
 # Dispatch makes no subtype call; the name stays so that code which patches
 # dispatch.reductive_sub to count dispatch's subtype calls still finds it.
@@ -94,81 +85,6 @@ def tuple_type(parts: Sequence[TypeExpr]) -> TypeExpr:
     return out
 
 
-class _Node:
-    """The components of several signatures at one position of the tree.
-
-    Bit i stands for signature i.  ``mask(t)`` is the set of signatures whose
-    component here holds t, decided by the same case split as ``_holds``:
-    a union ANDs its arms; a name ORs the entries that cover it (in semantic
-    mode an abstract name ANDs its concrete descendants); a pair ANDs the
-    left and right child nodes over the components with exactly one pair
-    arm, and asks ``_holds`` for components with several.  Names are keyed by
-    their text, which is unique once checked; no type is ever hashed, since
-    that recurses.
-    """
-
-    def __init__(self, h, mode: Mode, parts: list[tuple[int, TypeExpr]]):
-        self.h, self.mode, self.full = h, mode, 0
-        self.entries: dict = {}  # name text -> bits of the components naming it
-        single: dict = {}  # id(pair arm) -> [bits, pair arm]
-        self.multi: list = []  # (bits, arms) of components with several pair arms
-        for bits, t in parts:
-            self.full |= bits
-            arms = _arms(t)
-            pairs = [a for a in arms if isinstance(a, Pair)]
-            for a in arms:
-                if isinstance(a, Name):
-                    self.entries[a.name.text] = self.entries.get(a.name.text, 0) | bits
-            if len(pairs) == 1:
-                single.setdefault(id(pairs[0]), [0, pairs[0]])[0] |= bits
-            elif pairs:
-                self.multi.append((bits, arms))
-        self.single = list(single.values())
-        self.children: tuple[_Node, _Node] | None = None
-        self.names: dict = {}  # name text -> mask, memoized
-
-    def mask(self, t: TypeExpr) -> int:
-        if isinstance(t, Union):
-            out = self.full
-            for x in _arms(t):
-                out &= self.mask(x)
-                if not out:
-                    break
-            return out
-        if isinstance(t, Name):
-            return self._name(t.name)
-        out = 0
-        if self.single:
-            if self.children is None:
-                self.children = (
-                    _Node(self.h, self.mode, [(bits, p.left) for bits, p in self.single]),
-                    _Node(self.h, self.mode, [(bits, p.right) for bits, p in self.single]),
-                )
-            left, right = self.children
-            out = left.mask(t.left)
-            if out:
-                out &= right.mask(t.right)
-        for bits, arms in self.multi:
-            if _holds(self.h, t, arms, self.mode):
-                out |= bits
-        return out
-
-    def _name(self, n: NominalName) -> int:
-        out = self.names.get(n.text)
-        if out is None:
-            if self.mode is Mode.SEMANTIC and n.abstract:
-                out = self.full
-                for c in concrete_descendants(self.h, n):
-                    out &= self._name(c)
-            else:
-                out = 0
-                for e, bits in self.entries.items():
-                    if nominal_subtype(self.h, n, e):
-                        out |= bits
-            self.names[n.text] = out
-        return out
-
-
 class _Function:
     """One function's methods in a table, compiled on first use."""
 
@@ -222,7 +138,7 @@ def add_method(tbl: MethodTable, m: MethodDef) -> MethodTable:
         if not above.mask(old.signature):
             continue
         _check_normalizable(h, m.signature, mode)
-        if _holds(h, m.signature, _arms(old.signature), mode):
+        if _Node(h, mode, [(1, old.signature)]).mask(m.signature):
             methods = list(tbl.methods)
             methods[i] = m
             return replace(tbl, methods=tuple(methods))

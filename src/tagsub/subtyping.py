@@ -1,10 +1,10 @@
 """Reductive subtyping: a terminating decision procedure with proof traces.
 
 A query is answered in two steps: the verdict first, the trace on demand.
-The verdict decides inclusion of tag sets directly, without normalizing the
-left-hand side as a whole: a pair against several pair arms is decided by
-product decomposition, one group of left tags at a time, so its cost
-depends on the right-hand arms rather than on the left side's normal form.
+The verdict decides inclusion of tag sets on the cover sets of the left-hand
+side against a tree of the right-hand side's components (see :class:`_Node`),
+without normalizing either side, so its cost depends on the number of
+distinct cover sets rather than on a normal form.
 A true verdict comes with a trace that the reductive search builds only
 when it is first read: one recursive procedure that applies syntax-directed
 rules bottom up, either to the normal form of the left-hand side or,
@@ -21,6 +21,7 @@ from enum import Enum
 from .core import (
     Name,
     NominalHierarchy,
+    NominalName,
     Pair,
     TypeExpr,
     Union,
@@ -29,7 +30,7 @@ from .core import (
     nominal_subtype,
     validate_type,
 )
-from .normalize import EmptyAbstract, nf_for_mode, nf_weight
+from .normalize import EmptyAbstract, nf_for_mode
 from .semantics import Mode
 
 SR_BASE_REFL = "SR-BaseRefl"
@@ -119,7 +120,7 @@ def reductive_sub(
     """
     _check_normalizable(h, t1, mode)
     validate_type(h, t2)
-    if not _holds(h, t1, _arms(t2), mode):
+    if not _Node(h, mode, [(1, t2)]).mask(t1) & 1:
         return False, None
     return True, _OnDemandTrace(h, t1, t2, mode, strategy)
 
@@ -165,65 +166,131 @@ def _arms(t: TypeExpr) -> list[TypeExpr]:
     return out
 
 
-def _holds(h, lhs: TypeExpr, arms: list[TypeExpr], mode: Mode) -> bool:
-    """Whether every tag of lhs lies in one of the arms.
+class _Node:
+    """The targets' components at one position of a tree of pair arms.
 
-    Every name in lhs has a nonempty interpretation (checked up front), so a
-    pair holds against a single pair arm exactly when both components do.
-    Against several pair arms the lighter component is split into its
-    normal-form leaves; each leaf is covered by a set of arms, and the other
-    component must lie in the union of those arms' other components.  In
-    atomic mode a leaf with abstract names stands for several tags, but its
-    all-sentinel tag is covered by the fewest arms, so deciding the leaf's
-    own arm set is exact.
+    Bit i of the root stands for target i.  ``covers(t)`` is the set of
+    distinct target masks over the tags of t, a tag's mask being the targets
+    that hold it, and ``mask(t)`` is their AND: the targets that hold all of t.
+    A union joins its arms' sets; a name's tags are its concrete descendants
+    in semantic mode when abstract, else the name itself (in atomic mode an
+    abstract name's own sentinel is held by the fewest targets).  Each pair arm
+    gets bits in the child nodes: a target with one pair arm lends it its own
+    bits, a target with several gets a fresh bit per arm, mapped back to the
+    target when a pair's left and right sets are combined.  Without fresh
+    bits the AND distributes over a pair, so ``mask`` needs no sets there.
+    Names are keyed by their text, which is unique once checked; no type is
+    ever hashed, since that recurses.
     """
-    if isinstance(lhs, Union):
-        # The arms of lhs left to right, as _arms lists them, without the list.
-        todo = [lhs]
-        while todo:
-            x = todo.pop()
-            if isinstance(x, Union):
-                todo += (x.right, x.left)
-            elif not _holds(h, x, arms, mode):
-                return False
-        return True
-    if isinstance(lhs, Name):
-        names = [a.name for a in arms if isinstance(a, Name)]
-        n = lhs.name
-        if any(nominal_subtype(h, n, m) for m in names):
-            return True
-        return (
-            mode is Mode.SEMANTIC
-            and n.abstract
-            and all(
-                any(nominal_subtype(h, c, m) for m in names)
-                for c in concrete_descendants(h, n)
-            )
-        )
-    pairs = [a for a in arms if isinstance(a, Pair)]
-    if len(pairs) == 1:
-        (p,) = pairs
-        return _holds(h, lhs.left, _arms(p.left), mode) and _holds(
-            h, lhs.right, _arms(p.right), mode
-        )
-    if not pairs:
-        return False
-    if nf_weight(h, lhs.left) <= nf_weight(h, lhs.right):
-        split, rest = lhs.left, lhs.right
-        covers = [(_arms(p.left), _arms(p.right)) for p in pairs]
-    else:
-        split, rest = lhs.right, lhs.left
-        covers = [(_arms(p.right), _arms(p.left)) for p in pairs]
-    decided = set()
-    for leaf in _arms(nf_for_mode(h, split, mode)):
-        group = tuple(i for i, (mine, _) in enumerate(covers) if _holds(h, leaf, mine, mode))
-        if group in decided:
-            continue
-        decided.add(group)
-        others = [a for i in group for a in covers[i][1]]
-        if not _holds(h, rest, others, mode):
-            return False
-    return True
+
+    __slots__ = ("h", "mode", "full", "entries", "arms", "back", "children", "names")
+
+    def __init__(self, h, mode: Mode, parts: list[tuple[int, TypeExpr]]):
+        full, entries, arms, several = 0, {}, [], []
+        for bits, t in parts:
+            full |= bits
+            # A name or a pair is its own only arm; not listing it through
+            # _arms keeps a pair chain's verdict about a tenth faster.
+            if isinstance(t, Name):
+                entries[t.name.text] = entries.get(t.name.text, 0) | bits
+            elif isinstance(t, Pair):
+                arms.append((bits, t))
+            else:
+                pairs = []
+                for a in _arms(t):
+                    if isinstance(a, Name):
+                        entries[a.name.text] = entries.get(a.name.text, 0) | bits
+                    else:
+                        pairs.append(a)
+                if len(pairs) == 1:
+                    arms.append((bits, pairs[0]))
+                elif pairs:
+                    several.append((bits, pairs))
+        self.h = h
+        self.mode = mode
+        self.full = full
+        self.entries = entries
+        self.arms = arms
+        self.back = ()  # (fresh bits, target bits) of each target with several pair arms
+        self.children = None
+        self.names = {}  # name text -> mask, memoized
+        if several:
+            self.back, fresh = [], 1 << full.bit_length()
+            for bits, pairs in several:
+                mine = 0
+                for p in pairs:
+                    arms.append((fresh, p))
+                    mine |= fresh
+                    fresh <<= 1
+                self.back.append((mine, bits))
+
+    def _children(self) -> tuple[_Node, _Node]:
+        lefts, rights = [], []
+        for bits, p in self.arms:
+            lefts.append((bits, p.left))
+            rights.append((bits, p.right))
+        self.children = (_Node(self.h, self.mode, lefts), _Node(self.h, self.mode, rights))
+        return self.children
+
+    def _lift(self, z: int) -> int:
+        # The targets holding a pair tag whose arms' child bits are z.
+        out = z & self.full
+        for mine, bits in self.back:
+            if z & mine:
+                out |= bits
+        return out
+
+    def mask(self, t: TypeExpr) -> int:
+        if isinstance(t, Union):
+            out = self.full
+            for x in _arms(t):
+                out &= self.mask(x)
+                if not out:
+                    break
+            return out
+        if isinstance(t, Name):
+            return self._name(t.name)
+        if not self.arms:
+            return 0
+        if self.back:
+            out = self.full
+            for m in self.covers(t):
+                out &= m
+            return out
+        left, right = self.children or self._children()
+        out = left.mask(t.left)
+        return out and out & right.mask(t.right)
+
+    def covers(self, t: TypeExpr) -> set[int]:
+        if isinstance(t, Union):
+            out: set[int] = set()
+            for x in _arms(t):
+                out |= self.covers(x)
+            return out
+        if isinstance(t, Name):
+            n = t.name
+            if self.mode is Mode.SEMANTIC and n.abstract and self._name(n) != self.full:
+                return {self._name(c) for c in concrete_descendants(self.h, n)}
+            return {self._name(n)}
+        if not self.arms:
+            return {0}
+        left, right = self.children or self._children()
+        rs = right.covers(t.right)
+        return {self._lift(l & r) for l in left.covers(t.left) for r in rs}
+
+    def _name(self, n: NominalName) -> int:
+        out = self.names.get(n.text)
+        if out is None:
+            out, above = 0, self.h._above[n.text]
+            for e, bits in self.entries.items():
+                if e in above:
+                    out |= bits
+            if self.mode is Mode.SEMANTIC and n.abstract and out != self.full:
+                out = self.full
+                for c in concrete_descendants(self.h, n):
+                    out &= self._name(c)
+            self.names[n.text] = out
+        return out
 
 
 def _nominal_step(h, lhs: Name, rhs: Name, mode: Mode) -> ReductiveTrace | None:

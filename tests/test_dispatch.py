@@ -323,6 +323,13 @@ class TestCompiledResolve:
         out = resolve(tbl, "f", call)
         assert isinstance(out, Selected) and out.method.body == "mRI"
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_wide_union_against_several_pair_arms(self, mode):
+        call = T("Real*(" + "|".join(["Int"] * 3000) + ")")
+        tbl = table(mode, [mk("f", "Real*Int|Int*Real", "mS")])
+        out = resolve(tbl, "f", call)
+        assert isinstance(out, Selected) and out.method.body == "mS"
+
 
 VOID = validate_hierarchy([Decl("Void", True), Decl("Int", False), Decl("Str", False)])
 GHOST = Name(NominalName("Ghost", False))
