@@ -16,7 +16,11 @@ byte-identical.  Each line digests one section:
 - ``dispatch``: seeded ``random_hierarchy`` tables of two functions, built
   with ``add_method`` in both modes: each table's method bodies, then the
   outcome of ``resolve`` on random calls (``S:`` and the selected body,
-  ``A:`` and the candidates' bodies in order, ``N``, or the error's class).
+  ``A:`` and the candidates' bodies in order, ``N``, or the error's class);
+- ``add-method``: seeded insertion sequences over ``random_hierarchy`` plus a
+  childless abstract name, in both modes, some starting from a table built by
+  hand that holds an undeclared name: after every insertion, the resulting
+  table's method bodies, or the error's class and message.
 
 Usage:
     PYTHONPATH=src python3 scripts/output_digests.py [--seed 808] [--random 9000]
@@ -30,7 +34,17 @@ import hashlib
 import itertools
 import random
 
-from tagsub.core import DEFAULT_HIERARCHY, Name, NominalName, Pair, TagsubError, Union, UnknownName
+from tagsub.core import (
+    DEFAULT_HIERARCHY,
+    Decl,
+    Name,
+    NominalHierarchy,
+    NominalName,
+    Pair,
+    TagsubError,
+    Union,
+    UnknownName,
+)
 from tagsub.derivation import derive_nf_sub, derive_sub_nf, format_derivation, synthesize
 from tagsub.dispatch import (
     Ambiguous,
@@ -124,6 +138,44 @@ def dispatch_outcomes(seed, digest, tables=150, methods=10, calls=40):
     return count
 
 
+def add_method_outcomes(seed, digest, sequences=200, inserts=12):
+    # Void has no concrete descendant, so in semantic mode a signature that
+    # holds it raises EmptyAbstract once add_method checks it.  A quarter of
+    # the sequences start from a hand-built table whose second method holds
+    # an undeclared name.
+    rng = random.Random(seed)
+    ghost = Name(NominalName("Ghost", False))
+    count = 0
+    for s in range(sequences):
+        base = random_hierarchy(rng, 6)
+        h = NominalHierarchy(base.decls + (Decl("Void", True),))
+        void = Name(h.lookup("Void"))
+        defs = []
+        for i in range(inserts):
+            sig = _signature(rng, base, 3)
+            if rng.random() < 0.2:
+                sig = Union(sig, void) if rng.random() < 0.5 else Pair(void, sig)
+            defs.append(MethodDef(rng.choice("fg"), sig, f"m{i}"))
+        start = ()
+        if s % 4 == 0:
+            start = (
+                MethodDef(rng.choice("fg"), _signature(rng, base, 2), "h0"),
+                MethodDef(rng.choice("fg"), Union(_signature(rng, base, 2), ghost), "h1"),
+            )
+        for mode in Mode:
+            tbl = MethodTable(h, mode, methods=start)
+            for d in defs:
+                try:
+                    tbl = add_method(tbl, d)
+                except TagsubError as e:
+                    outcome = f"{type(e).__name__}: {e}"
+                else:
+                    outcome = " ".join(m.body for m in tbl.methods)
+                digest.update(f"{d.function} {d.signature} [{mode.value}] -> {outcome}\n".encode())
+                count += 1
+    return count
+
+
 def decisions(h, pairs, digest):
     count = 0
     for t1, t2 in pairs:
@@ -179,6 +231,10 @@ def main() -> None:
     digest = hashlib.sha256()
     n = dispatch_outcomes(args.seed, digest)
     print(f"dispatch        {n:6d} resolves   {digest.hexdigest()}")
+
+    digest = hashlib.sha256()
+    n = add_method_outcomes(args.seed, digest)
+    print(f"add-method      {n:6d} inserts    {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -68,7 +68,7 @@ class Name:
     name: NominalName
 
     def __str__(self) -> str:
-        return _render(self, 0, False)
+        return _render(self)
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class Pair:
     right: "TypeExpr"
 
     def __str__(self) -> str:
-        return _render(self, 0, False)
+        return _render(self)
 
 
 @dataclass(frozen=True)
@@ -86,22 +86,35 @@ class Union:
     right: "TypeExpr"
 
     def __str__(self) -> str:
-        return _render(self, 0, False)
+        return _render(self)
 
 
 TypeExpr = Name | Pair | Union
 
 
-def _render(t: TypeExpr, parent_prec: int, is_right: bool) -> str:
+def _render(t: TypeExpr) -> str:
     # '*' binds tighter than '|'; both left-associative, so a right child at
-    # the same precedence level needs parentheses to round-trip.
-    if isinstance(t, Name):
-        return t.name.text
-    prec, op = (1, "*") if isinstance(t, Pair) else (0, "|")
-    body = _render(t.left, prec, False) + op + _render(t.right, prec, True)
-    if prec < parent_prec or (prec == parent_prec and is_right):
-        return "(" + body + ")"
-    return body
+    # the same precedence level needs parentheses to round-trip.  One loop
+    # over a stack of pending (type, parent precedence, is right child)
+    # entries and literal pieces, so nesting depth is unbounded.
+    out: list[str] = []
+    todo: list = [(t, 0, False)]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, str):
+            out.append(x)
+            continue
+        x, parent_prec, is_right = x
+        if isinstance(x, Name):
+            out.append(x.name.text)
+            continue
+        prec, op = (1, "*") if isinstance(x, Pair) else (0, "|")
+        paren = prec < parent_prec or (prec == parent_prec and is_right)
+        if paren:
+            out.append("(")
+            todo.append(")")
+        todo += [(x.right, prec, True), op, (x.left, prec, False)]
+    return "".join(out)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ A table compiles each function on its first resolve into the cover-set node
 that subtyping decides verdicts with (see :class:`tagsub.subtyping._Node`),
 taken over all of the function's signatures at once: it answers "which
 signatures hold this type" as one bit mask, so resolving makes no subtype
-call.
+call.  A table built with :func:`add_method` records how many of each
+function's signatures are already checked, so that neither a later insertion
+nor the compiled table checks them again.
 """
 
 from __future__ import annotations
@@ -55,6 +57,13 @@ class MethodTable:
     _compiled: dict = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
+    # Function name -> how many of its leading signatures, in table order,
+    # are known to pass _check_normalizable (and so validate_type) under this
+    # hierarchy and mode.  Only add_method writes it; tables built by hand or
+    # by replace() start with none and are checked in full.
+    _checked: dict = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -96,12 +105,13 @@ class _Function:
         # By identity: MethodDefs compare by value, and hashing one hashes its
         # signature, which recurses.
         self.position = {id(m): i for i, m in enumerate(self.methods)}
+        self.checked = tbl._checked.get(function, 0)
         self._root: _Node | None = None
         self._up: list[int | None] = [None] * len(self.methods)
 
     def root(self) -> _Node:
         if self._root is None:
-            for m in self.methods:
+            for m in self.methods[self.checked :]:
                 validate_type(self.h, m.signature)
             parts = [(1 << i, m.signature) for i, m in enumerate(self.methods)]
             self._root = _Node(self.h, self.mode, parts)
@@ -111,7 +121,8 @@ class _Function:
         """The bits of the signatures at or above signature i."""
         if self._up[i] is None:
             sig = self.methods[i].signature
-            _check_normalizable(self.h, sig, self.mode)
+            if i >= self.checked:
+                _check_normalizable(self.h, sig, self.mode)
             self._up[i] = self.root().mask(sig)
         return self._up[i]
 
@@ -131,18 +142,34 @@ def add_method(tbl: MethodTable, m: MethodDef) -> MethodTable:
     h, mode = tbl.hierarchy, tbl.mode
     validate_type(h, m.signature)
     above = _Node(h, mode, [(1, m.signature)])
+    checked = tbl._checked.get(m.function, 0)
+    k, new_checked = 0, False  # k: the function's old signatures met so far
     for i, old in enumerate(tbl.methods):
         if old.function != m.function:
             continue
-        _check_normalizable(h, old.signature, mode)
+        if k >= checked:
+            _check_normalizable(h, old.signature, mode)
+        k += 1
         if not above.mask(old.signature):
             continue
-        _check_normalizable(h, m.signature, mode)
+        if not new_checked:
+            _check_normalizable(h, m.signature, mode)
+            new_checked = True
         if _Node(h, mode, [(1, old.signature)]).mask(m.signature):
             methods = list(tbl.methods)
             methods[i] = m
-            return replace(tbl, methods=tuple(methods))
-    return replace(tbl, methods=tbl.methods + (m,))
+            return _with_methods(tbl, tuple(methods), m.function, max(checked, k))
+    # The appended signature is checked when the next insertion meets it.
+    return _with_methods(tbl, tbl.methods + (m,), m.function, k)
+
+
+def _with_methods(
+    tbl: MethodTable, methods: tuple[MethodDef, ...], function: str, checked: int
+) -> MethodTable:
+    out = replace(tbl, methods=methods)
+    out._checked.update(tbl._checked)
+    out._checked[function] = checked
+    return out
 
 
 def applicable(tbl: MethodTable, function: str, call: TypeExpr) -> list[MethodDef]:

@@ -1,10 +1,21 @@
+import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import EXTENDED, TOWER, T
 from tagsub import dispatch
-from tagsub.core import Decl, Name, NominalHierarchy, NominalName, UnknownName, Union, validate_hierarchy
+from tagsub.core import (
+    Decl,
+    Name,
+    NominalHierarchy,
+    NominalName,
+    TagsubError,
+    UnknownName,
+    Union,
+    validate_hierarchy,
+)
 from tagsub.dispatch import (
     Ambiguous,
     MethodDef,
@@ -424,6 +435,87 @@ class TestAddMethodErrors:
         with pytest.raises(UnknownName, match="Ghost"):
             add_method(tbl, mk("f", "Int", "mI"))
         assert bodies(add_method(tbl, mk("g", "Int", "gI")).methods) == ["mG", "gI"]
+
+
+def void_signature(rng):
+    """A pair of small unions of Int and Str; now and then one also holds Void."""
+    parts = []
+    for _ in range(2):
+        names = rng.sample(["Int", "Str"], rng.randint(1, 2))
+        if rng.random() < 0.1:
+            names.append("Void")
+        parts.append(T("|".join(names), VOID))
+    return tuple_type(parts)
+
+
+def outcome(run):
+    """The bodies of the table run returns, a dispatch outcome, or the error."""
+    try:
+        out = run()
+    except TagsubError as e:
+        return f"{type(e).__name__}: {e}"
+    return bodies(out.methods) if isinstance(out, MethodTable) else out
+
+
+class TestCheckedRecord:
+    """add_method records how many of a function's signatures it has checked."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_each_signature_is_checked_once(self, mode, monkeypatch):
+        calls = []
+        check = dispatch._check_normalizable
+        monkeypatch.setattr(
+            dispatch, "_check_normalizable", lambda *args: calls.append(args) or check(*args)
+        )
+        tbl = MethodTable(TOWER, mode)
+        for i, parts in enumerate(itertools.product([T("Int"), T("Real"), T("Num")], repeat=4)):
+            tbl = add_method(tbl, MethodDef("f", tuple_type(parts), f"m{i}"))
+        assert len(tbl.methods) == 81
+        assert len(calls) <= 2 * 81
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_the_record_changes_no_answer(self, mode):
+        # A table rebuilt by hand from the same methods has no record, so it
+        # checks every signature again.
+        rng = random.Random(8080)
+        kinds = set()
+        for _ in range(60):
+            tbl = MethodTable(VOID, mode)
+            for i in range(10):
+                m = MethodDef(rng.choice("fg"), void_signature(rng), f"m{i}")
+                fresh = MethodTable(VOID, mode, methods=tbl.methods)
+                got = outcome(lambda: add_method(tbl, m))
+                assert outcome(lambda: add_method(fresh, m)) == got
+                if isinstance(got, str):
+                    kinds.add(got.split(":")[0])
+                    continue
+                kinds.add("append" if len(got) > len(tbl.methods) else "replace")
+                tbl = add_method(tbl, m)
+                fresh = MethodTable(VOID, mode, methods=tbl.methods)
+                assert tbl == fresh and hash(tbl) == hash(fresh)
+                fn, call = rng.choice("fg"), void_signature(rng)
+                assert outcome(lambda: resolve(tbl, fn, call)) == outcome(
+                    lambda: resolve(fresh, fn, call)
+                )
+        expected = {"append", "replace"} | ({"EmptyAbstract"} if mode is Mode.SEMANTIC else set())
+        assert expected <= kinds
+
+    def test_replace_starts_without_a_record(self):
+        # The atomic tables' records count Void*Int and Str*Int as checked.
+        # Void*Int fails the semantic check and no_str does not declare Str,
+        # so a record carried over by replace() would hide both errors.
+        atomic = table(Mode.ATOMIC, [vmk("f", "Void*Int", "mV"), vmk("f", "Int*Int", "mI")], VOID)
+        assert bodies(add_method(atomic, vmk("f", "Str", "mS")).methods) == ["mV", "mI", "mS"]
+        semantic = replace(atomic, mode=Mode.SEMANTIC)
+        with pytest.raises(EmptyAbstract):
+            add_method(semantic, vmk("f", "Str", "mS"))
+        tbl = table(Mode.ATOMIC, [vmk("f", "Str*Int", "mS"), vmk("f", "Int*Int", "mI")], VOID)
+        no_str = validate_hierarchy([Decl("Void", True), Decl("Int", False)])
+        moved = replace(tbl, hierarchy=no_str)
+        with pytest.raises(UnknownName, match="Str"):
+            add_method(moved, MethodDef("f", Name(no_str.lookup("Int")), "mI"))
+        with pytest.raises(UnknownName, match="Str"):
+            resolve(moved, "f", T("Int*Int", VOID))
 
 
 class TestStabilityScenario:

@@ -118,6 +118,23 @@ class TestPrint:
     def test_minimal_parentheses(self, built, expected):
         assert print_type(T(built)) == expected
 
+    @pytest.mark.parametrize(
+        "ctor,count,left,expected",
+        [
+            (Union, 2999, True, "|".join(["Int"] * 3000)),
+            (Pair, 1500, True, "*".join(["Int"] * 1501)),
+            (Pair, 1500, False, "Int*(" * 1499 + "Int*Int" + ")" * 1499),
+        ],
+        ids=["wide-union", "left-nested-pairs", "right-nested-pairs"],
+    )
+    def test_deep_types(self, ctor, count, left, expected):
+        # Strings are compared: == on types this deep still recurses.
+        t = N("Int")
+        for _ in range(count):
+            t = ctor(t, N("Int")) if left else ctor(N("Int"), t)
+        assert print_type(t) == expected
+        assert str(t) == expected
+
     @given(type_exprs(max_leaves=16))
     def test_round_trip(self, t):
         assert parse_type(print_type(t), TOWER) == t
