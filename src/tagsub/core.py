@@ -70,6 +70,9 @@ class Name:
     def __str__(self) -> str:
         return _render(self)
 
+    def __repr__(self) -> str:
+        return _repr(self)
+
 
 @dataclass(frozen=True)
 class Pair:
@@ -79,6 +82,9 @@ class Pair:
     def __str__(self) -> str:
         return _render(self)
 
+    def __repr__(self) -> str:
+        return _repr(self)
+
 
 @dataclass(frozen=True)
 class Union:
@@ -87,6 +93,9 @@ class Union:
 
     def __str__(self) -> str:
         return _render(self)
+
+    def __repr__(self) -> str:
+        return _repr(self)
 
 
 TypeExpr = Name | Pair | Union
@@ -114,6 +123,23 @@ def _render(t: TypeExpr) -> str:
             out.append("(")
             todo.append(")")
         todo += [(x.right, prec, True), op, (x.left, prec, False)]
+    return "".join(out)
+
+
+def _repr(t: TypeExpr) -> str:
+    # The dataclass default repr, built by one loop over a stack of pending
+    # types and literal pieces, so nesting depth is unbounded.
+    out: list[str] = []
+    todo: list = [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, str):
+            out.append(x)
+        elif isinstance(x, Name):
+            out.append(f"{type(x).__qualname__}(name={x.name!r})")
+        else:
+            out.append(f"{type(x).__qualname__}(left=")
+            todo += [")", x.right, ", right=", x.left]
     return "".join(out)
 
 

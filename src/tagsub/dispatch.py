@@ -102,12 +102,10 @@ class _Function:
         self.methods = tuple(m for m in tbl.methods if m.function == function)
         if not self.methods:
             raise UnknownFunction(f"no methods defined for {function!r}")
-        # By identity: MethodDefs compare by value, and hashing one hashes its
-        # signature, which recurses.
-        self.position = {id(m): i for i, m in enumerate(self.methods)}
         self.checked = tbl._checked.get(function, 0)
         self._root: _Node | None = None
         self._up: list[int | None] = [None] * len(self.methods)
+        self._strict: list[int | None] = [None] * len(self.methods)
 
     def root(self) -> _Node:
         if self._root is None:
@@ -126,8 +124,26 @@ class _Function:
             self._up[i] = self.root().mask(sig)
         return self._up[i]
 
-    def strictly_below(self, j: int, i: int) -> bool:
-        return j != i and bool(self.up(j) >> i & 1) and not self.up(i) >> j & 1
+    def strict(self, j: int) -> int:
+        """The bits of the signatures above signature j and not equivalent to it."""
+        if self._strict[j] is None:
+            self._strict[j] = sum(1 << i for i in _bits(self.up(j)) if not self.up(i) >> j & 1)
+        return self._strict[j]
+
+    def candidates(self, call: TypeExpr) -> int:
+        """The bits of the signatures at or above the call."""
+        _check_normalizable(self.h, call, self.mode)
+        return self.root().mask(call)
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _function(tbl: MethodTable, function: str) -> _Function:
@@ -175,29 +191,28 @@ def _with_methods(
 def applicable(tbl: MethodTable, function: str, call: TypeExpr) -> list[MethodDef]:
     """Methods of the function whose signature is a supertype of the call."""
     fn = _function(tbl, function)
-    _check_normalizable(tbl.hierarchy, call, tbl.mode)
-    bits, out = fn.root().mask(call), []
-    while bits:
-        low = bits & -bits
-        out.append(fn.methods[low.bit_length() - 1])
-        bits ^= low
-    return out
+    return [fn.methods[i] for i in _bits(fn.candidates(call))]
 
 
 def resolve(tbl: MethodTable, function: str, call: TypeExpr) -> DispatchOutcome:
-    """The most specific applicable method, found in one pass.
+    """The most specific applicable method, found by mask arithmetic.
 
-    A candidate is minimal when no other candidate's signature lies strictly
-    below its own.  Since no two signatures of a function are equivalent, a
-    single minimal candidate is the minimum and is selected; several are
-    reported as an ambiguity, in table order.
+    The minimal candidates are those in no candidate's strict mask.  Since no
+    two signatures of a function are equivalent, a single minimal candidate is
+    the minimum and is selected; several are reported as an ambiguity, in
+    table order.
     """
-    cands = applicable(tbl, function, call)
     fn = _function(tbl, function)
-    at = [fn.position[id(m)] for m in cands]
-    minimal = tuple(
-        m for m, i in zip(cands, at) if not any(fn.strictly_below(j, i) for j in at)
-    )
+    cands = fn.candidates(call)
+    at = _bits(cands)
+    if len(at) > 1:  # a lone candidate is compared with nothing, so not checked
+        above = 0
+        for j in at:  # check each one before any strict mask, so in table order
+            fn.up(j)
+        for j in at:
+            above |= fn.strict(j)
+        at = _bits(cands & ~above)
+    minimal = tuple(fn.methods[i] for i in at)
     if len(minimal) == 1:
         return Selected(minimal[0])
     return Ambiguous(minimal) if minimal else NoApplicableMethod()

@@ -1,3 +1,6 @@
+import random
+from dataclasses import fields, make_dataclass
+
 import pytest
 
 from conftest import EXTENDED, TOWER, T
@@ -20,6 +23,7 @@ from tagsub.core import (
     validate_hierarchy,
     validate_type,
 )
+from tagsub.gen import random_hierarchy, random_type
 
 
 def names(seq):
@@ -153,6 +157,46 @@ class TestValidateType:
 
     def test_wide_union(self):
         assert validate_type(TOWER, T("|".join(["Int", "Str"] * 1500))) is None
+
+
+# Plain dataclasses with the same names and fields, so their default repr is
+# the reference that the types' own iterative repr must reproduce.
+MIRROR = {
+    cls: make_dataclass(cls.__name__, [f.name for f in fields(cls)], frozen=True)
+    for cls in (Name, Pair, Union)
+}
+
+
+def mirror(t):
+    if isinstance(t, Name):
+        return MIRROR[Name](t.name)
+    return MIRROR[type(t)](mirror(t.left), mirror(t.right))
+
+
+class TestRepr:
+    def test_matches_the_dataclass_default(self):
+        rng = random.Random(2121)
+        for _ in range(300):
+            h = random_hierarchy(rng, 6)
+            t = random_type(rng, h, rng.randint(1, 6))
+            assert repr(t) == repr(mirror(t))
+
+    def test_known_text(self):
+        assert repr(T("Int*Str")) == (
+            "Pair(left=Name(name=NominalName(text='Int', abstract=False)), "
+            "right=Name(name=NominalName(text='Str', abstract=False)))"
+        )
+
+    def test_deep_pair_chain(self):
+        t = T("Int*(" * 1499 + "Int*Int" + ")" * 1499)
+        text = repr(t)
+        assert text.startswith("Pair(left=Name(") and text.endswith(")" * 1502)
+        assert text.count("Pair(left=") == 1500
+
+    def test_wide_union(self):
+        text = repr(T("|".join(["Int"] * 3000)))
+        assert text.startswith("Union(left=" * 2999 + "Name(")
+        assert text.count("Name(name=") == 3000
 
 
 class TestHierarchyFile:

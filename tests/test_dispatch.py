@@ -11,6 +11,7 @@ from tagsub.core import (
     Name,
     NominalHierarchy,
     NominalName,
+    Pair,
     TagsubError,
     UnknownName,
     Union,
@@ -31,7 +32,7 @@ from tagsub.dispatch import (
     tuple_type,
 )
 from tagsub.gen import random_hierarchy, random_type
-from tagsub.normalize import EmptyAbstract
+from tagsub.normalize import EmptyAbstract, descendant_union
 from tagsub.semantics import Mode, semantic_sub
 
 
@@ -246,6 +247,81 @@ class TestResolveByDefinition:
         assert kinds == {Selected, Ambiguous, NoApplicableMethod}
 
 
+def pairwise_resolve(tbl: MethodTable, function: str, call) -> object:
+    """Resolution by comparing every pair of candidates with the set-based oracle.
+
+    A candidate is kept when no other candidate lies strictly below it, so two
+    equivalent candidates are both kept.
+    """
+
+    def below(a, b):
+        return semantic_sub(tbl.hierarchy, a, b, tbl.mode)
+
+    cands = [
+        m for m in tbl.methods if m.function == function and below(call, m.signature)
+    ]
+    minimal = tuple(
+        m
+        for m in cands
+        if not any(
+            below(o.signature, m.signature) and not below(m.signature, o.signature)
+            for o in cands
+        )
+    )
+    if len(minimal) == 1:
+        return Selected(minimal[0])
+    return Ambiguous(minimal) if minimal else NoApplicableMethod()
+
+
+def equivalent(rng, h, mode, t):
+    """A type equivalent to t in mode: union arms swapped now and then and, in
+    semantic mode, abstract names now and then spelled as their concrete
+    descendants (Real as Int|Flt)."""
+    if isinstance(t, Name):
+        if mode is Mode.SEMANTIC and t.name.abstract and rng.random() < 0.7:
+            return descendant_union(h, t.name)
+        return t
+    left, right = equivalent(rng, h, mode, t.left), equivalent(rng, h, mode, t.right)
+    if isinstance(t, Union) and rng.random() < 0.5:
+        left, right = right, left
+    return Pair(left, right) if isinstance(t, Pair) else Union(left, right)
+
+
+class TestHandBuiltTables:
+    """Tables built by hand may hold equivalent signatures of one function."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_agree_with_the_pairwise_definition(self, mode):
+        rng = random.Random(9191)
+        kinds, tied = set(), 0
+        for round_ in range(50):
+            h = TOWER if round_ % 2 == 0 else random_hierarchy(rng, 8)
+            methods = []
+            for i in range(10):
+                if methods and rng.random() < 0.3:
+                    m = rng.choice(methods)
+                    fn, sig = m.function, equivalent(rng, h, mode, m.signature)
+                else:
+                    fn, sig = rng.choice("fg"), random_signature(rng, h, 3)
+                methods.append(MethodDef(fn, sig, f"m{i}"))
+            tbl = MethodTable(h, mode, methods=tuple(methods))
+            calls = [(rng.choice("fg"), random_signature(rng, h, 1)) for _ in range(15)]
+            calls += [(m.function, m.signature) for m in methods[:5]]
+            for fn, call in calls:
+                if not any(m.function == fn for m in methods):
+                    continue
+                expected = pairwise_resolve(tbl, fn, call)
+                assert resolve(tbl, fn, call) == expected, (fn, str(call))
+                kinds.add(type(expected))
+                if isinstance(expected, Ambiguous):
+                    sigs = [m.signature for m in expected.candidates]
+                    tied += any(
+                        semantic_sub(h, a, b, mode) for a, b in itertools.permutations(sigs, 2)
+                    )
+        assert kinds == {Selected, Ambiguous, NoApplicableMethod}
+        assert tied >= 10  # ambiguities that hold equivalent signatures
+
+
 def chain_of_components(rng, names, arity):
     """A right-nested chain whose components are names or small unions of names."""
     parts = []
@@ -393,6 +469,34 @@ class TestErrorParity:
             resolve(tbl, "f", T("Int*Int", VOID))
         assert resolve(tbl, "f", T("Int*Str", VOID)) == Selected(tbl.methods[0])
         assert resolve(tbl, "f", T("Str", VOID)) == NoApplicableMethod()
+
+    def test_candidates_are_checked_in_table_order(self):
+        # Only a hand-built table can hold two unchecked signatures, so only
+        # it shows which bad candidate is named: the first in table order.
+        h = validate_hierarchy(
+            [
+                Decl("Top", True),
+                Decl("Int", False, "Top"),
+                Decl("Str", False),
+                Decl("VoidA", True),
+                Decl("VoidB", True),
+            ]
+        )
+        methods = (
+            mk("f", "VoidA|Int*Int", "mA", h),
+            mk("f", "VoidB|Int*Int|Int*Str", "mB", h),
+        )
+        tbl = MethodTable(h, Mode.SEMANTIC, methods=methods)
+        with pytest.raises(EmptyAbstract, match="VoidA"):
+            resolve(tbl, "f", T("Int*Int", h))
+        # A good first candidate whose strict mask holds the VoidB signature
+        # but not the VoidA one: VoidA is still named first.
+        good = mk("f", "Int*Int|Int*Str", "mG", h)
+        tbl = MethodTable(h, Mode.SEMANTIC, methods=(good,) + methods)
+        with pytest.raises(EmptyAbstract, match="VoidA"):
+            resolve(tbl, "f", T("Int*Int", h))
+        atomic = MethodTable(h, Mode.ATOMIC, methods=methods)
+        assert resolve(atomic, "f", T("Int*Int", h)) == Ambiguous(methods)
 
     def test_tables_compare_equal_after_resolving(self):
         for mode in Mode:
