@@ -140,7 +140,7 @@ def dispatch_outcomes(seed, digest, tables=150, methods=10, calls=40):
 
 def add_method_outcomes(seed, digest, sequences=200, inserts=12):
     # Void has no concrete descendant, so in semantic mode a signature that
-    # holds it raises EmptyAbstract once add_method checks it.  A quarter of
+    # holds it raises EmptyAbstract when it is inserted.  A quarter of
     # the sequences start from a hand-built table whose second method holds
     # an undeclared name.
     rng = random.Random(seed)

@@ -11,9 +11,10 @@ A table compiles each function on its first resolve into the cover-set node
 that subtyping decides verdicts with (see :class:`tagsub.subtyping._Node`),
 taken over all of the function's signatures at once: it answers "which
 signatures hold this type" as one bit mask, so resolving makes no subtype
-call.  A table built with :func:`add_method` records how many of each
-function's signatures are already checked, so that neither a later insertion
-nor the compiled table checks them again.
+call.  :func:`add_method` checks each signature once, in full, when it is
+inserted, and the table records which functions hold only checked
+signatures; the signatures of a table built by hand are checked when it first
+compiles the function.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from .core import NominalHierarchy, Pair, TagsubError, TypeExpr, validate_type
+from .core import NominalHierarchy, Pair, TagsubError, TypeExpr
 from .semantics import Mode
 from .subtyping import _check_normalizable, _Node
 
@@ -57,12 +58,11 @@ class MethodTable:
     _compiled: dict = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
-    # Function name -> how many of its leading signatures, in table order,
-    # are known to pass _check_normalizable (and so validate_type) under this
-    # hierarchy and mode.  Only add_method writes it; tables built by hand or
-    # by replace() start with none and are checked in full.
-    _checked: dict = field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    # The functions whose signatures all pass _check_normalizable under this
+    # hierarchy and mode.  Only add_method sets it; tables built by hand or by
+    # replace() start with none and are checked in full.
+    _checked: frozenset = field(
+        default=frozenset(), init=False, compare=False, hash=False, repr=False
     )
 
 
@@ -102,15 +102,16 @@ class _Function:
         self.methods = tuple(m for m in tbl.methods if m.function == function)
         if not self.methods:
             raise UnknownFunction(f"no methods defined for {function!r}")
-        self.checked = tbl._checked.get(function, 0)
+        self.checked = function in tbl._checked
         self._root: _Node | None = None
         self._up: list[int | None] = [None] * len(self.methods)
         self._strict: list[int | None] = [None] * len(self.methods)
 
     def root(self) -> _Node:
         if self._root is None:
-            for m in self.methods[self.checked :]:
-                validate_type(self.h, m.signature)
+            if not self.checked:  # not built by add_method: check in table order
+                for m in self.methods:
+                    _check_normalizable(self.h, m.signature, self.mode)
             parts = [(1 << i, m.signature) for i, m in enumerate(self.methods)]
             self._root = _Node(self.h, self.mode, parts)
         return self._root
@@ -118,10 +119,7 @@ class _Function:
     def up(self, i: int) -> int:
         """The bits of the signatures at or above signature i."""
         if self._up[i] is None:
-            sig = self.methods[i].signature
-            if i >= self.checked:
-                _check_normalizable(self.h, sig, self.mode)
-            self._up[i] = self.root().mask(sig)
+            self._up[i] = self.root().mask(self.methods[i].signature)
         return self._up[i]
 
     def strict(self, j: int) -> int:
@@ -156,35 +154,26 @@ def _function(tbl: MethodTable, function: str) -> _Function:
 def add_method(tbl: MethodTable, m: MethodDef) -> MethodTable:
     """Insert m, replacing an equivalent-signature method of the same function."""
     h, mode = tbl.hierarchy, tbl.mode
-    validate_type(h, m.signature)
+    _check_normalizable(h, m.signature, mode)
     above = _Node(h, mode, [(1, m.signature)])
-    checked = tbl._checked.get(m.function, 0)
-    k, new_checked = 0, False  # k: the function's old signatures met so far
+    checked = m.function in tbl._checked
     for i, old in enumerate(tbl.methods):
         if old.function != m.function:
             continue
-        if k >= checked:
+        if not checked:
             _check_normalizable(h, old.signature, mode)
-        k += 1
         if not above.mask(old.signature):
             continue
-        if not new_checked:
-            _check_normalizable(h, m.signature, mode)
-            new_checked = True
         if _Node(h, mode, [(1, old.signature)]).mask(m.signature):
-            methods = list(tbl.methods)
-            methods[i] = m
-            return _with_methods(tbl, tuple(methods), m.function, max(checked, k))
-    # The appended signature is checked when the next insertion meets it.
-    return _with_methods(tbl, tbl.methods + (m,), m.function, k)
+            methods = tbl.methods[:i] + (m,) + tbl.methods[i + 1 :]
+            # The record stays: an unrecorded function's later ones are unchecked.
+            return _with_methods(tbl, methods, tbl._checked)
+    return _with_methods(tbl, tbl.methods + (m,), tbl._checked | {m.function})
 
 
-def _with_methods(
-    tbl: MethodTable, methods: tuple[MethodDef, ...], function: str, checked: int
-) -> MethodTable:
+def _with_methods(tbl: MethodTable, methods: tuple, checked: frozenset) -> MethodTable:
     out = replace(tbl, methods=methods)
-    out._checked.update(tbl._checked)
-    out._checked[function] = checked
+    object.__setattr__(out, "_checked", checked)
     return out
 
 
@@ -205,10 +194,8 @@ def resolve(tbl: MethodTable, function: str, call: TypeExpr) -> DispatchOutcome:
     fn = _function(tbl, function)
     cands = fn.candidates(call)
     at = _bits(cands)
-    if len(at) > 1:  # a lone candidate is compared with nothing, so not checked
+    if len(at) > 1:
         above = 0
-        for j in at:  # check each one before any strict mask, so in table order
-            fn.up(j)
         for j in at:
             above |= fn.strict(j)
         at = _bits(cands & ~above)

@@ -128,12 +128,12 @@ def reductive_sub(
 def _search(h, t1: TypeExpr, t2: TypeExpr, mode: Mode, strategy: Strategy) -> ReductiveTrace:
     # The reductive search for a query whose verdict is known to be true.
     if strategy is Strategy.SHORT_PATH_FIRST:
-        trace = _decide(h, t1, t2, mode, local_nf=True)
+        trace = _decide(h, t1, t2, mode)
         if trace is not None:
             return trace
-    trace = _decide(h, nf_for_mode(h, t1, mode), t2, mode, local_nf=False)
+    trace = _via_nf(h, t1, t2, mode)
     assert trace is not None, f"no trace for the true verdict {t1} <: {t2}"
-    return ReductiveTrace(SR_NF, t1, t2, (trace,))
+    return trace
 
 
 def _check_normalizable(h, t: TypeExpr, mode: Mode) -> None:
@@ -304,13 +304,11 @@ def _nominal_step(h, lhs: Name, rhs: Name, mode: Mode) -> ReductiveTrace | None:
     return None
 
 
-def _decide(
-    h, lhs: TypeExpr, rhs: TypeExpr, mode: Mode, local_nf: bool
-) -> ReductiveTrace | None:
-    # Without local_nf, lhs is expected to be in (mode-appropriate) normal form.
+def _decide(h, lhs: TypeExpr, rhs: TypeExpr, mode: Mode) -> ReductiveTrace | None:
+    # Normalizes only at a stuck head, which a normal form never has.
     if isinstance(lhs, Union):
-        p1 = _decide(h, lhs.left, rhs, mode, local_nf)
-        p2 = p1 and _decide(h, lhs.right, rhs, mode, local_nf)
+        p1 = _decide(h, lhs.left, rhs, mode)
+        p2 = p1 and _decide(h, lhs.right, rhs, mode)
         return p2 and ReductiveTrace(SR_UNION_L, lhs, rhs, (p1, p2))
     direct: ReductiveTrace | None = None
     if isinstance(rhs, Name):
@@ -318,21 +316,25 @@ def _decide(
             direct = _nominal_step(h, lhs, rhs, mode)
     elif isinstance(rhs, Pair):
         if isinstance(lhs, Pair):
-            p1 = _decide(h, lhs.left, rhs.left, mode, local_nf)
-            p2 = p1 and _decide(h, lhs.right, rhs.right, mode, local_nf)
+            p1 = _decide(h, lhs.left, rhs.left, mode)
+            p2 = p1 and _decide(h, lhs.right, rhs.right, mode)
             direct = p2 and ReductiveTrace(SR_PAIR, lhs, rhs, (p1, p2))
     else:
-        p = _decide(h, lhs, rhs.left, mode, local_nf)
+        p = _decide(h, lhs, rhs.left, mode)
         if p is not None:
             direct = ReductiveTrace(SR_UNION_R1, lhs, rhs, (p,))
         else:
-            p = _decide(h, lhs, rhs.right, mode, local_nf)
+            p = _decide(h, lhs, rhs.right, mode)
             direct = p and ReductiveTrace(SR_UNION_R2, lhs, rhs, (p,))
-    if direct is None and local_nf and _stuck_head(lhs, mode):
-        sub = _decide(h, nf_for_mode(h, lhs, mode), rhs, mode, local_nf=False)
-        if sub is not None:
-            return ReductiveTrace(SR_NF, lhs, rhs, (sub,))
+    if direct is None and _stuck_head(lhs, mode):
+        return _via_nf(h, lhs, rhs, mode)
     return direct
+
+
+def _via_nf(h, lhs: TypeExpr, rhs: TypeExpr, mode: Mode) -> ReductiveTrace | None:
+    # SR-NF: search the normal form of lhs, where no head is stuck.
+    sub = _decide(h, nf_for_mode(h, lhs, mode), rhs, mode)
+    return sub and ReductiveTrace(SR_NF, lhs, rhs, (sub,))
 
 
 def _stuck_head(lhs: TypeExpr, mode: Mode) -> bool:

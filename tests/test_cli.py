@@ -169,3 +169,19 @@ class TestDispatchCommand:
             capsys, "dispatch", "--methods", methods_file, "--call", "minus Int*Int"
         )
         assert code == 2 and "minus" in err
+
+    def test_childless_abstract_signature_exits_2(self, capsys, tmp_path):
+        # The bad signature is rejected when it is inserted, so the exit code
+        # does not depend on where its line stands among the function's lines.
+        h = tmp_path / "h.txt"
+        h.write_text("abstract Void\nconcrete Int\nconcrete Str\n", encoding="utf-8")
+        f = tmp_path / "methods.txt"
+        f.write_text(
+            "mode semantic\nmethod f Int*Str => mI\nmethod f Void*Int => mV\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(
+            capsys, "dispatch", "--methods", str(f), "--call", "f Int*Str",
+            "--hierarchy", str(h),
+        )
+        assert code == 2 and out == "" and "Void" in err

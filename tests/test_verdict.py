@@ -88,9 +88,7 @@ class TestVerdictDifferential:
                 mode = Mode.SEMANTIC if q % 2 == 0 else Mode.ATOMIC
                 verdict, _ = reductive_sub(h, t1, t2, mode)
                 assert verdict == semantic_sub(h, t1, t2, mode), f"{t1} <: {t2} [{mode}]"
-                found = subtyping._decide(
-                    h, nf_for_mode(h, t1, mode), t2, mode, local_nf=False
-                )
+                found = subtyping._decide(h, nf_for_mode(h, t1, mode), t2, mode)
                 assert (found is not None) == verdict, f"{t1} <: {t2} [{mode}]"
                 total += 1
                 if pair_union:
