@@ -20,7 +20,13 @@ byte-identical.  Each line digests one section:
 - ``add-method``: seeded insertion sequences over ``random_hierarchy`` plus a
   childless abstract name, in both modes, some starting from a table built by
   hand that holds an undeclared name: after every insertion, the resulting
-  table's method bodies, or the error's class and message.
+  table's method bodies, or the error's class and message;
+- ``parse-methods``: seeded method files over ``random_hierarchy`` plus a
+  childless abstract name, read with ``parse_methods`` in both modes: files of
+  two functions with repeated signatures, signatures equivalent only in
+  semantic mode (an abstract name spelled as its concrete descendants), now
+  and then a signature naming the childless name or an undeclared one; each
+  file's method bodies, or the error's class and message.
 
 Usage:
     PYTHONPATH=src python3 scripts/output_digests.py [--seed 808] [--random 9000]
@@ -53,10 +59,12 @@ from tagsub.dispatch import (
     NoApplicableMethod,
     Selected,
     add_method,
+    parse_methods,
     resolve,
 )
 from tagsub.frontend import ParseError, parse_type
 from tagsub.gen import random_hierarchy, random_type, types_up_to
+from tagsub.normalize import descendant_union
 from tagsub.semantics import Mode
 from tagsub.subtyping import Strategy, format_trace, reductive_sub
 
@@ -176,6 +184,54 @@ def add_method_outcomes(seed, digest, sequences=200, inserts=12):
     return count
 
 
+def _semantic_twin(rng, h, t):
+    # A type equivalent to t in semantic mode: abstract names now and then
+    # spelled as the union of their concrete descendants, which atomic mode
+    # tells apart.
+    if isinstance(t, Name):
+        if t.name.abstract and rng.random() < 0.7:
+            return descendant_union(h, t.name)
+        return t
+    return type(t)(_semantic_twin(rng, h, t.left), _semantic_twin(rng, h, t.right))
+
+
+def parse_methods_outcomes(seed, digest, files=200, lines=12):
+    # Void has no concrete descendant and Ghost is not declared; a line
+    # naming either is not repeated.
+    rng = random.Random(seed)
+    count = 0
+    for _ in range(files):
+        base = random_hierarchy(rng, 6)
+        h = NominalHierarchy(base.decls + (Decl("Void", True),))
+        pool, text = [], []
+        for i in range(lines):
+            roll = rng.random()
+            if pool and roll < 0.5:
+                fn, src = rng.choice(pool)
+                if roll >= 0.25:
+                    src = str(_semantic_twin(rng, base, parse_type(src, base)))
+            else:
+                fn, src = rng.choice("fg"), str(_signature(rng, base, 3))
+            pool.append((fn, src))
+            roll = rng.random()
+            if roll < 0.03:
+                src = f"Void|{src}"
+            elif roll < 0.05:
+                src = f"({src})*Ghost"
+            text.append(f"method {fn} {src} => m{i}")
+        digest.update("\n".join(text).encode() + b"\n")
+        for mode in Mode:
+            try:
+                tbl = parse_methods("\n".join([f"mode {mode.value}", *text]), h)
+            except TagsubError as e:
+                outcome = f"{type(e).__name__}: {e}"
+            else:
+                outcome = " ".join(m.body for m in tbl.methods)
+            digest.update(f"[{mode.value}] -> {outcome}\n".encode())
+            count += 1
+    return count
+
+
 def decisions(h, pairs, digest):
     count = 0
     for t1, t2 in pairs:
@@ -235,6 +291,10 @@ def main() -> None:
     digest = hashlib.sha256()
     n = add_method_outcomes(args.seed, digest)
     print(f"add-method      {n:6d} inserts    {digest.hexdigest()}")
+
+    digest = hashlib.sha256()
+    n = parse_methods_outcomes(args.seed, digest)
+    print(f"parse-methods   {n:6d} files      {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ uses 0 selected, 3 no applicable method, 4 ambiguous.
 
 from __future__ import annotations
 
-import argparse
 import sys
+from typing import TYPE_CHECKING
 
 from .core import DEFAULT_HIERARCHY, NominalHierarchy, TagsubError, load_hierarchy
 from .derivation import format_derivation, synthesize
@@ -17,6 +17,9 @@ from .frontend import parse_type
 from .normalize import nf, nf_atomic
 from .semantics import Mode, format_tag_set, interp, matches
 from .subtyping import Strategy, format_trace, reductive_sub
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _hierarchy(args) -> NominalHierarchy:
@@ -95,6 +98,10 @@ def cmd_hierarchy(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Imported here, so that importing the module loads neither argparse nor
+    # the gettext machinery it pulls in.
+    import argparse
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--hierarchy", metavar="FILE", default=None, help="hierarchy file (default: built-in)"

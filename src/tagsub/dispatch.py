@@ -11,10 +11,19 @@ A table compiles each function on its first resolve into the cover-set node
 that subtyping decides verdicts with (see :class:`tagsub.subtyping._Node`),
 taken over all of the function's signatures at once: it answers "which
 signatures hold this type" as one bit mask, so resolving makes no subtype
-call.  :func:`add_method` checks each signature once, in full, when it is
-inserted, and the table records which functions hold only checked
-signatures; the signatures of a table built by hand are checked when it first
-compiles the function.
+call.
+
+Insertion uses the same nodes.  :func:`add_method` and :func:`parse_methods`
+both insert through one routine that takes a batch of new signatures: it
+builds one node over them and runs each earlier signature of the function
+through it, then one node over the earlier signatures that lie below a new
+one, which the new ones run through in turn; equivalence is both bits set.
+So an n-method file costs about n walks, not n²/2.  The routine checks each
+new signature in full before it inserts it (:func:`parse_methods` also checks
+each one as its line is read, so that errors come in line order), and the
+table records which functions hold only checked signatures; the signatures
+of a table built by hand are checked as insertion meets them, and when it
+first compiles the function.
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ class MethodTable:
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
     # The functions whose signatures all pass _check_normalizable under this
-    # hierarchy and mode.  Only add_method sets it; tables built by hand or by
+    # hierarchy and mode.  Only insertion sets it; tables built by hand or by
     # replace() start with none and are checked in full.
     _checked: frozenset = field(
         default=frozenset(), init=False, compare=False, hash=False, repr=False
@@ -153,22 +162,98 @@ def _function(tbl: MethodTable, function: str) -> _Function:
 
 def add_method(tbl: MethodTable, m: MethodDef) -> MethodTable:
     """Insert m, replacing an equivalent-signature method of the same function."""
-    h, mode = tbl.hierarchy, tbl.mode
-    _check_normalizable(h, m.signature, mode)
-    above = _Node(h, mode, [(1, m.signature)])
-    checked = m.function in tbl._checked
-    for i, old in enumerate(tbl.methods):
-        if old.function != m.function:
-            continue
+    return _insert(tbl, [m])
+
+
+def _insert(tbl: MethodTable, new: Sequence[MethodDef]) -> MethodTable:
+    """Insert the methods new in order, checking each signature first.
+
+    The result is that of inserting them one at a time: each method takes the
+    place of the first method of its function, in table order, whose signature
+    is equivalent to its own, and is appended when there is none.
+    """
+    for m in new:
+        _check_normalizable(tbl.hierarchy, m.signature, tbl.mode)
+    base = len(tbl.methods)
+    first = [0] * len(new)  # per new method: the position of its first equivalent
+    for fn in dict.fromkeys(m.function for m in new):
+        olds = [i for i, m in enumerate(tbl.methods) if m.function == fn]
+        js = [j for j, m in enumerate(new) if m.function == fn]
+        where = olds + [base + j for j in js]
+        found = _firsts(
+            tbl.hierarchy,
+            tbl.mode,
+            [tbl.methods[i].signature for i in olds],
+            [new[j].signature for j in js],
+            fn in tbl._checked,
+        )
+        for j, f in zip(js, found):
+            first[j] = where[f]
+    methods, slot = list(tbl.methods), {}
+    for j, m in enumerate(new):
+        if first[j] == base + j:
+            slot[base + j] = len(methods)
+            methods.append(m)
+        else:
+            methods[slot.get(first[j], first[j])] = m
+    # A function whose earlier signatures were all met is checked in full; one
+    # that only had methods replaced keeps its record, or its lack of one.
+    appended = {m.function for j, m in enumerate(new) if first[j] >= base}
+    return _with_methods(tbl, tuple(methods), tbl._checked | appended)
+
+
+def _firsts(h, mode: Mode, olds: list, news: list, checked: bool) -> list[int]:
+    """For each new signature, the index in olds + news of the first equivalent one.
+
+    The new signatures become one cover-set node, and each old signature runs
+    through it once, giving the new ones it lies below.  Those old signatures
+    become a second node, which each new signature they lie below runs
+    through once for the reverse direction.  If the old signatures are not
+    known to be checked, each is checked just before it runs, and checking
+    stops once every new signature has an equivalent: the reverse direction
+    is then settled before each check, not once at the end.  New signatures
+    without an old equivalent run through the first node to find each other.
+    """
+    node = _Node(h, mode, [(1 << j, t) for j, t in enumerate(news)])
+    first: list[int | None] = [None] * len(news)
+    hits: list[tuple[int, int]] = []  # (old index, bits of the open news above it)
+    open_ = (1 << len(news)) - 1  # the new signatures without an old equivalent
+
+    def settle() -> None:
+        nonlocal open_
+        back = _Node(h, mode, [(1 << n, olds[i]) for n, (i, _) in enumerate(hits)])
+        below = [0] * len(news)  # per new signature: the hits below it
+        for n, (_, bits) in enumerate(hits):
+            for j in _bits(bits):
+                below[j] |= 1 << n
+        for j, col in enumerate(below):
+            both = col and back.mask(news[j]) & col
+            if both:
+                first[j] = hits[(both & -both).bit_length() - 1][0]
+                open_ &= ~(1 << j)
+        hits.clear()
+
+    for i, t in enumerate(olds):
         if not checked:
-            _check_normalizable(h, old.signature, mode)
-        if not above.mask(old.signature):
-            continue
-        if _Node(h, mode, [(1, old.signature)]).mask(m.signature):
-            methods = tbl.methods[:i] + (m,) + tbl.methods[i + 1 :]
-            # The record stays: an unrecorded function's later ones are unchecked.
-            return _with_methods(tbl, methods, tbl._checked)
-    return _with_methods(tbl, tbl.methods + (m,), tbl._checked | {m.function})
+            if hits:
+                settle()
+                if not open_:
+                    break
+            _check_normalizable(h, t, mode)
+        bits = node.mask(t) & open_
+        if bits:
+            hits.append((i, bits))
+    if hits:
+        settle()
+    rest = _bits(open_)
+    if len(rest) > 1:
+        up = {j: node.mask(news[j]) & open_ for j in rest}
+    else:
+        up = {j: 1 << j for j in rest}
+    for j in rest:
+        # The lowest open signature above j that j is above in turn: j at the latest.
+        first[j] = len(olds) + next(l for l in _bits(up[j]) if up[l] >> j & 1)
+    return first
 
 
 def _with_methods(tbl: MethodTable, methods: tuple, checked: frozenset) -> MethodTable:
@@ -216,7 +301,7 @@ def parse_methods(text: str, h: NominalHierarchy) -> MethodTable:
     from .frontend import parse_type
 
     mode: Mode | None = None
-    table: MethodTable | None = None
+    defs: list[MethodDef] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -226,18 +311,20 @@ def parse_methods(text: str, h: NominalHierarchy) -> MethodTable:
             if mode is not None:
                 raise MethodFileError(f"line {lineno}: duplicate mode declaration")
             mode = Mode(m.group(1))
-            table = MethodTable(h, mode)
             continue
         m = _METHOD_RE.match(line)
         if m is None:
             raise MethodFileError(f"line {lineno}: cannot parse {line!r}")
-        if table is None:
+        if mode is None:
             raise MethodFileError(f"line {lineno}: method before mode declaration")
         fn, sig_src, body = m.groups()
-        table = add_method(table, MethodDef(fn, parse_type(sig_src, h), body))
-    if table is None:
+        sig = parse_type(sig_src, h)
+        # Checked as read too, so that errors come in line order.
+        _check_normalizable(h, sig, mode)
+        defs.append(MethodDef(fn, sig, body))
+    if mode is None:
         raise MethodFileError("missing mode declaration")
-    return table
+    return _insert(MethodTable(h, mode), defs)
 
 
 def load_methods(path: str | Path, h: NominalHierarchy) -> MethodTable:

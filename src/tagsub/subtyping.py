@@ -365,7 +365,7 @@ def _check(h, tr: ReductiveTrace, mode: Mode, nf_allowed: bool) -> bool:
             and isinstance(lhs, Name)
             and lhs == rhs
             and not lhs.name.abstract
-            and lhs.name in h.names
+            and h._names.get(lhs.name.text) == lhs.name
         )
     if tr.rule == SR_NOM:
         if prem or not (isinstance(lhs, Name) and isinstance(rhs, Name)):

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import tagsub
 from tagsub.cli import main
 
 HIERARCHY = """
@@ -185,3 +191,28 @@ class TestDispatchCommand:
             "--hierarchy", str(h),
         )
         assert code == 2 and out == "" and "Void" in err
+
+
+def python(*args):
+    """Run a fresh interpreter that imports this checkout's tagsub."""
+    src = str(Path(tagsub.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+class TestImport:
+    def test_importing_the_cli_loads_no_argparse(self):
+        out = python("-c", "import sys, tagsub, tagsub.cli; print('argparse' in sys.modules)")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "False\n"
+
+    def test_help_still_works(self):
+        out = python("-m", "tagsub", "--help")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("usage: tagsub")

@@ -32,8 +32,10 @@ from tagsub.dispatch import (
     tuple_type,
 )
 from tagsub.gen import random_hierarchy, random_type
-from tagsub.normalize import EmptyAbstract, descendant_union
+from tagsub.frontend import parse_type
+from tagsub.normalize import EmptyAbstract, descendant_union, nf_for_mode
 from tagsub.semantics import Mode, semantic_sub
+from tagsub.subtyping import _Node, reductive_sub
 
 
 def mk(fn, sig, body, h=TOWER):
@@ -674,6 +676,165 @@ class TestCheckedRecord:
             add_method(moved, MethodDef("f", Name(no_str.lookup("Int")), "mI"))
         with pytest.raises(UnknownName, match="Str"):
             resolve(moved, "f", T("Int*Int", VOID))
+
+
+def reference_insert(h, mode, state, m):
+    """add_method by its definition: two reductive_sub calls per earlier
+    signature of the function.  state is (methods, checked functions)."""
+    methods, checked = state
+    nf_for_mode(h, m.signature, mode)  # raises what checking the signature raises
+    for i, old in enumerate(methods):
+        if old.function != m.function:
+            continue
+        if m.function not in checked:
+            nf_for_mode(h, old.signature, mode)
+        if (
+            reductive_sub(h, old.signature, m.signature, mode)[0]
+            and reductive_sub(h, m.signature, old.signature, mode)[0]
+        ):
+            return methods[:i] + (m,) + methods[i + 1 :], checked
+    return methods + (m,), checked | {m.function}
+
+
+def method_defs(rng, h, count, pool=()):
+    """Methods of two functions: fresh pairs, repeats of earlier signatures or
+    of pool's, and signatures equivalent to them in semantic mode (Real as
+    Int|Flt, union arms swapped); now and then one names the childless Void
+    or the undeclared Ghost."""
+    names = [n for n in h.names if n.text != "Void"]
+    sigs, out = [(m.function, m.signature) for m in pool], []
+    for i in range(count):
+        if sigs and rng.random() < 0.4:
+            fn, sig = rng.choice(sigs)
+            if rng.random() < 0.2:
+                fn = "g" if fn == "f" else "f"
+            if rng.random() < 0.6:
+                sig = equivalent(rng, h, Mode.SEMANTIC, sig)
+        else:
+            fn, sig = rng.choice("fg"), chain_of_components(rng, names, 2)
+        sigs.append((fn, sig))
+        roll = rng.random()
+        if roll < 0.04 and "Void" in h:
+            sig = Union(sig, Name(h.lookup("Void")))
+        elif roll < 0.06:
+            sig = Pair(sig, GHOST)
+        out.append(MethodDef(fn, sig, f"m{i}"))
+    return out
+
+
+def state_or_error(run):
+    """A table's methods and checked functions, or the error's class and message."""
+    try:
+        out = run()
+    except TagsubError as e:
+        return f"{type(e).__name__}: {e}"
+    if isinstance(out, MethodTable):
+        return out.methods, out._checked
+    return out
+
+
+class TestInsertionByDefinition:
+    """Tables built in one pass equal those built by the definition, one
+    method at a time."""
+
+    @pytest.mark.parametrize("h", [VOID, TOWER], ids=["void", "tower"])
+    def test_parse_methods(self, h):
+        rng = random.Random(5150)
+        kinds = set()
+        for _ in range(40):
+            defs, sizes = method_defs(rng, h, 12), {}
+            for mode in Mode:
+                lines = [f"mode {mode.value}"]
+                lines += [f"method {d.function} {d.signature} => {d.body}" for d in defs]
+                got = state_or_error(lambda: parse_methods("\n".join(lines), h))
+
+                def by_definition():
+                    state = ((), frozenset())
+                    for d in defs:
+                        sig = parse_type(str(d.signature), h)
+                        state = reference_insert(h, mode, state, replace(d, signature=sig))
+                    return state
+
+                assert got == state_or_error(by_definition)
+                if isinstance(got, str):
+                    kinds.add(got.split(":")[0])
+                else:
+                    sizes[mode] = len(got[0])
+                    kinds.add("replaced" if len(got[0]) < len(defs) else "appended")
+            if len(sizes) == 2 and sizes[Mode.SEMANTIC] < sizes[Mode.ATOMIC]:
+                kinds.add("fewer in semantic mode")
+        # Only TOWER has abstract names with children, only VOID a childless one.
+        expected = {"UnknownName", "replaced"}
+        expected |= {"EmptyAbstract"} if h is VOID else {"fewer in semantic mode"}
+        assert expected <= kinds
+
+    @pytest.mark.parametrize("h", [VOID, TOWER], ids=["void", "tower"])
+    def test_add_method(self, h):
+        # Half the sequences start from a table built by hand.  In one kind its
+        # second method names Ghost: an insertion raises UnknownName unless
+        # the new signature is equivalent to the first method's.  In the other
+        # its first two methods are equivalent in semantic mode, and once an
+        # append records the function as checked, an insertion equivalent to
+        # both replaces the first.
+        rng = random.Random(6160)
+        kinds = set()
+        names = [n for n in h.names if n.text != "Void"]
+        for s in range(60):
+            fn, sig = rng.choice("fg"), chain_of_components(rng, names, 2)
+            start = ()
+            if s % 4 == 1:
+                ghost = Union(chain_of_components(rng, names, 2), GHOST)
+                start = (MethodDef(fn, sig, "h0"), MethodDef(fn, ghost, "h1"))
+            elif s % 4 == 3:
+                twin = equivalent(rng, h, Mode.SEMANTIC, sig)
+                start = (MethodDef(fn, sig, "h0"), MethodDef(fn, twin, "h1"))
+            defs = method_defs(rng, h, 10, start[:1])
+            for mode in Mode:
+                tbl = MethodTable(h, mode, methods=start)
+                state = (start, frozenset())
+                for d in defs:
+                    got = state_or_error(lambda: add_method(tbl, d))
+                    expected = state_or_error(lambda: reference_insert(h, mode, state, d))
+                    assert got == expected, (mode, d.function, str(d.signature))
+                    if isinstance(got, str):
+                        kinds.add(got.split(":")[0])
+                        continue
+                    kinds.add("append" if len(got[0]) > len(tbl.methods) else "replace")
+                    if s % 4 == 1 and "h1" in bodies(got[0]) and not got[1]:
+                        kinds.add("stopped before Ghost")
+                    if s % 4 == 3 and state[1] and got[0][0] is d:
+                        kinds.add("replaced the first of two")
+                    tbl, state = add_method(tbl, d), got
+        expected = {"UnknownName", "append", "replace"}
+        expected |= {"stopped before Ghost", "replaced the first of two"}
+        assert expected | ({"EmptyAbstract"} if h is VOID else set()) <= kinds
+
+
+class TestBuildGrowth:
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("arity", [3, 4])
+    def test_a_build_walks_each_signature_a_bounded_number_of_times(
+        self, mode, arity, monkeypatch
+    ):
+        # Count top-level cover-set walks, not the recursive calls within one.
+        walks, depth = [0], [0]
+        mask = _Node.mask
+
+        def counting(node, t):
+            walks[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return mask(node, t)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(_Node, "mask", counting)
+        parts = itertools.product(["Int", "Real", "Num"], repeat=arity)
+        lines = [f"mode {mode.value}"]
+        lines += [f"method f {'*'.join(p)} => m{i}" for i, p in enumerate(parts)]
+        tbl = parse_methods("\n".join(lines), TOWER)
+        assert len(tbl.methods) == 3**arity
+        assert walks[0] <= 2 * len(tbl.methods)
 
 
 class TestStabilityScenario:
