@@ -26,7 +26,14 @@ byte-identical.  Each line digests one section:
   two functions with repeated signatures, signatures equivalent only in
   semantic mode (an abstract name spelled as its concrete descendants), now
   and then a signature naming the childless name or an undeclared one; each
-  file's method bodies, or the error's class and message.
+  file's method bodies, or the error's class and message;
+- ``methods-file``: seeded method files over ``random_hierarchy`` plus a
+  childless abstract name, read with ``parse_methods`` in both modes and then
+  resolved: some files hold a line naming the childless name and, before or
+  after it, a malformed line, a second ``mode`` line or a line naming an
+  undeclared name; each file's error class and message, or its method bodies
+  and the outcomes of seeded calls of ``f``, ``g`` and the undefined ``h``
+  (as for ``dispatch``, but with the error's message).
 
 Usage:
     PYTHONPATH=src python3 scripts/output_digests.py [--seed 808] [--random 9000]
@@ -107,6 +114,15 @@ def _signature(rng, h, width):
     return random_type(rng, h, 3, 64)
 
 
+def _outcome(out) -> str:
+    if isinstance(out, Selected):
+        return f"S:{out.method.body}"
+    if isinstance(out, Ambiguous):
+        return "A:" + ",".join(m.body for m in out.candidates)
+    assert isinstance(out, NoApplicableMethod)
+    return "N"
+
+
 def dispatch_outcomes(seed, digest, tables=150, methods=10, calls=40):
     # Calls name a third, undefined function now and then, and a few carry a
     # name the hierarchy does not declare, so errors are digested too.
@@ -130,17 +146,9 @@ def dispatch_outcomes(seed, digest, tables=150, methods=10, calls=40):
             digest.update(f"table [{mode.value}] {bodies}\n".encode())
             for fn, call in stream:
                 try:
-                    out = resolve(tbl, fn, call)
+                    outcome = _outcome(resolve(tbl, fn, call))
                 except TagsubError as e:
                     outcome = type(e).__name__
-                else:
-                    if isinstance(out, Selected):
-                        outcome = f"S:{out.method.body}"
-                    elif isinstance(out, Ambiguous):
-                        outcome = "A:" + ",".join(m.body for m in out.candidates)
-                    else:
-                        assert isinstance(out, NoApplicableMethod)
-                        outcome = "N"
                 digest.update(f"{fn} {call} -> {outcome}\n".encode())
                 count += 1
     return count
@@ -232,6 +240,47 @@ def parse_methods_outcomes(seed, digest, files=200, lines=12):
     return count
 
 
+def methods_file_outcomes(seed, digest, files=200, lines=10, calls=20):
+    # Two files in three hold a line naming Void, which has no concrete
+    # descendant; half of those also hold a bad line, before or after it.
+    rng = random.Random(seed)
+    bad_lines = ["method f Int -> mX", "mode atomic", "method g Int|Ghost => mG"]
+    count = 0
+    for _ in range(files):
+        base = random_hierarchy(rng, 6)
+        h = NominalHierarchy(base.decls + (Decl("Void", True),))
+        text = [
+            f"method {rng.choice('fg')} {_signature(rng, base, 3)} => m{i}" for i in range(lines)
+        ]
+        roll = rng.random()
+        if roll < 2 / 3:
+            extra = [f"method {rng.choice('fg')} Void*({_signature(rng, base, 2)}) => mV"]
+            if roll < 1 / 3:
+                extra.insert(rng.randrange(2), rng.choice(bad_lines))
+            at = sorted(rng.randrange(lines + 1) for _ in extra)
+            for k, (i, line) in enumerate(zip(at, extra)):
+                text.insert(i + k, line)
+        stream = [(rng.choice("ffffgggh"), _signature(rng, h, 1)) for _ in range(calls)]
+        digest.update("\n".join(text).encode() + b"\n")
+        for mode in Mode:
+            try:
+                tbl = parse_methods("\n".join([f"mode {mode.value}", *text]), h)
+            except TagsubError as e:
+                digest.update(f"[{mode.value}] -> {type(e).__name__}: {e}\n".encode())
+                count += 1
+                continue
+            bodies = " ".join(m.body for m in tbl.methods)
+            digest.update(f"[{mode.value}] -> {bodies}\n".encode())
+            for fn, call in stream:
+                try:
+                    outcome = _outcome(resolve(tbl, fn, call))
+                except TagsubError as e:
+                    outcome = f"{type(e).__name__}: {e}"
+                digest.update(f"{fn} {call} -> {outcome}\n".encode())
+                count += 1
+    return count
+
+
 def decisions(h, pairs, digest):
     count = 0
     for t1, t2 in pairs:
@@ -295,6 +344,10 @@ def main() -> None:
     digest = hashlib.sha256()
     n = parse_methods_outcomes(args.seed, digest)
     print(f"parse-methods   {n:6d} files      {digest.hexdigest()}")
+
+    digest = hashlib.sha256()
+    n = methods_file_outcomes(args.seed, digest)
+    print(f"methods-file    {n:6d} outcomes   {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

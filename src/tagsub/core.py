@@ -261,13 +261,25 @@ def abstract_descendants(
     return h._abstract_desc[h.lookup(n).text]
 
 
+def _leaves(t: TypeExpr, kind: type) -> list[TypeExpr]:
+    """The subterms of t just below its top-level nodes of class kind, left to
+    right: a union's arms for Union, a pair tree's components for Pair."""
+    if not isinstance(t, kind):
+        return [t]
+    out, todo = [], [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, kind):
+            todo.append(x.right)
+            todo.append(x.left)
+        else:
+            out.append(x)
+    return out
+
+
 def is_value_type(t: TypeExpr) -> bool:
     """True iff t is a concrete name or a pair of value types."""
-    if isinstance(t, Name):
-        return not t.name.abstract
-    if isinstance(t, Pair):
-        return is_value_type(t.left) and is_value_type(t.right)
-    return False
+    return all(isinstance(x, Name) and not x.name.abstract for x in _leaves(t, Pair))
 
 
 def validate_type(h: NominalHierarchy, t: TypeExpr) -> None:

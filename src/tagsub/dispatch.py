@@ -7,23 +7,25 @@ function overwrites that method in place, so no two registered signatures of
 a function are ever mutually subtyping.  Resolution relies on that: a call
 selects its single minimal applicable method, or is ambiguous between several.
 
-A table compiles each function on its first resolve into the cover-set node
-that subtyping decides verdicts with (see :class:`tagsub.subtyping._Node`),
-taken over all of the function's signatures at once: it answers "which
-signatures hold this type" as one bit mask, so resolving makes no subtype
-call.
+A table compiles each function into one cover-set node over all of its
+signatures (see :class:`tagsub.subtyping._Node`), the node that subtyping
+decides verdicts with: it answers "which signatures hold this type" as one
+bit mask, so resolving makes no subtype call.
 
-Insertion uses the same nodes.  :func:`add_method` and :func:`parse_methods`
-both insert through one routine that takes a batch of new signatures: it
-builds one node over them and runs each earlier signature of the function
-through it, then one node over the earlier signatures that lie below a new
-one, which the new ones run through in turn; equivalence is both bits set.
-So an n-method file costs about n walks, not n²/2.  The routine checks each
-new signature in full before it inserts it (:func:`parse_methods` also checks
-each one as its line is read, so that errors come in line order), and the
-table records which functions hold only checked signatures; the signatures
-of a table built by hand are checked as insertion meets them, and when it
-first compiles the function.
+Insertion builds that same compiled function.  :func:`add_method` and
+:func:`parse_methods` both insert through one routine that takes a batch of
+new signatures: per function, one node over the earlier signatures and then
+the new ones, through which each new signature runs once; an earlier
+signature above it runs once too, and equivalence is both bits set.  So an
+n-method file costs n walks, not n²/2, and when every new signature of a
+function is appended the node and its masks become the new table's compiled
+function, so the first resolve walks only the call.  Each new signature is
+checked in full once, before it is inserted (:func:`parse_methods` checks
+the lines it has read before it raises a read error, so that errors come in
+line order), and the table records which functions hold only checked
+signatures.  The signatures of a table built by hand are checked in table
+order: by insertion just before each is walked, and in full when the
+function is first compiled.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ class MethodTable:
     hierarchy: NominalHierarchy
     mode: Mode
     methods: tuple[MethodDef, ...] = ()
-    # Function name -> _Function, filled on first use.  A table never changes,
-    # so nothing here is ever invalidated; replace() starts a fresh one.
+    # Function name -> _Function, handed over by insertion or filled on first
+    # use.  A table never changes, so nothing here is ever invalidated;
+    # replace() starts a fresh one.
     _compiled: dict = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
@@ -104,14 +107,13 @@ def tuple_type(parts: Sequence[TypeExpr]) -> TypeExpr:
 
 
 class _Function:
-    """One function's methods in a table, compiled on first use."""
+    """One function's methods, with the cover-set node over their signatures."""
 
-    def __init__(self, tbl: MethodTable, function: str):
-        self.h, self.mode = tbl.hierarchy, tbl.mode
-        self.methods = tuple(m for m in tbl.methods if m.function == function)
-        if not self.methods:
-            raise UnknownFunction(f"no methods defined for {function!r}")
-        self.checked = function in tbl._checked
+    def __init__(
+        self, h: NominalHierarchy, mode: Mode, methods: Sequence[MethodDef], checked: bool
+    ):
+        # checked: the signatures need no check before the node is built.
+        self.h, self.mode, self.methods, self.checked = h, mode, tuple(methods), checked
         self._root: _Node | None = None
         self._up: list[int | None] = [None] * len(self.methods)
         self._strict: list[int | None] = [None] * len(self.methods)
@@ -156,7 +158,11 @@ def _bits(mask: int) -> list[int]:
 def _function(tbl: MethodTable, function: str) -> _Function:
     fn = tbl._compiled.get(function)
     if fn is None:
-        fn = tbl._compiled[function] = _Function(tbl, function)
+        methods = [m for m in tbl.methods if m.function == function]
+        if not methods:
+            raise UnknownFunction(f"no methods defined for {function!r}")
+        checked = function in tbl._checked
+        fn = tbl._compiled[function] = _Function(tbl.hierarchy, tbl.mode, methods, checked)
     return fn
 
 
@@ -170,25 +176,38 @@ def _insert(tbl: MethodTable, new: Sequence[MethodDef]) -> MethodTable:
 
     The result is that of inserting them one at a time: each method takes the
     place of the first method of its function, in table order, whose signature
-    is equivalent to its own, and is appended when there is none.
+    is equivalent to its own, and is appended when there is none.  Per
+    function, one _Function over the earlier signatures and then the new ones
+    finds the equivalents, and becomes the new table's compiled function when
+    every new method is appended.
     """
+    h, mode = tbl.hierarchy, tbl.mode
     for m in new:
-        _check_normalizable(tbl.hierarchy, m.signature, tbl.mode)
+        _check_normalizable(h, m.signature, mode)
     base = len(tbl.methods)
     first = [0] * len(new)  # per new method: the position of its first equivalent
-    for fn in dict.fromkeys(m.function for m in new):
-        olds = [i for i, m in enumerate(tbl.methods) if m.function == fn]
-        js = [j for j, m in enumerate(new) if m.function == fn]
-        where = olds + [base + j for j in js]
-        found = _firsts(
-            tbl.hierarchy,
-            tbl.mode,
-            [tbl.methods[i].signature for i in olds],
-            [new[j].signature for j in js],
-            fn in tbl._checked,
-        )
-        for j, f in zip(js, found):
-            first[j] = where[f]
+    compiled = {}
+    for name in dict.fromkeys(m.function for m in new):
+        where = [i for i, m in enumerate(tbl.methods) if m.function == name]
+        js = [j for j, m in enumerate(new) if m.function == name]
+        k = len(where)
+        mine = [tbl.methods[i] for i in where] + [new[j] for j in js]
+        where += [base + j for j in js]
+        # The node never looks up its targets' names, and each earlier
+        # signature is checked here just before it can be walked.
+        fn = _Function(h, mode, mine, checked=True)
+        done = k if name in tbl._checked else 0  # the earlier signatures checked so far
+        for p in range(k, len(where)):
+            # The lowest i at or above p that p is at or above in turn: p at the latest.
+            for i in _bits(fn.up(p) & ((2 << p) - 1)):
+                while done < min(i + 1, k):  # in table order, up to i
+                    _check_normalizable(h, fn.methods[done].signature, mode)
+                    done += 1
+                if fn.up(i) >> p & 1:
+                    first[js[p - k]] = where[i]
+                    break
+        if all(first[j] == base + j for j in js):
+            compiled[name] = fn
     methods, slot = list(tbl.methods), {}
     for j, m in enumerate(new):
         if first[j] == base + j:
@@ -196,69 +215,12 @@ def _insert(tbl: MethodTable, new: Sequence[MethodDef]) -> MethodTable:
             methods.append(m)
         else:
             methods[slot.get(first[j], first[j])] = m
+    out = replace(tbl, methods=tuple(methods))
     # A function whose earlier signatures were all met is checked in full; one
     # that only had methods replaced keeps its record, or its lack of one.
     appended = {m.function for j, m in enumerate(new) if first[j] >= base}
-    return _with_methods(tbl, tuple(methods), tbl._checked | appended)
-
-
-def _firsts(h, mode: Mode, olds: list, news: list, checked: bool) -> list[int]:
-    """For each new signature, the index in olds + news of the first equivalent one.
-
-    The new signatures become one cover-set node, and each old signature runs
-    through it once, giving the new ones it lies below.  Those old signatures
-    become a second node, which each new signature they lie below runs
-    through once for the reverse direction.  If the old signatures are not
-    known to be checked, each is checked just before it runs, and checking
-    stops once every new signature has an equivalent: the reverse direction
-    is then settled before each check, not once at the end.  New signatures
-    without an old equivalent run through the first node to find each other.
-    """
-    node = _Node(h, mode, [(1 << j, t) for j, t in enumerate(news)])
-    first: list[int | None] = [None] * len(news)
-    hits: list[tuple[int, int]] = []  # (old index, bits of the open news above it)
-    open_ = (1 << len(news)) - 1  # the new signatures without an old equivalent
-
-    def settle() -> None:
-        nonlocal open_
-        back = _Node(h, mode, [(1 << n, olds[i]) for n, (i, _) in enumerate(hits)])
-        below = [0] * len(news)  # per new signature: the hits below it
-        for n, (_, bits) in enumerate(hits):
-            for j in _bits(bits):
-                below[j] |= 1 << n
-        for j, col in enumerate(below):
-            both = col and back.mask(news[j]) & col
-            if both:
-                first[j] = hits[(both & -both).bit_length() - 1][0]
-                open_ &= ~(1 << j)
-        hits.clear()
-
-    for i, t in enumerate(olds):
-        if not checked:
-            if hits:
-                settle()
-                if not open_:
-                    break
-            _check_normalizable(h, t, mode)
-        bits = node.mask(t) & open_
-        if bits:
-            hits.append((i, bits))
-    if hits:
-        settle()
-    rest = _bits(open_)
-    if len(rest) > 1:
-        up = {j: node.mask(news[j]) & open_ for j in rest}
-    else:
-        up = {j: 1 << j for j in rest}
-    for j in rest:
-        # The lowest open signature above j that j is above in turn: j at the latest.
-        first[j] = len(olds) + next(l for l in _bits(up[j]) if up[l] >> j & 1)
-    return first
-
-
-def _with_methods(tbl: MethodTable, methods: tuple, checked: frozenset) -> MethodTable:
-    out = replace(tbl, methods=methods)
-    object.__setattr__(out, "_checked", checked)
+    object.__setattr__(out, "_checked", tbl._checked | appended)
+    out._compiled.update(compiled)
     return out
 
 
@@ -302,26 +264,29 @@ def parse_methods(text: str, h: NominalHierarchy) -> MethodTable:
 
     mode: Mode | None = None
     defs: list[MethodDef] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        m = _MODE_RE.match(line)
-        if m:
-            if mode is not None:
-                raise MethodFileError(f"line {lineno}: duplicate mode declaration")
-            mode = Mode(m.group(1))
-            continue
-        m = _METHOD_RE.match(line)
-        if m is None:
-            raise MethodFileError(f"line {lineno}: cannot parse {line!r}")
-        if mode is None:
-            raise MethodFileError(f"line {lineno}: method before mode declaration")
-        fn, sig_src, body = m.groups()
-        sig = parse_type(sig_src, h)
-        # Checked as read too, so that errors come in line order.
-        _check_normalizable(h, sig, mode)
-        defs.append(MethodDef(fn, sig, body))
+    try:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            m = _MODE_RE.match(line)
+            if m:
+                if mode is not None:
+                    raise MethodFileError(f"line {lineno}: duplicate mode declaration")
+                mode = Mode(m.group(1))
+                continue
+            m = _METHOD_RE.match(line)
+            if m is None:
+                raise MethodFileError(f"line {lineno}: cannot parse {line!r}")
+            if mode is None:
+                raise MethodFileError(f"line {lineno}: method before mode declaration")
+            fn, sig_src, body = m.groups()
+            defs.append(MethodDef(fn, parse_type(sig_src, h), body))
+    except TagsubError:
+        # Errors come in line order: an earlier line's signature error first.
+        for d in defs:
+            _check_normalizable(h, d.signature, mode)
+        raise
     if mode is None:
         raise MethodFileError("missing mode declaration")
     return _insert(MethodTable(h, mode), defs)

@@ -16,6 +16,7 @@ from .core import (
     TagsubError,
     TypeExpr,
     Union,
+    _leaves,
     abstract_descendants,
     concrete_descendants,
     is_value_type,
@@ -63,28 +64,16 @@ def nf(h: NominalHierarchy, t: TypeExpr) -> TypeExpr:
 
 
 def in_nf(t: TypeExpr) -> bool:
-    if isinstance(t, Union):
-        return in_nf(t.left) and in_nf(t.right)
-    return is_value_type(t)
+    return all(is_value_type(a) for a in _leaves(t, Union))
 
 
 def nf_atomic(h: NominalHierarchy, t: TypeExpr) -> TypeExpr:
     return nf_for_mode(h, t, Mode.ATOMIC)
 
 
-def _atom_tree(t: TypeExpr) -> bool:
-    # Nominal atoms closed under pairing; unions disqualify.
-    if isinstance(t, Name):
-        return True
-    if isinstance(t, Pair):
-        return _atom_tree(t.left) and _atom_tree(t.right)
-    return False
-
-
 def in_nf_atomic(t: TypeExpr) -> bool:
-    if isinstance(t, Union):
-        return in_nf_atomic(t.left) and in_nf_atomic(t.right)
-    return _atom_tree(t)
+    # Every arm is a tree of pairs over names; a union inside a pair disqualifies.
+    return all(isinstance(x, Name) for a in _leaves(t, Union) for x in _leaves(a, Pair))
 
 
 def nf_weight(h: NominalHierarchy, t: TypeExpr) -> int:

@@ -26,6 +26,7 @@ from .core import (
     TypeExpr,
     Union,
     UnknownName,
+    _leaves,
     concrete_descendants,
     nominal_subtype,
     validate_type,
@@ -151,21 +152,6 @@ def _check_normalizable(h, t: TypeExpr, mode: Mode) -> None:
             todo.append(x.left)
 
 
-def _arms(t: TypeExpr) -> list[TypeExpr]:
-    """The top-level union arms of t, left to right: names and pairs."""
-    if not isinstance(t, Union):
-        return [t]
-    out, todo = [], [t]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, Union):
-            todo.append(x.right)
-            todo.append(x.left)
-        else:
-            out.append(x)
-    return out
-
-
 class _Node:
     """The targets' components at one position of a tree of pair arms.
 
@@ -190,14 +176,14 @@ class _Node:
         for bits, t in parts:
             full |= bits
             # A name or a pair is its own only arm; not listing it through
-            # _arms keeps a pair chain's verdict about a tenth faster.
+            # _leaves keeps a pair chain's verdict about a tenth faster.
             if isinstance(t, Name):
                 entries[t.name.text] = entries.get(t.name.text, 0) | bits
             elif isinstance(t, Pair):
                 arms.append((bits, t))
             else:
                 pairs = []
-                for a in _arms(t):
+                for a in _leaves(t, Union):
                     if isinstance(a, Name):
                         entries[a.name.text] = entries.get(a.name.text, 0) | bits
                     else:
@@ -243,7 +229,7 @@ class _Node:
     def mask(self, t: TypeExpr) -> int:
         if isinstance(t, Union):
             out = self.full
-            for x in _arms(t):
+            for x in _leaves(t, Union):
                 out &= self.mask(x)
                 if not out:
                     break
@@ -264,7 +250,7 @@ class _Node:
     def covers(self, t: TypeExpr) -> set[int]:
         if isinstance(t, Union):
             out: set[int] = set()
-            for x in _arms(t):
+            for x in _leaves(t, Union):
                 out |= self.covers(x)
             return out
         if isinstance(t, Name):

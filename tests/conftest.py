@@ -25,6 +25,19 @@ def T(src: str, h: NominalHierarchy = TOWER):
     return parse_type(src, h)
 
 
+def nested(kind, items, right: bool):
+    """items joined by kind (Pair or Union), nested to the right or to the left."""
+    if right:
+        out = items[-1]
+        for x in reversed(items[:-1]):
+            out = kind(x, out)
+        return out
+    out = items[0]
+    for x in items[1:]:
+        out = kind(out, x)
+    return out
+
+
 def type_exprs(h: NominalHierarchy = TOWER, max_leaves: int = 8):
     """Hypothesis strategy for well-formed types over h."""
     names = st.sampled_from([Name(n) for n in h.names])

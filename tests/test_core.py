@@ -3,7 +3,7 @@ from dataclasses import fields, make_dataclass
 
 import pytest
 
-from conftest import EXTENDED, TOWER, T
+from conftest import EXTENDED, TOWER, T, nested
 from tagsub.core import (
     ConcreteParent,
     CycleDetected,
@@ -144,6 +144,13 @@ class TestIsValueType:
     )
     def test_examples(self, src, expected):
         assert is_value_type(T(src)) is expected
+
+    @pytest.mark.parametrize("right", [False, True], ids=["left", "right"])
+    def test_deep_inputs_do_not_overflow(self, right):
+        ints = [T("Int")] * 1501
+        assert is_value_type(nested(Pair, ints, right))
+        assert not is_value_type(nested(Pair, ints + [T("Num")], right))
+        assert not is_value_type(nested(Union, ints * 2, right))
 
 
 class TestValidateType:

@@ -632,6 +632,9 @@ class TestCheckedRecord:
             tbl = add_method(tbl, MethodDef("f", tuple_type(parts), f"m{i}"))
         assert len(tbl.methods) == 81
         assert len(calls) == 81
+        calls.clear()
+        assert len(parse_methods(arity_file(mode, 4), TOWER).methods) == 81
+        assert len(calls) == 81
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_the_record_changes_no_answer(self, mode):
@@ -810,31 +813,56 @@ class TestInsertionByDefinition:
         assert expected | ({"EmptyAbstract"} if h is VOID else set()) <= kinds
 
 
+def arity_file(mode, arity):
+    """A method file of f over every signature in {Int, Real, Num}^arity."""
+    parts = itertools.product(["Int", "Real", "Num"], repeat=arity)
+    lines = [f"mode {mode.value}"]
+    lines += [f"method f {'*'.join(p)} => m{i}" for i, p in enumerate(parts)]
+    return "\n".join(lines)
+
+
+def count_walks(monkeypatch):
+    """Count top-level cover-set walks, not the recursive calls within one,
+    and the nodes built."""
+    counts, depth = {"walks": 0, "nodes": 0}, [0]
+    mask, init = _Node.mask, _Node.__init__
+
+    def counting(node, t):
+        counts["walks"] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return mask(node, t)
+        finally:
+            depth[0] -= 1
+
+    def building(node, *args):
+        counts["nodes"] += 1
+        init(node, *args)
+
+    monkeypatch.setattr(_Node, "mask", counting)
+    monkeypatch.setattr(_Node, "__init__", building)
+    return counts
+
+
 class TestBuildGrowth:
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("arity", [3, 4])
     def test_a_build_walks_each_signature_a_bounded_number_of_times(
         self, mode, arity, monkeypatch
     ):
-        # Count top-level cover-set walks, not the recursive calls within one.
-        walks, depth = [0], [0]
-        mask = _Node.mask
-
-        def counting(node, t):
-            walks[0] += depth[0] == 0
-            depth[0] += 1
-            try:
-                return mask(node, t)
-            finally:
-                depth[0] -= 1
-
-        monkeypatch.setattr(_Node, "mask", counting)
-        parts = itertools.product(["Int", "Real", "Num"], repeat=arity)
-        lines = [f"mode {mode.value}"]
-        lines += [f"method f {'*'.join(p)} => m{i}" for i, p in enumerate(parts)]
-        tbl = parse_methods("\n".join(lines), TOWER)
+        counts = count_walks(monkeypatch)
+        tbl = parse_methods(arity_file(mode, arity), TOWER)
         assert len(tbl.methods) == 3**arity
-        assert walks[0] <= 2 * len(tbl.methods)
+        assert counts["walks"] <= 2 * len(tbl.methods)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_the_first_resolve_uses_the_build(self, mode, monkeypatch):
+        # The table's compiled function is the one the build walked every
+        # signature through: the call is the only walk, and no node is built.
+        tbl = parse_methods(arity_file(mode, 4), TOWER)
+        counts = count_walks(monkeypatch)
+        assert resolve(tbl, "f", T("Int*Int*Int*Int")) == Selected(tbl.methods[0])
+        assert counts == {"walks": 1, "nodes": 0}
 
 
 class TestStabilityScenario:
@@ -897,6 +925,26 @@ class TestMethodFile:
     def test_bad_line(self):
         with pytest.raises(MethodFileError):
             parse_methods("mode semantic\nmethod plus Int*Int -> mII", TOWER)
+
+    @pytest.mark.parametrize(
+        "bad,error",
+        [
+            ("method f Int -> mI", MethodFileError),
+            ("method f Int|Ghost => mG", UnknownName),
+            ("mode semantic", MethodFileError),
+        ],
+        ids=["malformed", "undeclared", "duplicate-mode"],
+    )
+    def test_errors_come_in_line_order(self, bad, error):
+        # Each signature is checked once, at insertion; a read error still
+        # comes after an earlier line's EmptyAbstract and before a later one's.
+        void, good = "method f Void*Int => mV", "method f Int*Int => mI"
+        with pytest.raises(EmptyAbstract, match="Void"):
+            parse_methods("\n".join(["mode semantic", good, void, bad, good]), VOID)
+        with pytest.raises(error):
+            parse_methods("\n".join(["mode semantic", good, bad, void, good]), VOID)
+        with pytest.raises(error):
+            parse_methods("\n".join(["mode atomic", good, void, bad]), VOID)
 
     def test_atomic_mode_parses(self):
         tbl = parse_methods("mode atomic\nmethod f Int => x", TOWER)

@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given
 
-from conftest import TOWER, T, type_exprs
-from tagsub.core import Decl, Name, validate_hierarchy
+from conftest import TOWER, T, nested, type_exprs
+from tagsub.core import Decl, Name, Pair, Union, validate_hierarchy
 from tagsub.gen import types_up_to
 from tagsub.normalize import EmptyAbstract, in_nf, in_nf_atomic, nf, nf_atomic, un_prs
 from tagsub.semantics import Mode, interp
@@ -97,6 +97,20 @@ class TestInNfAtomic:
     )
     def test_examples(self, src, expected):
         assert in_nf_atomic(T(src)) is expected
+
+
+class TestDeepInputs:
+    @pytest.mark.parametrize("right", [False, True], ids=["left", "right"])
+    def test_normal_form_checks_do_not_overflow(self, right):
+        ints = [T("Int")] * 1501
+        chain = nested(Pair, ints, right)
+        assert in_nf(chain) and in_nf_atomic(chain)
+        chain = nested(Pair, ints + [T("Num")], right)
+        assert not in_nf(chain) and in_nf_atomic(chain)
+        wide = nested(Union, ints * 2, right)
+        assert in_nf(wide) and in_nf_atomic(wide)
+        wide = nested(Union, ints * 2 + [T("Int*(Int|Flt)")], right)
+        assert not in_nf(wide) and not in_nf_atomic(wide)
 
 
 class TestLemmas:
