@@ -52,6 +52,10 @@ class UnknownName(TagsubError):
         self.position = position
 
 
+class EmptyAbstract(TagsubError):
+    """An abstract name with no concrete descendants has no normal form."""
+
+
 @dataclass(frozen=True)
 class NominalName:
     """A declared name; ``abstract`` names cannot be instantiated."""
@@ -282,13 +286,18 @@ def is_value_type(t: TypeExpr) -> bool:
     return all(isinstance(x, Name) and not x.name.abstract for x in _leaves(t, Pair))
 
 
-def validate_type(h: NominalHierarchy, t: TypeExpr) -> None:
-    """Raise UnknownName for the leftmost name in t that h does not declare."""
+def validate_type(h: NominalHierarchy, t: TypeExpr, nonempty: bool = False) -> None:
+    """Raise UnknownName for the leftmost name in t that h does not declare
+    with the same text and kind; with nonempty, raise EmptyAbstract there
+    instead if the name is abstract without concrete descendants.  That is
+    what normalizing t raises in semantic mode, without building it."""
     todo = [t]
     while todo:
         x = todo.pop()
         if isinstance(x, Name):
-            h.lookup(x.name)
+            n = h.lookup(x.name)
+            if nonempty and n.abstract and not h._concrete_desc[n.text]:
+                raise EmptyAbstract(f"abstract name {n} has no concrete descendants")
         else:
             todo.append(x.right)
             todo.append(x.left)
@@ -317,8 +326,16 @@ def parse_hierarchy(text: str) -> NominalHierarchy:
     return validate_hierarchy(decls)
 
 
+def _read_file(path: str | Path, error: type[TagsubError]) -> str:
+    """The UTF-8 text of a file; undecodable bytes raise error, a TagsubError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise error(f"{path}: not UTF-8 text: {err}") from None
+
+
 def load_hierarchy(path: str | Path) -> NominalHierarchy:
-    return parse_hierarchy(Path(path).read_text(encoding="utf-8"))
+    return parse_hierarchy(_read_file(path, HierarchySyntaxError))
 
 
 #: Small numeric tower used throughout the docs and as the CLI default.

@@ -34,7 +34,9 @@ from .subtyping import (
     SR_UNION_R1,
     SR_UNION_R2,
     ReductiveTrace,
+    _ProofTree,
     check_reductive_trace,
+    format_trace,
 )
 
 SD_REFL = "SD-Refl"
@@ -54,15 +56,12 @@ class InvalidTrace(TagsubError):
 
 
 @dataclass(frozen=True)
-class Derivation:
+class Derivation(_ProofTree):
     rule: str
     lhs: TypeExpr
     rhs: TypeExpr
     premises: tuple["Derivation", ...] = ()
     witness: TypeExpr | None = None  # the intermediate type of SD-Trans
-
-    def size(self) -> int:
-        return 1 + sum(p.size() for p in self.premises)
 
 
 def _refl(t: TypeExpr) -> Derivation:
@@ -338,13 +337,4 @@ def _unprs_below_pair(x: TypeExpr, y: TypeExpr) -> Derivation:
 
 def format_derivation(d: Derivation) -> str:
     """Trace-style rendering with ``witness:`` lines on SD-Trans nodes."""
-    return "\n".join(_deriv_lines(d, 0))
-
-
-def _deriv_lines(d: Derivation, depth: int) -> list[str]:
-    lines = [f"{'  ' * depth}{d.rule}: {d.lhs} <: {d.rhs}"]
-    if d.witness is not None:
-        lines.append(f"{'  ' * (depth + 1)}witness: {d.witness}")
-    for p in d.premises:
-        lines.extend(_deriv_lines(p, depth + 1))
-    return lines
+    return format_trace(d)

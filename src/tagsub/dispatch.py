@@ -22,10 +22,11 @@ function is appended the node and its masks become the new table's compiled
 function, so the first resolve walks only the call.  Each new signature is
 checked in full once, before it is inserted (:func:`parse_methods` checks
 the lines it has read before it raises a read error, so that errors come in
-line order), and the table records which functions hold only checked
-signatures.  The signatures of a table built by hand are checked in table
-order: by insertion just before each is walked, and in full when the
-function is first compiled.
+line order).  The record that a function's signatures are all checked is
+its compiled function, marked checked by the insertion that hands it over
+or by its first compile, which checks a hand-built function in table
+order.  Without that record, insertion checks the earlier signatures in
+table order, each just before it is walked.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from .core import NominalHierarchy, Pair, TagsubError, TypeExpr
+from .core import NominalHierarchy, Pair, TagsubError, TypeExpr, _read_file, validate_type
 from .semantics import Mode
-from .subtyping import _check_normalizable, _Node
+from .subtyping import _Node
 
 # Dispatch makes no subtype call; the name stays so that code which patches
 # dispatch.reductive_sub to count dispatch's subtype calls still finds it.
@@ -69,12 +70,6 @@ class MethodTable:
     # replace() starts a fresh one.
     _compiled: dict = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
-    )
-    # The functions whose signatures all pass _check_normalizable under this
-    # hierarchy and mode.  Only insertion sets it; tables built by hand or by
-    # replace() start with none and are checked in full.
-    _checked: frozenset = field(
-        default=frozenset(), init=False, compare=False, hash=False, repr=False
     )
 
 
@@ -112,7 +107,7 @@ class _Function:
     def __init__(
         self, h: NominalHierarchy, mode: Mode, methods: Sequence[MethodDef], checked: bool
     ):
-        # checked: the signatures need no check before the node is built.
+        # checked: every signature has passed the name check (the record).
         self.h, self.mode, self.methods, self.checked = h, mode, tuple(methods), checked
         self._root: _Node | None = None
         self._up: list[int | None] = [None] * len(self.methods)
@@ -120,9 +115,10 @@ class _Function:
 
     def root(self) -> _Node:
         if self._root is None:
-            if not self.checked:  # not built by add_method: check in table order
+            if not self.checked:  # built by hand: check in table order
                 for m in self.methods:
-                    _check_normalizable(self.h, m.signature, self.mode)
+                    validate_type(self.h, m.signature, self.mode is Mode.SEMANTIC)
+                self.checked = True
             parts = [(1 << i, m.signature) for i, m in enumerate(self.methods)]
             self._root = _Node(self.h, self.mode, parts)
         return self._root
@@ -141,7 +137,7 @@ class _Function:
 
     def candidates(self, call: TypeExpr) -> int:
         """The bits of the signatures at or above the call."""
-        _check_normalizable(self.h, call, self.mode)
+        validate_type(self.h, call, self.mode is Mode.SEMANTIC)
         return self.root().mask(call)
 
 
@@ -161,8 +157,7 @@ def _function(tbl: MethodTable, function: str) -> _Function:
         methods = [m for m in tbl.methods if m.function == function]
         if not methods:
             raise UnknownFunction(f"no methods defined for {function!r}")
-        checked = function in tbl._checked
-        fn = tbl._compiled[function] = _Function(tbl.hierarchy, tbl.mode, methods, checked)
+        fn = tbl._compiled[function] = _Function(tbl.hierarchy, tbl.mode, methods, checked=False)
     return fn
 
 
@@ -181,13 +176,16 @@ def _insert(tbl: MethodTable, new: Sequence[MethodDef]) -> MethodTable:
     finds the equivalents, and becomes the new table's compiled function when
     every new method is appended.
     """
-    h, mode = tbl.hierarchy, tbl.mode
+    h, mode, nonempty = tbl.hierarchy, tbl.mode, tbl.mode is Mode.SEMANTIC
     for m in new:
-        _check_normalizable(h, m.signature, mode)
+        validate_type(h, m.signature, nonempty)
     base = len(tbl.methods)
     first = [0] * len(new)  # per new method: the position of its first equivalent
-    compiled = {}
-    for name in dict.fromkeys(m.function for m in new):
+    names = dict.fromkeys(m.function for m in new)
+    # The other functions keep their compiled functions, and so their records.
+    compiled = {name: fn for name, fn in tbl._compiled.items() if name not in names}
+    replaced = []  # functions that had a method replaced and hold only checked signatures
+    for name in names:
         where = [i for i, m in enumerate(tbl.methods) if m.function == name]
         js = [j for j, m in enumerate(new) if m.function == name]
         k = len(where)
@@ -196,18 +194,21 @@ def _insert(tbl: MethodTable, new: Sequence[MethodDef]) -> MethodTable:
         # The node never looks up its targets' names, and each earlier
         # signature is checked here just before it can be walked.
         fn = _Function(h, mode, mine, checked=True)
-        done = k if name in tbl._checked else 0  # the earlier signatures checked so far
+        old = tbl._compiled.get(name)
+        done = k if old is not None and old.checked else 0  # earlier signatures checked so far
         for p in range(k, len(where)):
             # The lowest i at or above p that p is at or above in turn: p at the latest.
             for i in _bits(fn.up(p) & ((2 << p) - 1)):
                 while done < min(i + 1, k):  # in table order, up to i
-                    _check_normalizable(h, fn.methods[done].signature, mode)
+                    validate_type(h, fn.methods[done].signature, nonempty)
                     done += 1
                 if fn.up(i) >> p & 1:
                     first[js[p - k]] = where[i]
                     break
         if all(first[j] == base + j for j in js):
             compiled[name] = fn
+        elif done == k:
+            replaced.append(name)
     methods, slot = list(tbl.methods), {}
     for j, m in enumerate(new):
         if first[j] == base + j:
@@ -215,11 +216,9 @@ def _insert(tbl: MethodTable, new: Sequence[MethodDef]) -> MethodTable:
             methods.append(m)
         else:
             methods[slot.get(first[j], first[j])] = m
+    for name in replaced:  # keeps the record; the node is built on first use
+        compiled[name] = _Function(h, mode, [m for m in methods if m.function == name], True)
     out = replace(tbl, methods=tuple(methods))
-    # A function whose earlier signatures were all met is checked in full; one
-    # that only had methods replaced keeps its record, or its lack of one.
-    appended = {m.function for j, m in enumerate(new) if first[j] >= base}
-    object.__setattr__(out, "_checked", tbl._checked | appended)
     out._compiled.update(compiled)
     return out
 
@@ -285,7 +284,7 @@ def parse_methods(text: str, h: NominalHierarchy) -> MethodTable:
     except TagsubError:
         # Errors come in line order: an earlier line's signature error first.
         for d in defs:
-            _check_normalizable(h, d.signature, mode)
+            validate_type(h, d.signature, mode is Mode.SEMANTIC)
         raise
     if mode is None:
         raise MethodFileError("missing mode declaration")
@@ -293,4 +292,4 @@ def parse_methods(text: str, h: NominalHierarchy) -> MethodTable:
 
 
 def load_methods(path: str | Path, h: NominalHierarchy) -> MethodTable:
-    return parse_methods(Path(path).read_text(encoding="utf-8"), h)
+    return parse_methods(_read_file(path, MethodFileError), h)

@@ -9,11 +9,11 @@ No flattening, reordering or deduplication happens beyond these clauses.
 from __future__ import annotations
 
 from .core import (
+    EmptyAbstract,
     Name,
     NominalHierarchy,
     NominalName,
     Pair,
-    TagsubError,
     TypeExpr,
     Union,
     _leaves,
@@ -22,10 +22,6 @@ from .core import (
     is_value_type,
 )
 from .semantics import Mode
-
-
-class EmptyAbstract(TagsubError):
-    """An abstract name with no concrete descendants has no normal form."""
 
 
 def descendant_union(h: NominalHierarchy, n: str | NominalName) -> TypeExpr:

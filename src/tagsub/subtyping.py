@@ -48,16 +48,25 @@ class Strategy(Enum):
     SHORT_PATH_FIRST = "short-path-first"
 
 
+class _ProofTree:
+    """A reductive trace or a declarative derivation: a rule, ``lhs <: rhs``
+    and premises."""
+
+    def size(self) -> int:
+        """Number of rule applications in the tree, counted by one loop."""
+        n, todo = 0, [self]
+        while todo:
+            n += 1
+            todo.extend(todo.pop().premises)
+        return n
+
+
 @dataclass(frozen=True, eq=False)
-class ReductiveTrace:
+class ReductiveTrace(_ProofTree):
     rule: str
     lhs: TypeExpr
     rhs: TypeExpr
     premises: tuple["ReductiveTrace", ...] = ()
-
-    def size(self) -> int:
-        """Number of rule applications in the trace."""
-        return 1 + sum(p.size() for p in self.premises)
 
     # Equality and hashing by value, so a trace built on demand compares and
     # hashes like the same trace built eagerly.
@@ -119,7 +128,7 @@ def reductive_sub(
     NORMALIZE_FIRST, which is needed: ``Real*Int <: Int*Int|Flt*Int`` is
     provable only through a root SR-NF.
     """
-    _check_normalizable(h, t1, mode)
+    validate_type(h, t1, mode is Mode.SEMANTIC)
     validate_type(h, t2)
     if not _Node(h, mode, [(1, t2)]).mask(t1) & 1:
         return False, None
@@ -135,21 +144,6 @@ def _search(h, t1: TypeExpr, t2: TypeExpr, mode: Mode, strategy: Strategy) -> Re
     trace = _via_nf(h, t1, t2, mode)
     assert trace is not None, f"no trace for the true verdict {t1} <: {t2}"
     return trace
-
-
-def _check_normalizable(h, t: TypeExpr, mode: Mode) -> None:
-    # Raise what nf_for_mode(h, t, mode) raises, in the same left-to-right
-    # order, without building the normal form.
-    todo = [t]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, Name):
-            n = h.lookup(x.name)
-            if mode is Mode.SEMANTIC and n.abstract and not concrete_descendants(h, n):
-                raise EmptyAbstract(f"abstract name {n} has no concrete descendants")
-        else:
-            todo.append(x.right)
-            todo.append(x.left)
 
 
 class _Node:
@@ -420,12 +414,14 @@ def _check(h, tr: ReductiveTrace, mode: Mode, nf_allowed: bool) -> bool:
 
 
 def format_trace(trace: ReductiveTrace) -> str:
-    """Indented one-rule-per-line rendering: ``RULE: lhs <: rhs``."""
-    return "\n".join(_trace_lines(trace, 0))
-
-
-def _trace_lines(tr: ReductiveTrace, depth: int) -> list[str]:
-    lines = [f"{'  ' * depth}{tr.rule}: {tr.lhs} <: {tr.rhs}"]
-    for p in tr.premises:
-        lines.extend(_trace_lines(p, depth + 1))
-    return lines
+    """Indented one-rule-per-line rendering: ``RULE: lhs <: rhs``, and a
+    ``witness:`` line under a node that has one.  One loop, so depth is
+    unbounded; it renders derivations too."""
+    lines, todo = [], [(trace, "")]
+    while todo:
+        x, indent = todo.pop()
+        lines.append(f"{indent}{x.rule}: {x.lhs} <: {x.rhs}")
+        if getattr(x, "witness", None) is not None:
+            lines.append(f"{indent}  witness: {x.witness}")
+        todo.extend((p, indent + "  ") for p in reversed(x.premises))
+    return "\n".join(lines)

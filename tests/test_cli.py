@@ -137,6 +137,13 @@ class TestHierarchyCommand:
         code, _, err = run(capsys, "check", "Int", "Int", "--hierarchy", "/nonexistent")
         assert code == 2 and "error" in err
 
+    def test_undecodable_hierarchy_file_exits_2(self, capsys, tmp_path):
+        # Not a traceback and exit 1, which would read as "false".
+        f = tmp_path / "h.txt"
+        f.write_bytes(HIERARCHY.encode() + b"concrete \xff\n")
+        code, out, err = run(capsys, "check", "--hierarchy", str(f), "Int", "Int")
+        assert code == 2 and out == "" and err.startswith("error: ") and "UTF-8" in err
+
 
 class TestDispatchCommand:
     @pytest.fixture
@@ -191,6 +198,14 @@ class TestDispatchCommand:
             "--hierarchy", str(h),
         )
         assert code == 2 and out == "" and "Void" in err
+
+    def test_undecodable_methods_file_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "methods.txt"
+        f.write_bytes(METHODS.encode() + b"method plus Int*Flt => m\xff\n")
+        code, out, err = run(
+            capsys, "dispatch", "--methods", str(f), "--call", "plus Int*Int"
+        )
+        assert code == 2 and out == "" and err.startswith("error: ") and "UTF-8" in err
 
 
 def python(*args):

@@ -21,7 +21,14 @@ from tagsub.derivation import (
 )
 from tagsub.normalize import nf, nf_atomic
 from tagsub.semantics import Mode, semantic_sub
-from tagsub.subtyping import SR_BASE_REFL, ReductiveTrace, Strategy, reductive_sub
+from tagsub.subtyping import (
+    SR_BASE_REFL,
+    SR_UNION_L,
+    ReductiveTrace,
+    Strategy,
+    format_trace,
+    reductive_sub,
+)
 
 
 def _rules(d):
@@ -315,3 +322,43 @@ class TestSerialization:
         assert lines[0] == "SD-Trans: Real <: Int|Flt"
         assert lines[1] == "  witness: Int|Flt"
         assert any(line.strip().startswith("SD-AbsUnion") for line in lines)
+
+
+class TestDeepProofTrees:
+    """Size and printing loop over a tree, so a 3,000-deep one is answered.
+
+    Every union node judges Int|Int <: Int: size and printing only walk the
+    premises, and unions nested 3,000 deep would cost seconds to print."""
+
+    DEPTH = 3000
+
+    def deep(self, node, union_rule, bottom, leaf):
+        # One union rule per level: the left premise is the level below, the
+        # right one the leaf.
+        tree = bottom
+        for _ in range(self.DEPTH):
+            tree = node(union_rule, T("Int|Int"), T("Int"), (tree, leaf))
+        return tree
+
+    def expected(self, rule, bottom_lines, leaf_line):
+        n = self.DEPTH
+        lines = ["  " * d + f"{rule}: Int|Int <: Int" for d in range(n)]
+        lines += ["  " * n + line for line in bottom_lines]
+        return lines + ["  " * d + leaf_line for d in range(n, 0, -1)]
+
+    def test_trace(self):
+        base = ReductiveTrace(SR_BASE_REFL, T("Int"), T("Int"))
+        trace = self.deep(ReductiveTrace, SR_UNION_L, base, base)
+        assert trace.size() == 2 * self.DEPTH + 1
+        line = "SR-BaseRefl: Int <: Int"
+        assert format_trace(trace).split("\n") == self.expected(SR_UNION_L, [line], line)
+
+    def test_derivation(self):
+        # The deepest node is an SD-Trans; its witness line sits right under it.
+        refl = Derivation(SD_REFL, T("Int"), T("Int"))
+        bottom = Derivation(SD_TRANS, T("Int"), T("Int"), (refl, refl), witness=T("Int"))
+        d = self.deep(Derivation, SD_UNION_L, bottom, refl)
+        assert d.size() == 2 * self.DEPTH + 3
+        line = "SD-Refl: Int <: Int"
+        trans = ["SD-Trans: Int <: Int", "  witness: Int", "  " + line, "  " + line]
+        assert format_derivation(d).split("\n") == self.expected(SD_UNION_L, trans, line)

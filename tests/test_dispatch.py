@@ -623,9 +623,9 @@ class TestCheckedRecord:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_each_signature_is_checked_once(self, mode, monkeypatch):
         calls = []
-        check = dispatch._check_normalizable
+        check = dispatch.validate_type
         monkeypatch.setattr(
-            dispatch, "_check_normalizable", lambda *args: calls.append(args) or check(*args)
+            dispatch, "validate_type", lambda *args: calls.append(args) or check(*args)
         )
         tbl = MethodTable(TOWER, mode)
         for i, parts in enumerate(itertools.product([T("Int"), T("Real"), T("Num")], repeat=4)):
@@ -680,6 +680,69 @@ class TestCheckedRecord:
         with pytest.raises(UnknownName, match="Str"):
             resolve(moved, "f", T("Int*Int", VOID))
 
+    @staticmethod
+    def checked_types(monkeypatch):
+        calls = []
+        check = dispatch.validate_type
+        monkeypatch.setattr(
+            dispatch, "validate_type", lambda h, t, *args: calls.append(t) or check(h, t, *args)
+        )
+        return calls
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_resolve_records_a_hand_built_function(self, mode, monkeypatch):
+        # The first resolve checks the three signatures and keeps the compiled
+        # function as the record, so add_method checks only the new signature;
+        # an insertion into another function keeps the record too.
+        tbl = MethodTable(TOWER, mode, methods=tuple(PLUS3))
+        assert resolve(tbl, "plus", T("Int*Int")) == Selected(tbl.methods[0])
+        calls = self.checked_types(monkeypatch)
+        out = add_method(tbl, mk("plus", "Str*Str", "mSS"))
+        assert bodies(out.methods) == ["mII", "mFF", "mUU", "mSS"]
+        assert calls == [T("Str*Str")]
+        calls.clear()
+        out = add_method(add_method(out, mk("g", "Int", "gI")), mk("plus", "Str*Int", "mSI"))
+        assert bodies(out.methods) == ["mII", "mFF", "mUU", "mSS", "gI", "mSI"]
+        assert calls == [T("Int"), T("Str*Int")]
+
+    def test_a_replacement_keeps_the_record(self, monkeypatch):
+        # Real*Real replaces the (Int|Flt)*(Int|Flt) method in semantic mode.
+        tbl = add_method(table(Mode.SEMANTIC, PLUS3), MRR)
+        assert bodies(tbl.methods) == ["mII", "mFF", "mRR"]
+        calls = self.checked_types(monkeypatch)
+        out = add_method(tbl, mk("plus", "Str", "mS"))
+        assert bodies(out.methods) == ["mII", "mFF", "mRR", "mS"]
+        assert resolve(tbl, "plus", T("Flt*Int")) == Selected(MRR)
+        assert calls == [T("Str"), T("Flt*Int")]
+
+
+class TestNameIdentity:
+    """A name is declared only with both its declared text and its kind."""
+
+    FAKES = [
+        Name(NominalName("Int", True)),
+        Name(NominalName("Real", False)),
+        Name(NominalName("Void", False)),
+    ]
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("fake", FAKES, ids=["Int", "Real", "Void"])
+    def test_a_name_of_the_other_kind_is_undeclared(self, mode, fake):
+        # Over VOID, a concrete Void is undeclared before it is empty.
+        h = VOID if fake.name.text == "Void" else TOWER
+        good = T("Int", h)
+        for t1, t2 in [(fake, good), (good, fake), (Pair(good, fake), Pair(good, good))]:
+            with pytest.raises(UnknownName, match=fake.name.text):
+                reductive_sub(h, t1, t2, mode)
+        tbl = table(mode, [mk("f", "Int", "mI", h), mk("f", "Int*Int", "mP", h)], h)
+        with pytest.raises(UnknownName, match=fake.name.text):
+            resolve(tbl, "f", fake)
+        with pytest.raises(UnknownName, match=fake.name.text):
+            resolve(tbl, "f", Union(good, fake))
+        for sig in [fake, Pair(good, fake)]:
+            with pytest.raises(UnknownName, match=fake.name.text):
+                add_method(tbl, MethodDef("f", sig, "mF"))
+
 
 def reference_insert(h, mode, state, m):
     """add_method by its definition: two reductive_sub calls per earlier
@@ -726,14 +789,17 @@ def method_defs(rng, h, count, pool=()):
 
 
 def state_or_error(run):
-    """A table's methods and checked functions, or the error's class and message."""
+    """A table's methods, the reference's (methods, checked functions), or the
+    error's class and message."""
     try:
         out = run()
     except TagsubError as e:
         return f"{type(e).__name__}: {e}"
-    if isinstance(out, MethodTable):
-        return out.methods, out._checked
-    return out
+    return out.methods if isinstance(out, MethodTable) else out
+
+
+def methods_or_error(state):
+    return state if isinstance(state, str) else state[0]
 
 
 class TestInsertionByDefinition:
@@ -758,12 +824,12 @@ class TestInsertionByDefinition:
                         state = reference_insert(h, mode, state, replace(d, signature=sig))
                     return state
 
-                assert got == state_or_error(by_definition)
+                assert got == methods_or_error(state_or_error(by_definition))
                 if isinstance(got, str):
                     kinds.add(got.split(":")[0])
                 else:
-                    sizes[mode] = len(got[0])
-                    kinds.add("replaced" if len(got[0]) < len(defs) else "appended")
+                    sizes[mode] = len(got)
+                    kinds.add("replaced" if len(got) < len(defs) else "appended")
             if len(sizes) == 2 and sizes[Mode.SEMANTIC] < sizes[Mode.ATOMIC]:
                 kinds.add("fewer in semantic mode")
         # Only TOWER has abstract names with children, only VOID a childless one.
@@ -798,16 +864,16 @@ class TestInsertionByDefinition:
                 for d in defs:
                     got = state_or_error(lambda: add_method(tbl, d))
                     expected = state_or_error(lambda: reference_insert(h, mode, state, d))
-                    assert got == expected, (mode, d.function, str(d.signature))
+                    assert got == methods_or_error(expected), (mode, d.function, str(d.signature))
                     if isinstance(got, str):
                         kinds.add(got.split(":")[0])
                         continue
-                    kinds.add("append" if len(got[0]) > len(tbl.methods) else "replace")
-                    if s % 4 == 1 and "h1" in bodies(got[0]) and not got[1]:
+                    kinds.add("append" if len(got) > len(tbl.methods) else "replace")
+                    if s % 4 == 1 and "h1" in bodies(got) and not expected[1]:
                         kinds.add("stopped before Ghost")
-                    if s % 4 == 3 and state[1] and got[0][0] is d:
+                    if s % 4 == 3 and state[1] and got[0] is d:
                         kinds.add("replaced the first of two")
-                    tbl, state = add_method(tbl, d), got
+                    tbl, state = add_method(tbl, d), expected
         expected = {"UnknownName", "append", "replace"}
         expected |= {"stopped before Ghost", "replaced the first of two"}
         assert expected | ({"EmptyAbstract"} if h is VOID else set()) <= kinds
