@@ -33,11 +33,14 @@ def cmd_check(args) -> int:
     t1 = parse_type(args.t1, h)
     t2 = parse_type(args.t2, h)
     verdict, trace = reductive_sub(h, t1, t2, Mode(args.mode), Strategy(args.strategy))
-    print("true" if verdict else "false")
+    # Every line is built before any is printed, so an error while reading
+    # the trace leaves no verdict on stdout.
+    lines = ["true" if verdict else "false"]
     if trace is not None and args.trace:
-        print(format_trace(trace))
+        lines.append(format_trace(trace))
     if trace is not None and args.derivation:
-        print(format_derivation(synthesize(h, trace, Mode(args.mode))))
+        lines.append(format_derivation(synthesize(h, trace, Mode(args.mode))))
+    print("\n".join(lines))
     return 0 if verdict else 1
 
 

@@ -6,7 +6,8 @@ descendants, union introduction and elimination, and the two rules that
 distribute pairs over unions.  :func:`synthesize` compiles a reductive trace
 into a declarative derivation; :func:`derive_sub_nf` and
 :func:`derive_nf_sub` construct the two halves of the proof that a type is
-equivalent to its normal form.
+equivalent to its normal form.  Both come from one bottom-up builder, which
+normalizes each subterm once and only orients the rules per direction.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .core import (
     UnknownName,
     nominal_subtype,
 )
-from .normalize import EmptyAbstract, descendant_union, nf_for_mode, un_prs
+from .normalize import EmptyAbstract, descendant_union, nf_for_mode
 from .semantics import Mode
 from .subtyping import (
     SR_BASE_REFL,
@@ -186,11 +187,14 @@ def _synth(h, tr: ReductiveTrace, mode: Mode) -> Derivation:
         inj = SD_UNION_R1 if tr.rule == SR_UNION_R1 else SD_UNION_R2
         return _inj(_synth(h, tr.premises[0], mode), tr.rhs, inj)
     if tr.rule == SR_NF:
-        normed = nf_for_mode(h, tr.lhs, mode)
         left = derive_sub_nf(h, tr.lhs, mode)
-        right = _synth(h, tr.premises[0], mode)
-        return Derivation(SD_TRANS, tr.lhs, tr.rhs, (left, right), witness=normed)
+        return _trans(left, _synth(h, tr.premises[0], mode))
     raise InvalidTrace(f"unknown rule {tr.rule!r}")
+
+
+def _trans(d1: Derivation, d2: Derivation) -> Derivation:
+    """SD-Trans from d1: a <: b and d2: b <: c, with witness b."""
+    return Derivation(SD_TRANS, d1.lhs, d2.rhs, (d1, d2), witness=d1.rhs)
 
 
 def _inj(d: Derivation, target: Union, rule: str) -> Derivation:
@@ -200,7 +204,7 @@ def _inj(d: Derivation, target: Union, rule: str) -> Derivation:
     axiom = Derivation(rule, arm, target)
     if d.lhs == arm:
         return axiom
-    return Derivation(SD_TRANS, d.lhs, target, (d, axiom), witness=arm)
+    return _trans(d, axiom)
 
 
 def _armwise(target: Union, d1: Derivation, d2: Derivation) -> Derivation:
@@ -217,36 +221,57 @@ def derive_sub_nf(
     h: NominalHierarchy, t: TypeExpr, mode: Mode = Mode.SEMANTIC
 ) -> Derivation:
     """A checkable derivation of t <: NF(t) (mode-appropriate normal form)."""
-    normed = nf_for_mode(h, t, mode)
-    if normed == t:
-        return _refl(t)
+    return _nf_proof(h, t, mode, down=False)[1]
+
+
+def derive_nf_sub(
+    h: NominalHierarchy, t: TypeExpr, mode: Mode = Mode.SEMANTIC
+) -> Derivation:
+    """A checkable derivation of NF(t) <: t (mode-appropriate normal form)."""
+    return _nf_proof(h, t, mode, down=True)[1]
+
+
+def _nf_proof(
+    h: NominalHierarchy, t: TypeExpr, mode: Mode, down: bool
+) -> tuple[TypeExpr, Derivation]:
+    """NF(t) and a derivation of t <: NF(t), or of NF(t) <: t when down,
+    built bottom up: a name is normalized once, and a union or a pair builds
+    its normal form from its children's.  ``down`` only orients the rules."""
     if isinstance(t, Name):
+        normed = nf_for_mode(h, t, mode)
+        if normed == t:
+            return t, _refl(t)
         # Abstract name in the plain mode; its normal form is the canonical
         # union of concrete descendants.
-        return Derivation(SD_ABS_UNION, t, normed)
+        if down:
+            return normed, _union_below_name(normed, t)
+        return normed, Derivation(SD_ABS_UNION, t, normed)
+    ln, dl = _nf_proof(h, t.left, mode, down)
+    rn, dr = _nf_proof(h, t.right, mode, down)
+    spread = isinstance(t, Pair) and (isinstance(ln, Union) or isinstance(rn, Union))
+    if dl.rule == dr.rule == SD_REFL and not spread:
+        return t, _refl(t)
     if isinstance(t, Union):
-        return _armwise(
-            normed, derive_sub_nf(h, t.left, mode), derive_sub_nf(h, t.right, mode)
-        )
-    # Pair: go componentwise to the pair of normal forms, then distribute.
-    ln = nf_for_mode(h, t.left, mode)
-    rn = nf_for_mode(h, t.right, mode)
+        normed = Union(ln, rn)
+        return normed, _armwise(t if down else normed, dl, dr)
+    # Pair: componentwise between t and the pair of normal forms, and
+    # distribution between that pair and NF(t).
     mid = Pair(ln, rn)
-    componentwise = Derivation(
-        SD_PAIR,
-        t,
-        mid,
-        (derive_sub_nf(h, t.left, mode), derive_sub_nf(h, t.right, mode)),
-    )
-    if mid == normed:
-        return componentwise
-    distributed = _pair_below_unprs(ln, rn)
-    return Derivation(SD_TRANS, t, normed, (componentwise, distributed), witness=mid)
+    lhs, rhs = (mid, t) if down else (t, mid)
+    componentwise = Derivation(SD_PAIR, lhs, rhs, (dl, dr))
+    if not spread:
+        return mid, componentwise
+    if down:
+        collapsed = _unprs_below_pair(mid)
+        return collapsed.lhs, _trans(collapsed, componentwise)
+    distributed = _pair_below_unprs(mid)
+    return distributed.rhs, _trans(componentwise, distributed)
 
 
-def _distribute(x: TypeExpr, y: TypeExpr) -> tuple[str, Pair, Pair] | None:
-    """One distribution step of the pair (x, y): the rule and the two pairs
-    it splits into, over x if x is a union (SD-Distr1) and else over y."""
+def _distribute(p: Pair) -> tuple[str, Pair, Pair] | None:
+    """One distribution step of p: the rule and the two pairs it splits into,
+    over the left component if that is a union (SD-Distr1), else the right."""
+    x, y = p.left, p.right
     if isinstance(x, Union):
         return SD_DISTR1, Pair(x.left, y), Pair(x.right, y)
     if isinstance(y, Union):
@@ -254,48 +279,16 @@ def _distribute(x: TypeExpr, y: TypeExpr) -> tuple[str, Pair, Pair] | None:
     return None
 
 
-def _pair_below_unprs(x: TypeExpr, y: TypeExpr) -> Derivation:
-    """Derivation of (x, y) as a pair <: un_prs(x, y), for normalized x, y."""
-    lhs = Pair(x, y)
-    step = _distribute(x, y)
+def _pair_below_unprs(p: Pair) -> Derivation:
+    """Derivation of p <: u, u being the union that distributing p reaches,
+    for p a pair of normalized types."""
+    step = _distribute(p)
     if step is None:
-        return _refl(lhs)
+        return _refl(p)
     rule, a, b = step
-    split, target = Union(a, b), un_prs(x, y)
-    rest = _armwise(
-        target, _pair_below_unprs(a.left, a.right), _pair_below_unprs(b.left, b.right)
-    )
-    distr = Derivation(rule, lhs, split)
-    return Derivation(SD_TRANS, lhs, target, (distr, rest), witness=split)
-
-
-def derive_nf_sub(
-    h: NominalHierarchy, t: TypeExpr, mode: Mode = Mode.SEMANTIC
-) -> Derivation:
-    """A checkable derivation of NF(t) <: t (mode-appropriate normal form)."""
-    normed = nf_for_mode(h, t, mode)
-    if normed == t:
-        return _refl(t)
-    if isinstance(t, Name):
-        return _union_below_name(normed, t)
-    if isinstance(t, Union):
-        return _armwise(
-            t, derive_nf_sub(h, t.left, mode), derive_nf_sub(h, t.right, mode)
-        )
-    # Pair: collapse the distributed union back, then go componentwise.
-    ln = nf_for_mode(h, t.left, mode)
-    rn = nf_for_mode(h, t.right, mode)
-    mid = Pair(ln, rn)
-    componentwise = Derivation(
-        SD_PAIR,
-        mid,
-        t,
-        (derive_nf_sub(h, t.left, mode), derive_nf_sub(h, t.right, mode)),
-    )
-    if normed == mid:
-        return componentwise
-    collapsed = _unprs_below_pair(ln, rn)
-    return Derivation(SD_TRANS, normed, t, (collapsed, componentwise), witness=mid)
+    da, db = _pair_below_unprs(a), _pair_below_unprs(b)
+    rest = _armwise(Union(da.rhs, db.rhs), da, db)
+    return _trans(Derivation(rule, p, Union(a, b)), rest)
 
 
 def _union_below_name(u: TypeExpr, t: Name) -> Derivation:
@@ -310,29 +303,28 @@ def _union_below_name(u: TypeExpr, t: Name) -> Derivation:
     return Derivation(SD_NOM, u, t)
 
 
-def _unprs_below_pair(x: TypeExpr, y: TypeExpr) -> Derivation:
-    """Derivation of un_prs(x, y) <: (x, y) as a pair, for normalized x, y."""
-    target = Pair(x, y)
-    step = _distribute(x, y)
+def _unprs_below_pair(target: Pair) -> Derivation:
+    """Derivation of u <: target, u being the union that distributing target
+    reaches, for target a pair of normalized types."""
+    step = _distribute(target)
     if step is None:
         return _refl(target)
     rule, a, b = step
 
     def arm(p: Pair, inj: str) -> Derivation:
-        # un_prs(p) <: p <: (x, y), widening the component that was split.
+        # u_p <: p <: target, widening the component that was split.
         if rule == SD_DISTR1:
-            widen_parts = (Derivation(inj, p.left, x), _refl(y))
+            widen_parts = (Derivation(inj, p.left, target.left), _refl(p.right))
         else:
-            widen_parts = (_refl(x), Derivation(inj, p.right, y))
+            widen_parts = (_refl(p.left), Derivation(inj, p.right, target.right))
         widen = Derivation(SD_PAIR, p, target, widen_parts)
-        sub = _unprs_below_pair(p.left, p.right)
+        sub = _unprs_below_pair(p)
         if sub.rule == SD_REFL:
             return widen
-        return Derivation(SD_TRANS, sub.lhs, target, (sub, widen), witness=p)
+        return _trans(sub, widen)
 
-    return Derivation(
-        SD_UNION_L, un_prs(x, y), target, (arm(a, SD_UNION_R1), arm(b, SD_UNION_R2))
-    )
+    da, db = arm(a, SD_UNION_R1), arm(b, SD_UNION_R2)
+    return Derivation(SD_UNION_L, Union(da.lhs, db.lhs), target, (da, db))
 
 
 def format_derivation(d: Derivation) -> str:

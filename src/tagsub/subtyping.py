@@ -52,6 +52,8 @@ class _ProofTree:
     """A reductive trace or a declarative derivation: a rule, ``lhs <: rhs``
     and premises."""
 
+    witness = None  # only a derivation's SD-Trans nodes have one
+
     def size(self) -> int:
         """Number of rule applications in the tree, counted by one loop."""
         n, todo = 0, [self]
@@ -421,7 +423,7 @@ def format_trace(trace: ReductiveTrace) -> str:
     while todo:
         x, indent = todo.pop()
         lines.append(f"{indent}{x.rule}: {x.lhs} <: {x.rhs}")
-        if getattr(x, "witness", None) is not None:
+        if x.witness is not None:
             lines.append(f"{indent}  witness: {x.witness}")
         todo.extend((p, indent + "  ") for p in reversed(x.premises))
     return "\n".join(lines)

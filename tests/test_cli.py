@@ -76,6 +76,14 @@ class TestCheck:
         code, out, err = run(capsys, command, wide, "Int")
         assert code == 0 and out == "true\n" and err == ""
 
+    @pytest.mark.parametrize("flag", ["--trace", "--derivation"])
+    def test_no_verdict_before_a_failed_trace(self, capsys, flag):
+        # The verdict answers, but reading its trace overflows: the run is an
+        # error with nothing on stdout.
+        wide = "|".join(["Int"] * 3000)
+        code, out, err = run(capsys, "check", wide, "Int", flag)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
     def test_deeply_parenthesized_type(self, capsys):
         code, out, err = run(capsys, "check", "(" * 400 + "Int" + ")" * 400, "Int")
         assert code == 0 and out == "true\n" and err == ""

@@ -1,9 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from conftest import TOWER, T, type_exprs
+from tagsub import derivation
+from tagsub.core import Decl, Name, NominalName, Pair, Union, UnknownName, validate_hierarchy
 from tagsub.derivation import (
     SD_ABS_UNION,
+    SD_DISTR1,
     SD_DISTR2,
     SD_NOM,
     SD_PAIR,
@@ -19,10 +24,12 @@ from tagsub.derivation import (
     format_derivation,
     synthesize,
 )
-from tagsub.normalize import nf, nf_atomic
+from tagsub.gen import random_hierarchy, random_type
+from tagsub.normalize import EmptyAbstract, nf, nf_atomic, nf_for_mode
 from tagsub.semantics import Mode, semantic_sub
 from tagsub.subtyping import (
     SR_BASE_REFL,
+    SR_NF,
     SR_UNION_L,
     ReductiveTrace,
     Strategy,
@@ -133,6 +140,16 @@ class TestChecker:
     def test_witness_only_on_trans(self):
         d = Derivation(SD_REFL, T("Int"), T("Int"), witness=T("Int"))
         assert not check_declarative(TOWER, d)
+
+    def test_distribution_over_a_pair_of_unions(self):
+        # Both components are unions: each axiom splits only its own side.
+        t = T("(Int|Flt)*(Str|Cmplx)")
+        over_left = T("Int*(Str|Cmplx)|Flt*(Str|Cmplx)")
+        over_right = T("(Int|Flt)*Str|(Int|Flt)*Cmplx")
+        assert check_declarative(TOWER, Derivation(SD_DISTR1, t, over_left))
+        assert not check_declarative(TOWER, Derivation(SD_DISTR1, t, over_right))
+        assert check_declarative(TOWER, Derivation(SD_DISTR2, t, over_right))
+        assert not check_declarative(TOWER, Derivation(SD_DISTR2, t, over_left))
 
 
 class TestSynthesize:
@@ -312,6 +329,81 @@ class TestNfEquivalenceDerivations:
             assert down.lhs == normed and down.rhs == t
             assert check_declarative(TOWER, up, mode)
             assert check_declarative(TOWER, down, mode)
+
+    def test_both_directions_on_random_hierarchies(self):
+        rng = random.Random(14)
+        for _ in range(60):
+            h = random_hierarchy(rng)
+            for _ in range(10):
+                t = random_type(rng, h, 4, max_nf_weight=256)
+                for mode in Mode:
+                    normed = nf_for_mode(h, t, mode)
+                    up = derive_sub_nf(h, t, mode)
+                    down = derive_nf_sub(h, t, mode)
+                    assert up.lhs == t and up.rhs == normed
+                    assert down.lhs == normed and down.rhs == t
+                    assert check_declarative(h, up, mode)
+                    assert check_declarative(h, down, mode)
+
+
+class TestNormalizesEachNameOnce:
+    """The NF derivations are built bottom up, normalizing each name once."""
+
+    def count(self, monkeypatch, build):
+        calls = []
+
+        def counted(h, t, mode):
+            calls.append(t)
+            return nf_for_mode(h, t, mode)
+
+        monkeypatch.setattr(derivation, "nf_for_mode", counted)
+        build()
+        return len(calls)
+
+    def test_pair_chain(self, monkeypatch):
+        t = T("*".join(["Num"] * 8))
+        for derive in (derive_sub_nf, derive_nf_sub):
+            assert self.count(monkeypatch, lambda: derive(TOWER, t)) == 8
+
+    def test_synthesized_nf_step(self, monkeypatch):
+        t = T("Real*(Int|Flt)*Num")
+        verdict, trace = reductive_sub(TOWER, t, t)
+        assert verdict and trace.rule == SR_NF
+        assert self.count(monkeypatch, lambda: synthesize(TOWER, trace)) == 4
+
+
+VOID = validate_hierarchy(
+    [Decl("Top", True), Decl("Int", False, "Top"), Decl("Void", True, "Top")]
+)
+GHOST = Name(NominalName("Ghost", False))
+
+
+class TestNfEquivalenceErrors:
+    """Both derivations raise the error of the leftmost bad name, as nf does."""
+
+    def raises(self, t, mode, error, name):
+        for derive in (derive_sub_nf, derive_nf_sub):
+            with pytest.raises(error, match=name):
+                derive(VOID, t, mode)
+
+    def test_empty_abstract_in_a_pair(self):
+        t = T("Int*Void", VOID)
+        self.raises(t, Mode.SEMANTIC, EmptyAbstract, "Void")
+        for derive in (derive_sub_nf, derive_nf_sub):
+            assert derive(VOID, t, Mode.ATOMIC) == Derivation(SD_REFL, t, t)
+
+    def test_unknown_name_first(self):
+        t = Union(GHOST, T("Void", VOID))
+        for mode in Mode:
+            self.raises(t, mode, UnknownName, "Ghost")
+
+    def test_empty_abstract_first(self):
+        for t in (
+            Union(T("Void", VOID), GHOST),
+            Pair(T("Int|Void", VOID), GHOST),
+        ):
+            self.raises(t, Mode.SEMANTIC, EmptyAbstract, "Void")
+            self.raises(t, Mode.ATOMIC, UnknownName, "Ghost")
 
 
 class TestSerialization:
