@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""Run the benchmark's end-to-end pass and commit its medians as JSON.
+
+    python3 scripts/bench_medians.py --label baseline --workload queries --seed 9
+
+For each chosen workload and seed this runs ``perfbench/run.py --trace 0``
+once, in the checkout given by ``--root`` (this repository by default), and
+writes ``BENCH_<label>.json`` at the root of this repository.  The file holds,
+per workload, each end-to-end metric's median over the runs, its per-run
+values and its unit, plus the commit, whether ``src/`` differed from it, the
+source digest, the Python version and the CPU count of the runs.  With
+``--append`` the runs are added to an existing file and the medians are taken
+over all of them, so runs of two checkouts can be alternated:
+
+    for i in 1 2 3; do
+        python3 scripts/bench_medians.py --label baseline --root ../parent --append
+        python3 scripts/bench_medians.py --label change --append
+    done
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("queries", "arity", "dispatch")
+
+
+def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py --trace 0`` run: its report and its result line."""
+    proc = subprocess.run(
+        [
+            sys.executable,
+            os.path.join(root, "perfbench", "run.py"),
+            "--workload", workload,
+            "--seed", str(seed),
+            "--seconds", str(seconds),
+            "--trace", "0",
+        ],
+        capture_output=True,
+        text=True,
+        cwd=root,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"perfbench/run.py exited {proc.returncode}:\n{proc.stderr}")
+    *_, report, result = proc.stdout.strip().splitlines()
+    return {"report": json.loads(report)["report"], "result": json.loads(result)}
+
+
+def src_modified(root: str) -> bool | None:
+    """Whether ``src/`` differs from the checkout's commit (None without git)."""
+    proc = subprocess.run(
+        ["git", "status", "--porcelain", "--", "src"], capture_output=True, text=True, cwd=root
+    )
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+
+
+def medians(runs: list[dict]) -> dict:
+    """Per workload and end-to-end metric: the median, the values and the unit."""
+    out: dict = {}
+    for run in runs:
+        for name, m in run["metrics"].items():
+            entry = out.setdefault(run["workload"], {}).setdefault(
+                name, {"median": None, "values": [], "unit": m["unit"]}
+            )
+            entry["values"].append(m["value"])
+    for metrics in out.values():
+        for entry in metrics.values():
+            entry["median"] = statistics.median(entry["values"])
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    ap.add_argument("--workload", action="append", choices=WORKLOADS,
+                    help="repeat for several; default: all")
+    ap.add_argument("--seed", action="append", type=int, help="repeat for several; default: 1")
+    ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--root", default=ROOT, help="the checkout to benchmark")
+    ap.add_argument("--append", action="store_true", help="add to an existing file")
+    args = ap.parse_args(argv)
+
+    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    runs = []
+    if args.append and os.path.exists(path):
+        with open(path, encoding="utf-8") as f:
+            runs = json.load(f)["runs"]
+    root = os.path.abspath(args.root)
+    modified = src_modified(root)
+    for workload in args.workload or WORKLOADS:
+        for seed in args.seed or [1]:
+            got = run_once(root, workload, seed, args.seconds)
+            report, result = got["report"], got["result"]
+            runs.append({
+                "workload": workload,
+                "seed": seed,
+                "seconds": args.seconds,
+                "commit": report["commit"],
+                "src_modified": modified,
+                "src_sha256": report["src_sha256"],
+                "python": report["python"],
+                "nproc": report["nproc"],
+                "correct": result["correct"],
+                "failed": result["failed"],
+                "metrics": result["metrics"],
+            })
+            print(f"{workload} seed {seed}: " + ", ".join(
+                f"{k}={m['value']:.4g}" for k, m in result["metrics"].items()
+            ), file=sys.stderr)
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump({"label": args.label, "medians": medians(runs), "runs": runs}, f, indent=1)
+        f.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

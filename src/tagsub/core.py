@@ -213,6 +213,9 @@ class NominalHierarchy:
             table = self._abstract_desc if m.abstract else self._concrete_desc
             for a in self._above[m.text]:
                 table[a] += (m,)
+        # Each name's descendant union, built on first use by
+        # normalize.descendant_union and shared by every caller.
+        self._unions: dict[str, Name | Union] = {}
 
     def lookup(self, name: str | NominalName) -> NominalName:
         text = name.text if isinstance(name, NominalName) else name

@@ -12,8 +12,6 @@ normalizes each subterm once and only orients the rules per direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     Name,
     NominalHierarchy,
@@ -36,6 +34,10 @@ from .subtyping import (
     SR_UNION_R2,
     ReductiveTrace,
     _ProofTree,
+    _set_lhs,
+    _set_premises,
+    _set_rhs,
+    _set_rule,
     check_reductive_trace,
     format_trace,
 )
@@ -56,13 +58,38 @@ class InvalidTrace(TagsubError):
     pass
 
 
-@dataclass(frozen=True)
 class Derivation(_ProofTree):
-    rule: str
-    lhs: TypeExpr
-    rhs: TypeExpr
-    premises: tuple["Derivation", ...] = ()
-    witness: TypeExpr | None = None  # the intermediate type of SD-Trans
+    __slots__ = ("witness",)  # the intermediate type of SD-Trans
+    __match_args__ = (*_ProofTree.__match_args__, "witness")
+
+    def __init__(
+        self,
+        rule: str,
+        lhs: TypeExpr,
+        rhs: TypeExpr,
+        premises: tuple["Derivation", ...] = (),
+        witness: TypeExpr | None = None,
+    ):
+        _set_rule(self, rule)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_premises(self, premises)
+        _set_witness(self, witness)
+
+    # Equality and hashing as a frozen dataclass has them.
+    def _key(self) -> tuple:
+        return (self.rule, self.lhs, self.rhs, self.premises, self.witness)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+_set_witness = Derivation.witness.__set__
 
 
 def _refl(t: TypeExpr) -> Derivation:
@@ -77,7 +104,14 @@ def check_declarative(
     The atomic mode rejects SD-AbsUnion nodes; everything else is shared.
     Malformed trees yield False rather than raising.
     """
+    if not isinstance(d, Derivation):
+        return False
     lhs, rhs, prem = d.lhs, d.rhs, d.premises
+    if not isinstance(prem, tuple):
+        return False
+    for p in prem:
+        if not isinstance(p, Derivation):
+            return False
     if d.rule == SD_TRANS:
         return (
             d.witness is not None
@@ -138,23 +172,31 @@ def check_declarative(
         return not prem and isinstance(rhs, Union) and lhs == rhs.left
     if d.rule == SD_UNION_R2:
         return not prem and isinstance(rhs, Union) and lhs == rhs.right
-    if d.rule == SD_DISTR1:
-        return (
-            not prem
-            and isinstance(lhs, Pair)
-            and isinstance(lhs.left, Union)
-            and rhs
-            == Union(Pair(lhs.left.left, lhs.right), Pair(lhs.left.right, lhs.right))
-        )
-    if d.rule == SD_DISTR2:
-        return (
-            not prem
-            and isinstance(lhs, Pair)
-            and isinstance(lhs.right, Union)
-            and rhs
-            == Union(Pair(lhs.left, lhs.right.left), Pair(lhs.left, lhs.right.right))
-        )
+    if d.rule in (SD_DISTR1, SD_DISTR2):
+        return not prem and isinstance(lhs, Pair) and _distributes(lhs, rhs, d.rule)
     return False
+
+
+def _distributes(p: Pair, rhs, rule: str) -> bool:
+    # rhs == Union(Pair(a, y), Pair(b, y)) for p = (a|b)*y under SD-Distr1,
+    # or Union(Pair(x, a), Pair(x, b)) for p = x*(a|b) under SD-Distr2,
+    # decided component by component without building that union.
+    if rule == SD_DISTR1:
+        u = p.left
+        if not isinstance(u, Union):
+            return False
+        want = (u.left, p.right, u.right, p.right)
+    else:
+        u = p.right
+        if not isinstance(u, Union):
+            return False
+        want = (p.left, u.left, p.left, u.right)
+    if rhs.__class__ is not Union:
+        return False
+    a, b = rhs.left, rhs.right
+    if a.__class__ is not Pair or b.__class__ is not Pair:
+        return False
+    return (a.left, a.right, b.left, b.right) == want
 
 
 def synthesize(

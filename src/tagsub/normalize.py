@@ -25,13 +25,20 @@ from .semantics import Mode
 
 
 def descendant_union(h: NominalHierarchy, n: str | NominalName) -> TypeExpr:
-    """Left-nested union of n's concrete descendants in declaration order."""
-    cs = concrete_descendants(h, n)
-    if not cs:
-        raise EmptyAbstract(f"abstract name {h.lookup(n)} has no concrete descendants")
-    out: TypeExpr = Name(cs[0])
-    for c in cs[1:]:
-        out = Union(out, Name(c))
+    """Left-nested union of n's concrete descendants in declaration order.
+
+    Built once per hierarchy and name: every caller shares the one object,
+    so comparing two of them succeeds by identity."""
+    n = h.lookup(n)
+    out = h._unions.get(n.text)
+    if out is None:
+        cs = h._concrete_desc[n.text]
+        if not cs:
+            raise EmptyAbstract(f"abstract name {n} has no concrete descendants")
+        out = Name(cs[0])
+        for c in cs[1:]:
+            out = Union(out, Name(c))
+        h._unions[n.text] = out
     return out
 
 

@@ -15,7 +15,7 @@ Every trace can be validated independently by :func:`check_reductive_trace`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from enum import Enum
 
 from .core import (
@@ -50,9 +50,36 @@ class Strategy(Enum):
 
 class _ProofTree:
     """A reductive trace or a declarative derivation: a rule, ``lhs <: rhs``
-    and premises."""
+    and premises.
 
+    A frozen value object with slots.  The constructors set the slots through
+    their descriptors, which costs about half of what a frozen dataclass's
+    generated ``__init__`` does; ``repr`` has the dataclass form.
+    """
+
+    __slots__ = ("rule", "lhs", "rhs", "premises")
+    __match_args__ = __slots__  # the constructor's fields, as ``repr`` shows them
     witness = None  # only a derivation's SD-Trans nodes have one
+
+    def __init__(self, rule: str, lhs: TypeExpr, rhs: TypeExpr, premises: tuple = ()):
+        _set_rule(self, rule)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_premises(self, premises)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: the slots are frozen.
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def size(self) -> int:
         """Number of rule applications in the tree, counted by one loop."""
@@ -63,12 +90,15 @@ class _ProofTree:
         return n
 
 
-@dataclass(frozen=True, eq=False)
+_set_rule, _set_lhs, _set_rhs, _set_premises = (
+    _ProofTree.__dict__[f].__set__ for f in _ProofTree.__slots__
+)
+
+
 class ReductiveTrace(_ProofTree):
-    rule: str
-    lhs: TypeExpr
-    rhs: TypeExpr
-    premises: tuple["ReductiveTrace", ...] = ()
+    # _accepts: the (hierarchy, mode) pairs under which check_reductive_trace
+    # accepted this root; no part of the value.
+    __slots__ = ("_accepts",)
 
     # Equality and hashing by value, so a trace built on demand compares and
     # hashes like the same trace built eagerly.
@@ -84,28 +114,35 @@ class ReductiveTrace(_ProofTree):
         return hash(self._key())
 
 
+_set_accepts = ReductiveTrace._accepts.__set__
+
+
 class _OnDemandTrace(ReductiveTrace):
     """A positive trace whose rule and premises are searched for on first read."""
 
+    __slots__ = ("_query",)
+
     def __init__(self, h, lhs: TypeExpr, rhs: TypeExpr, mode: Mode, strategy: Strategy):
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "_query", (h, mode, strategy))
-        object.__setattr__(self, "_root", None)
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_query(self, (h, mode, strategy))
 
-    def _built(self) -> ReductiveTrace:
-        if self._root is None:
-            h, mode, strategy = self._query
-            object.__setattr__(self, "_root", _search(h, self.lhs, self.rhs, mode, strategy))
-        return self._root
+    def __getattr__(self, name):
+        # Reached only for an unset slot: rule and premises before the search.
+        if name not in ("rule", "premises"):
+            raise AttributeError(name)
+        h, mode, strategy = self._query
+        root = _search(h, self.lhs, self.rhs, mode, strategy)
+        _set_rule(self, root.rule)
+        _set_premises(self, root.premises)
+        return getattr(root, name)
 
-    @property
-    def rule(self) -> str:
-        return self._built().rule
+    def __reduce__(self):
+        h, mode, strategy = self._query
+        return _OnDemandTrace, (h, self.lhs, self.rhs, mode, strategy)
 
-    @property
-    def premises(self) -> tuple[ReductiveTrace, ...]:
-        return self._built().premises
+
+_set_query = _OnDemandTrace._query.__set__
 
 
 def reductive_sub(
@@ -139,11 +176,13 @@ def reductive_sub(
 
 def _search(h, t1: TypeExpr, t2: TypeExpr, mode: Mode, strategy: Strategy) -> ReductiveTrace:
     # The reductive search for a query whose verdict is known to be true.
+    # One table of normal forms serves the whole search (see _via_nf).
+    nfs: dict = {}
     if strategy is Strategy.SHORT_PATH_FIRST:
-        trace = _decide(h, t1, t2, mode)
+        trace = _decide(h, t1, t2, mode, nfs)
         if trace is not None:
             return trace
-    trace = _via_nf(h, t1, t2, mode)
+    trace = _via_nf(h, t1, t2, mode, nfs)
     assert trace is not None, f"no trace for the true verdict {t1} <: {t2}"
     return trace
 
@@ -286,11 +325,15 @@ def _nominal_step(h, lhs: Name, rhs: Name, mode: Mode) -> ReductiveTrace | None:
     return None
 
 
-def _decide(h, lhs: TypeExpr, rhs: TypeExpr, mode: Mode) -> ReductiveTrace | None:
+def _decide(
+    h, lhs: TypeExpr, rhs: TypeExpr, mode: Mode, nfs: dict | None = None
+) -> ReductiveTrace | None:
     # Normalizes only at a stuck head, which a normal form never has.
+    if nfs is None:
+        nfs = {}
     if isinstance(lhs, Union):
-        p1 = _decide(h, lhs.left, rhs, mode)
-        p2 = p1 and _decide(h, lhs.right, rhs, mode)
+        p1 = _decide(h, lhs.left, rhs, mode, nfs)
+        p2 = p1 and _decide(h, lhs.right, rhs, mode, nfs)
         return p2 and ReductiveTrace(SR_UNION_L, lhs, rhs, (p1, p2))
     direct: ReductiveTrace | None = None
     if isinstance(rhs, Name):
@@ -298,24 +341,29 @@ def _decide(h, lhs: TypeExpr, rhs: TypeExpr, mode: Mode) -> ReductiveTrace | Non
             direct = _nominal_step(h, lhs, rhs, mode)
     elif isinstance(rhs, Pair):
         if isinstance(lhs, Pair):
-            p1 = _decide(h, lhs.left, rhs.left, mode)
-            p2 = p1 and _decide(h, lhs.right, rhs.right, mode)
+            p1 = _decide(h, lhs.left, rhs.left, mode, nfs)
+            p2 = p1 and _decide(h, lhs.right, rhs.right, mode, nfs)
             direct = p2 and ReductiveTrace(SR_PAIR, lhs, rhs, (p1, p2))
     else:
-        p = _decide(h, lhs, rhs.left, mode)
+        p = _decide(h, lhs, rhs.left, mode, nfs)
         if p is not None:
             direct = ReductiveTrace(SR_UNION_R1, lhs, rhs, (p,))
         else:
-            p = _decide(h, lhs, rhs.right, mode)
+            p = _decide(h, lhs, rhs.right, mode, nfs)
             direct = p and ReductiveTrace(SR_UNION_R2, lhs, rhs, (p,))
     if direct is None and _stuck_head(lhs, mode):
-        return _via_nf(h, lhs, rhs, mode)
+        return _via_nf(h, lhs, rhs, mode, nfs)
     return direct
 
 
-def _via_nf(h, lhs: TypeExpr, rhs: TypeExpr, mode: Mode) -> ReductiveTrace | None:
-    # SR-NF: search the normal form of lhs, where no head is stuck.
-    sub = _decide(h, nf_for_mode(h, lhs, mode), rhs, mode)
+def _via_nf(h, lhs: TypeExpr, rhs: TypeExpr, mode: Mode, nfs: dict) -> ReductiveTrace | None:
+    # SR-NF: search the normal form of lhs, where no head is stuck.  nfs maps
+    # id(t) to (t, NF(t)) for each subterm t normalized so far in this search;
+    # holding t keeps its id from being reused.
+    hit = nfs.get(id(lhs))
+    if hit is None:
+        hit = nfs[id(lhs)] = (lhs, nf_for_mode(h, lhs, mode))
+    sub = _decide(h, hit[1], rhs, mode, nfs)
     return sub and ReductiveTrace(SR_NF, lhs, rhs, (sub,))
 
 
@@ -334,13 +382,28 @@ def check_reductive_trace(
     """Validate a trace against the rule schemas, independently of the solver.
 
     The normalization rule may occur at most once on any root-to-leaf path.
-    Malformed trees yield False rather than raising.
+    Malformed trees yield False rather than raising.  An accept is recorded
+    on the root for this hierarchy object and mode, so checking the same
+    trace again under both returns True without a walk.
     """
-    return _check(h, trace, mode, nf_allowed=True)
+    if not isinstance(trace, ReductiveTrace):
+        return False
+    accepts = getattr(trace, "_accepts", ())
+    if (h, mode) in accepts:
+        return True
+    if not _check(h, trace, mode, nf_allowed=True):
+        return False
+    _set_accepts(trace, (*accepts, (h, mode)))
+    return True
 
 
 def _check(h, tr: ReductiveTrace, mode: Mode, nf_allowed: bool) -> bool:
     lhs, rhs, prem = tr.lhs, tr.rhs, tr.premises
+    if not isinstance(prem, tuple):
+        return False
+    for p in prem:
+        if not isinstance(p, ReductiveTrace):
+            return False
     if tr.rule == SR_BASE_REFL:
         return (
             not prem
@@ -401,7 +464,7 @@ def _check(h, tr: ReductiveTrace, mode: Mode, nf_allowed: bool) -> bool:
             and _check(h, prem[0], mode, nf_allowed)
         )
     if tr.rule == SR_NF:
-        if not nf_allowed or len(prem) != 1:
+        if not nf_allowed or len(prem) != 1 or not _is_type(lhs):
             return False
         try:
             normed = nf_for_mode(h, lhs, mode)
@@ -413,6 +476,19 @@ def _check(h, tr: ReductiveTrace, mode: Mode, nf_allowed: bool) -> bool:
             and _check(h, prem[0], mode, nf_allowed=False)
         )
     return False
+
+
+def _is_type(t) -> bool:
+    # A tree of pairs and unions over names of declared-name objects.
+    todo = [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (Pair, Union)):
+            todo.append(x.left)
+            todo.append(x.right)
+        elif not (isinstance(x, Name) and isinstance(x.name, NominalName)):
+            return False
+    return True
 
 
 def format_trace(trace: ReductiveTrace) -> str:

@@ -1,11 +1,23 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import TOWER, T, type_exprs
-from tagsub import derivation
-from tagsub.core import Decl, Name, NominalName, Pair, Union, UnknownName, validate_hierarchy
+from tagsub import derivation, subtyping
+from tagsub.core import (
+    Decl,
+    Name,
+    NominalName,
+    Pair,
+    Union,
+    UnknownName,
+    parse_hierarchy,
+    validate_hierarchy,
+)
 from tagsub.derivation import (
     SD_ABS_UNION,
     SD_DISTR1,
@@ -30,9 +42,13 @@ from tagsub.semantics import Mode, semantic_sub
 from tagsub.subtyping import (
     SR_BASE_REFL,
     SR_NF,
+    SR_NOM,
+    SR_PAIR,
     SR_UNION_L,
+    SR_UNION_R1,
     ReductiveTrace,
     Strategy,
+    check_reductive_trace,
     format_trace,
     reductive_sub,
 )
@@ -454,3 +470,221 @@ class TestDeepProofTrees:
         line = "SD-Refl: Int <: Int"
         trans = ["SD-Trans: Int <: Int", "  witness: Int", "  " + line, "  " + line]
         assert format_derivation(d).split("\n") == self.expected(SD_UNION_L, trans, line)
+
+
+class TestProofNodes:
+    """Traces, on-demand traces and derivations are frozen value objects."""
+
+    def nodes(self):
+        # Each call builds fresh nodes: an eager trace, an on-demand one and
+        # a derivation with a witness.
+        eager = ReductiveTrace(
+            SR_UNION_L,
+            T("Int|Flt"),
+            T("Real"),
+            (
+                ReductiveTrace("SR-Nom", T("Int"), T("Real")),
+                ReductiveTrace("SR-Nom", T("Flt"), T("Real")),
+            ),
+        )
+        lazy = reductive_sub(TOWER, T("Str*(Int|Flt)"), T("Str*Real"))[1]
+        d = Derivation(
+            SD_TRANS,
+            T("Int"),
+            T("Str|Real"),
+            (
+                Derivation(SD_NOM, T("Int"), T("Real")),
+                Derivation("SD-UnionR2", T("Real"), T("Str|Real")),
+            ),
+            witness=T("Real"),
+        )
+        return eager, lazy, d
+
+    def test_assignment_raises(self):
+        for node in self.nodes():
+            for field in ("rule", "lhs", "rhs", "premises"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, field, getattr(node, field))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.nodes()[2].witness = None
+
+    def test_equal_nodes_built_apart(self):
+        for a, b in zip(self.nodes(), self.nodes()):
+            assert a is not b
+            assert a == b and not a != b
+            assert hash(a) == hash(b)
+            assert repr(a) == repr(b)
+            assert {a, b} == {a}
+
+    def test_field_values_and_repr(self):
+        eager, lazy, d = self.nodes()
+        assert d.witness == T("Real") and d.premises[0].witness is None
+        assert d == Derivation(SD_TRANS, T("Int"), T("Str|Real"), d.premises, T("Real"))
+        assert d != Derivation(SD_TRANS, T("Int"), T("Str|Real"), d.premises)
+        assert repr(d.premises[0]) == (
+            f"Derivation(rule='SD-Nom', lhs={T('Int')!r}, rhs={T('Real')!r}, "
+            "premises=(), witness=None)"
+        )
+        assert repr(eager.premises[0]) == (
+            f"ReductiveTrace(rule='SR-Nom', lhs={T('Int')!r}, rhs={T('Real')!r}, premises=())"
+        )
+        assert repr(lazy).startswith("_OnDemandTrace(rule='SR-NF', lhs=")
+        assert repr(lazy).endswith(f"premises={lazy.premises!r})")
+        assert eager.witness is None and lazy.witness is None
+
+    def test_copy_and_pickle(self):
+        for node in self.nodes():
+            for twin in (
+                copy.copy(node),
+                copy.deepcopy(node),
+                pickle.loads(pickle.dumps(node)),
+            ):
+                assert type(twin) is type(node)
+                assert twin == node and repr(twin) == repr(node)
+
+
+TOWER_TEXT = """
+abstract Num
+abstract Real <: Num
+concrete Int <: Real
+concrete Flt <: Real
+concrete Cmplx <: Num
+concrete Str
+"""
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """The number of trace nodes that ``subtyping._check`` has visited."""
+    calls = []
+    real = subtyping._check
+
+    def counted(h, tr, mode, nf_allowed):
+        calls.append(tr)
+        return real(h, tr, mode, nf_allowed)
+
+    monkeypatch.setattr(subtyping, "_check", counted)
+    return calls
+
+
+class TestTraceCheckedOnce:
+    """An accepted trace is not walked again under the same hierarchy and mode."""
+
+    def test_synthesize_reuses_the_check(self, check_calls):
+        for mode in Mode:
+            _, trace = reductive_sub(TOWER, T("Num*Num"), T("Num*Num"), mode)
+            assert check_reductive_trace(TOWER, trace, mode)
+            assert len(check_calls) == trace.size()
+            check_calls.clear()
+            d = synthesize(TOWER, trace, mode)
+            assert check_calls == []
+            assert check_declarative(TOWER, d, mode)
+            assert check_reductive_trace(TOWER, trace, mode) and check_calls == []
+
+    def test_the_other_mode_is_checked_in_full(self, check_calls):
+        # Real is abstract: SR-Nom on it is an atomic-mode rule only.
+        tr = ReductiveTrace(SR_NOM, T("Real"), T("Num"))
+        assert check_reductive_trace(TOWER, tr, Mode.ATOMIC)
+        assert synthesize(TOWER, tr, Mode.ATOMIC) == Derivation(SD_NOM, T("Real"), T("Num"))
+        assert len(check_calls) == 1
+        assert not check_reductive_trace(TOWER, tr, Mode.SEMANTIC)
+        with pytest.raises(InvalidTrace):
+            synthesize(TOWER, tr, Mode.SEMANTIC)
+        assert len(check_calls) == 3
+
+    def test_an_identical_hierarchy_is_checked_in_full(self, check_calls):
+        again = parse_hierarchy(TOWER_TEXT)
+        assert again is not TOWER and again.decls == TOWER.decls
+        _, trace = reductive_sub(TOWER, T("(Int|Flt)*Num"), T("Real*Num"))
+        n = trace.size()
+        assert check_reductive_trace(TOWER, trace) and len(check_calls) == n
+        assert check_reductive_trace(TOWER, trace) and len(check_calls) == n
+        assert check_reductive_trace(again, trace) and len(check_calls) == 2 * n
+        synthesize(TOWER, trace)
+        synthesize(again, trace)
+        assert len(check_calls) == 2 * n
+
+    def test_a_rejected_trace_is_checked_again(self, check_calls):
+        bad = ReductiveTrace(
+            SR_PAIR,
+            T("Int*Int"),
+            T("Real*Real"),
+            (
+                ReductiveTrace(SR_NOM, T("Int"), T("Real")),
+                ReductiveTrace(SR_BASE_REFL, T("Int"), T("Real")),
+            ),
+        )
+        # Each check walks the root and both premises, and rejects the second.
+        for expected in (3, 6):
+            assert not check_reductive_trace(TOWER, bad)
+            assert len(check_calls) == expected
+        with pytest.raises(InvalidTrace):
+            synthesize(TOWER, bad)
+        assert len(check_calls) == 9
+
+    def test_the_record_is_no_part_of_the_value(self):
+        _, checked = reductive_sub(TOWER, T("Num*Num"), T("Num*Num"))
+        _, fresh = reductive_sub(TOWER, T("Num*Num"), T("Num*Num"))
+        before = repr(checked)
+        assert check_reductive_trace(TOWER, checked)
+        assert checked == fresh and hash(checked) == hash(fresh)
+        assert repr(checked) == before == repr(fresh)
+
+
+INT, FLT = T("Int"), T("Flt")
+REFL_INT = ReductiveTrace(SR_BASE_REFL, INT, INT)
+
+
+class TestMalformedTrees:
+    """Malformed trees are rejected by the checkers, and synthesize raises
+    InvalidTrace for them, instead of any other error escaping."""
+
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            ReductiveTrace(SR_PAIR, T("Int*Int"), T("Int*Int"), ("Int", "Int")),
+            ReductiveTrace(SR_PAIR, T("Int*Int"), T("Int*Int"), (REFL_INT, None)),
+            ReductiveTrace(SR_UNION_R1, INT, T("Int|Flt"), ("Int",)),
+            ReductiveTrace(SR_NF, "Int", INT, (REFL_INT,)),
+            ReductiveTrace(SR_NF, Pair(INT, "Int"), T("Int*Int"), (REFL_INT,)),
+            ReductiveTrace(SR_BASE_REFL, INT, INT, None),
+            ReductiveTrace(SR_UNION_L, T("Int|Int"), INT, [REFL_INT, REFL_INT]),
+            ReductiveTrace(SR_PAIR, T("Int*Int"), T("Int*Int"), (Derivation(SD_REFL, INT, INT),) * 2),
+        ],
+    )
+    def test_trace(self, trace):
+        for mode in Mode:
+            assert check_reductive_trace(TOWER, trace, mode) is False
+            with pytest.raises(InvalidTrace):
+                synthesize(TOWER, trace, mode)
+
+    @pytest.mark.parametrize("root", ["Int", None, Derivation(SD_REFL, INT, INT)])
+    def test_trace_root(self, root):
+        assert check_reductive_trace(TOWER, root) is False
+        with pytest.raises(InvalidTrace):
+            synthesize(TOWER, root)
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            Derivation(SD_PAIR, T("Int*Int"), T("Int*Int"), ("Int", "Int")),
+            Derivation(SD_TRANS, INT, INT, (1, 2), witness=INT),
+            Derivation(SD_TRANS, INT, INT, (Derivation(SD_REFL, INT, INT), None), witness=INT),
+            Derivation(SD_REFL, INT, INT, None),
+            Derivation(SD_UNION_L, T("Int|Int"), INT, [Derivation(SD_REFL, INT, INT)] * 2),
+            "Int",
+            REFL_INT,
+        ],
+    )
+    def test_derivation(self, d):
+        for mode in Mode:
+            assert check_declarative(TOWER, d, mode) is False
+
+    def test_well_formed_neighbours_still_pass(self):
+        # The same shapes with proper premises are accepted.
+        assert check_reductive_trace(TOWER, ReductiveTrace(SR_BASE_REFL, INT, INT, ()))
+        union = ReductiveTrace(SR_UNION_L, T("Int|Int"), INT, (REFL_INT, REFL_INT))
+        assert check_reductive_trace(TOWER, union)
+        refl = Derivation(SD_REFL, INT, INT)
+        assert check_declarative(TOWER, Derivation(SD_UNION_L, T("Int|Int"), INT, (refl, refl)))
+        assert check_declarative(TOWER, Derivation(SD_TRANS, INT, INT, (refl, refl), witness=INT))

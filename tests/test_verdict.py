@@ -266,6 +266,38 @@ class TestOnDemandTrace:
         assert format_trace(trace) == first
         assert trace.size() == 6 and len(built) == 1
 
+    @pytest.mark.parametrize(
+        "t1,t2,mode,normalized",
+        [
+            (
+                "(Int|Flt)*Num",
+                "Str|Cmplx|Num*Real|(Int|Flt)*Num",
+                Mode.SEMANTIC,
+                {"(Int|Flt)*Num": 1, "Num": 1},
+            ),
+            (
+                "(Int|Flt)*Num",
+                "Str|Cmplx|Num*Real|(Int|Flt)*Num",
+                Mode.ATOMIC,
+                {"(Int|Flt)*Num": 1},
+            ),
+            ("Real*Int", "Int*Int|Flt*Int", Mode.SEMANTIC, {"Real": 1, "Real*Int": 1}),
+        ],
+    )
+    def test_short_path_normalizes_each_subterm_once(self, nf_calls, t1, t2, mode, normalized):
+        # Failed right-union arms and the root fallback reuse the normal form
+        # of a subterm that this search has already normalized.
+        verdict, trace = reductive_sub(TOWER, T(t1), T(t2), mode, Strategy.SHORT_PATH_FIRST)
+        assert verdict
+        eager = subtyping._search(TOWER, T(t1), T(t2), mode, Strategy.SHORT_PATH_FIRST)
+        nf_calls.clear()
+        assert trace.size() == eager.size()
+        counts: dict = {}
+        for t in nf_calls:
+            counts[str(t)] = counts.get(str(t), 0) + 1
+        assert counts == normalized
+        assert trace == eager and check_reductive_trace(TOWER, trace, mode)
+
 
 class TestSeveralPairArms:
     @pytest.mark.parametrize("mode", list(Mode))
