@@ -33,7 +33,13 @@ byte-identical.  Each line digests one section:
   after it, a malformed line, a second ``mode`` line or a line naming an
   undeclared name; each file's error class and message, or its method bodies
   and the outcomes of seeded calls of ``f``, ``g`` and the undefined ``h``
-  (as for ``dispatch``, but with the error's message).
+  (as for ``dispatch``, but with the error's message);
+- ``errors``: seeded ``reductive_sub`` queries over ``random_hierarchy`` plus
+  a childless abstract name, in both modes and with both strategies, and
+  ``resolve`` calls on tables built with ``add_method`` in both modes; each
+  query or call holds one bad name, on either side and at any position: an
+  undeclared name, a declared name of the other kind, or the childless name;
+  each verdict or outcome, or the error's class and message.
 
 Usage:
     PYTHONPATH=src python3 scripts/output_digests.py [--seed 808] [--random 9000]
@@ -281,6 +287,86 @@ def methods_file_outcomes(seed, digest, files=200, lines=10, calls=20):
     return count
 
 
+def _rename(h, t, at=-1, bad=None):
+    # t with its names taken from h, and its name number at (left to right)
+    # replaced by bad.
+    seen = []
+
+    def rebuild(x):
+        if isinstance(x, Name):
+            seen.append(x)
+            return bad if len(seen) - 1 == at else Name(h.lookup(x.name.text))
+        return type(x)(rebuild(x.left), rebuild(x.right))
+
+    return rebuild(t)
+
+
+def _with_bad_name(rng, h, t):
+    # t with one of its names replaced by an undeclared name, a declared name
+    # of the other kind, or Void.
+    roll = rng.randrange(3)
+    if roll == 0:
+        bad = Name(NominalName("Ghost", False))
+    elif roll == 1:
+        n = rng.choice(h.names)
+        bad = Name(NominalName(n.text, not n.abstract))
+    else:
+        bad = Name(h.lookup("Void"))
+    return _rename(h, t, rng.randrange(_name_count(t)), bad)
+
+
+def _name_count(t):
+    return 1 if isinstance(t, Name) else _name_count(t.left) + _name_count(t.right)
+
+
+def error_outcomes(seed, digest, hierarchies=100, queries=40, defs=8, calls=30):
+    # Void has no concrete descendant, so it is an error only in semantic
+    # mode and only on the left of a query or in a call.
+    rng = random.Random(seed)
+    count = 0
+    for _ in range(hierarchies):
+        base = random_hierarchy(rng, 6)
+        h = NominalHierarchy(base.decls + (Decl("Void", True),))
+        for _ in range(queries):
+            t1, t2 = random_type(rng, base, 4, 64), random_type(rng, base, 4, 64)
+            if rng.random() < 0.5:
+                t1, t2 = _with_bad_name(rng, h, t1), _rename(h, t2)
+            else:
+                t1, t2 = _rename(h, t1), _with_bad_name(rng, h, t2)
+            for mode in Mode:
+                for strategy in Strategy:
+                    try:
+                        outcome = str(reductive_sub(h, t1, t2, mode, strategy)[0])
+                    except TagsubError as e:
+                        outcome = f"{type(e).__name__}: {e}"
+                    digest.update(
+                        f"{t1} <: {t2} [{mode.value} {strategy.value}] {outcome}\n".encode()
+                    )
+                    count += 1
+        methods = [
+            MethodDef(rng.choice("fg"), _rename(h, _signature(rng, base, 3)), f"m{i}")
+            for i in range(defs)
+        ]
+        stream = [
+            (rng.choice("ffffgggh"), _with_bad_name(rng, h, _signature(rng, base, 2)))
+            for _ in range(calls)
+        ]
+        for mode in Mode:
+            tbl = MethodTable(h, mode)
+            for m in methods:
+                tbl = add_method(tbl, m)
+            bodies = " ".join(m.body for m in tbl.methods)
+            digest.update(f"table [{mode.value}] {bodies}\n".encode())
+            for fn, call in stream:
+                try:
+                    outcome = _outcome(resolve(tbl, fn, call))
+                except TagsubError as e:
+                    outcome = f"{type(e).__name__}: {e}"
+                digest.update(f"{fn} {call} -> {outcome}\n".encode())
+                count += 1
+    return count
+
+
 def decisions(h, pairs, digest):
     count = 0
     for t1, t2 in pairs:
@@ -348,6 +434,10 @@ def main() -> None:
     digest = hashlib.sha256()
     n = methods_file_outcomes(args.seed, digest)
     print(f"methods-file    {n:6d} outcomes   {digest.hexdigest()}")
+
+    digest = hashlib.sha256()
+    n = error_outcomes(args.seed, digest)
+    print(f"errors          {n:6d} outcomes   {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

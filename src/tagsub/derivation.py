@@ -168,10 +168,10 @@ def check_declarative(
             and check_declarative(h, prem[0], mode)
             and check_declarative(h, prem[1], mode)
         )
-    if d.rule == SD_UNION_R1:
-        return not prem and isinstance(rhs, Union) and lhs == rhs.left
-    if d.rule == SD_UNION_R2:
-        return not prem and isinstance(rhs, Union) and lhs == rhs.right
+    if d.rule in (SD_UNION_R1, SD_UNION_R2):
+        if prem or not isinstance(rhs, Union):
+            return False
+        return lhs == (rhs.left if d.rule == SD_UNION_R1 else rhs.right)
     if d.rule in (SD_DISTR1, SD_DISTR2):
         return not prem and isinstance(lhs, Pair) and _distributes(lhs, rhs, d.rule)
     return False

@@ -24,9 +24,9 @@ checked in full once, before it is inserted (:func:`parse_methods` checks
 the lines it has read before it raises a read error, so that errors come in
 line order).  The record that a function's signatures are all checked is
 its compiled function, marked checked by the insertion that hands it over
-or by its first compile, which checks a hand-built function in table
-order.  Without that record, insertion checks the earlier signatures in
-table order, each just before it is walked.
+or by its first call, after whose walk a hand-built function is checked in
+table order.  Without that record, insertion checks the earlier signatures
+in table order, each just before it is walked.  A call is checked by its walk.
 """
 
 from __future__ import annotations
@@ -115,10 +115,6 @@ class _Function:
 
     def root(self) -> _Node:
         if self._root is None:
-            if not self.checked:  # built by hand: check in table order
-                for m in self.methods:
-                    validate_type(self.h, m.signature, self.mode is Mode.SEMANTIC)
-                self.checked = True
             parts = [(1 << i, m.signature) for i, m in enumerate(self.methods)]
             self._root = _Node(self.h, self.mode, parts)
         return self._root
@@ -137,8 +133,12 @@ class _Function:
 
     def candidates(self, call: TypeExpr) -> int:
         """The bits of the signatures at or above the call."""
-        validate_type(self.h, call, self.mode is Mode.SEMANTIC)
-        return self.root().mask(call)
+        out = self.root().mask(call)
+        if not self.checked:  # built by hand: check in table order
+            for m in self.methods:
+                validate_type(self.h, m.signature, self.mode is Mode.SEMANTIC)
+            self.checked = True
+        return out
 
 
 def _bits(mask: int) -> list[int]:

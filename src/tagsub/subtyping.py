@@ -154,9 +154,9 @@ def reductive_sub(
 ) -> tuple[bool, ReductiveTrace | None]:
     """Decide t1 <: t2: the verdict first, the trace on demand.
 
-    The verdict never builds t1's normal form, but raises what normalizing
-    t1 would raise (``UnknownName``; ``EmptyAbstract`` in semantic mode),
-    then ``UnknownName`` for an undeclared name in t2.  A
+    The verdict never builds t1's normal form, but its walk over t1 raises
+    what normalizing t1 would raise (``UnknownName``; ``EmptyAbstract`` in
+    semantic mode), then ``UnknownName`` for an undeclared name in t2.  A
     false verdict returns ``(False, None)`` without any search.  A true one
     returns a trace whose rule and premises are found on first access by the
     reductive search of the chosen strategy.  NORMALIZE_FIRST applies the
@@ -167,9 +167,9 @@ def reductive_sub(
     NORMALIZE_FIRST, which is needed: ``Real*Int <: Int*Int|Flt*Int`` is
     provable only through a root SR-NF.
     """
-    validate_type(h, t1, mode is Mode.SEMANTIC)
+    held = _Node(h, mode, [(1, t2)]).mask(t1) & 1
     validate_type(h, t2)
-    if not _Node(h, mode, [(1, t2)]).mask(t1) & 1:
+    if not held:
         return False, None
     return True, _OnDemandTrace(h, t1, t2, mode, strategy)
 
@@ -200,8 +200,9 @@ class _Node:
     bits, a target with several gets a fresh bit per arm, mapped back to the
     target when a pair's left and right sets are combined.  Without fresh
     bits the AND distributes over a pair, so ``mask`` needs no sets there.
-    Names are keyed by their text, which is unique once checked; no type is
-    ever hashed, since that recurses.
+    Names are keyed by their text; no type is ever hashed, since that
+    recurses.  A walk meets t's names left to right and raises what
+    ``validate_type`` raises (``nonempty`` in semantic mode) for the first bad one.
     """
 
     __slots__ = ("h", "mode", "full", "entries", "arms", "back", "children", "names")
@@ -266,12 +267,11 @@ class _Node:
             out = self.full
             for x in _leaves(t, Union):
                 out &= self.mask(x)
-                if not out:
-                    break
             return out
         if isinstance(t, Name):
             return self._name(t.name)
         if not self.arms:
+            validate_type(self.h, t, self.mode is Mode.SEMANTIC)
             return 0
         if self.back:
             out = self.full
@@ -279,8 +279,7 @@ class _Node:
                 out &= m
             return out
         left, right = self.children or self._children()
-        out = left.mask(t.left)
-        return out and out & right.mask(t.right)
+        return left.mask(t.left) & right.mask(t.right)
 
     def covers(self, t: TypeExpr) -> set[int]:
         if isinstance(t, Union):
@@ -294,14 +293,19 @@ class _Node:
                 return {self._name(c) for c in concrete_descendants(self.h, n)}
             return {self._name(n)}
         if not self.arms:
+            validate_type(self.h, t, self.mode is Mode.SEMANTIC)
             return {0}
         left, right = self.children or self._children()
-        rs = right.covers(t.right)
-        return {self._lift(l & r) for l in left.covers(t.left) for r in rs}
+        ls, rs = left.covers(t.left), right.covers(t.right)
+        return {self._lift(l & r) for l in ls for r in rs}
 
     def _name(self, n: NominalName) -> int:
+        if self.h._names.get(n.text) is not n:
+            self.h.lookup(n)  # raises for a name not declared with this kind
         out = self.names.get(n.text)
         if out is None:
+            if self.mode is Mode.SEMANTIC and n.abstract and not self.h._concrete_desc[n.text]:
+                raise EmptyAbstract(f"abstract name {n} has no concrete descendants")
             out, above = 0, self.h._above[n.text]
             for e, bits in self.entries.items():
                 if e in above:
@@ -447,20 +451,12 @@ def _check(h, tr: ReductiveTrace, mode: Mode, nf_allowed: bool) -> bool:
             and _check(h, prem[0], mode, nf_allowed)
             and _check(h, prem[1], mode, nf_allowed)
         )
-    if tr.rule == SR_UNION_R1:
+    if tr.rule in (SR_UNION_R1, SR_UNION_R2):
         return (
             isinstance(rhs, Union)
             and len(prem) == 1
             and prem[0].lhs == lhs
-            and prem[0].rhs == rhs.left
-            and _check(h, prem[0], mode, nf_allowed)
-        )
-    if tr.rule == SR_UNION_R2:
-        return (
-            isinstance(rhs, Union)
-            and len(prem) == 1
-            and prem[0].lhs == lhs
-            and prem[0].rhs == rhs.right
+            and prem[0].rhs == (rhs.left if tr.rule == SR_UNION_R1 else rhs.right)
             and _check(h, prem[0], mode, nf_allowed)
         )
     if tr.rule == SR_NF:

@@ -543,6 +543,14 @@ class TestErrorParity:
         atomic = MethodTable(h, Mode.ATOMIC, methods=methods)
         assert resolve(atomic, "f", T("Int*Int", h)) == Ambiguous(methods)
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_name_of_the_other_kind_after_a_good_call(self, mode):
+        # The good call leaves Int's mask in the node, keyed by its text.
+        tbl = table(mode, PLUS3 + [mk("plus", "Int", "mI")])
+        assert resolve(tbl, "plus", T("Int")) == Selected(tbl.methods[3])
+        with pytest.raises(UnknownName, match="Int"):
+            resolve(tbl, "plus", Name(NominalName("Int", True)))
+
     def test_tables_compare_equal_after_resolving(self):
         for mode in Mode:
             a, b = table(mode, PLUS3), table(mode, PLUS3)
@@ -713,7 +721,15 @@ class TestCheckedRecord:
         out = add_method(tbl, mk("plus", "Str", "mS"))
         assert bodies(out.methods) == ["mII", "mFF", "mRR", "mS"]
         assert resolve(tbl, "plus", T("Flt*Int")) == Selected(MRR)
-        assert calls == [T("Str"), T("Flt*Int")]
+        assert calls == [T("Str")]
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_call_is_checked_by_its_walk_alone(self, mode, monkeypatch):
+        tbl = parse_methods(arity_file(mode, 2), TOWER)
+        assert resolve(tbl, "f", T("Int*Int")) == Selected(tbl.methods[0])
+        calls = self.checked_types(monkeypatch)
+        assert resolve(tbl, "f", T("Flt*Int")) == Selected(tbl.methods[3])
+        assert calls == []
 
 
 class TestNameIdentity:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import TOWER, T, type_exprs
-from tagsub.core import Decl, Name, Pair, Union, UnknownName, validate_hierarchy
+from tagsub.core import Decl, Name, NominalName, Pair, Union, UnknownName, validate_hierarchy
 from tagsub.gen import random_hierarchy, random_type, types_up_to, value_types_up_to
 from tagsub.normalize import EmptyAbstract, nf
 from tagsub.semantics import Mode, matches, matching_sub, semantic_sub
@@ -113,6 +113,23 @@ class TestErrorParity:
                 reductive_sub(VOID, bad, V("Int"), Mode.SEMANTIC, strategy)
             with pytest.raises(UnknownName):
                 reductive_sub(VOID, bad, V("Int"), Mode.ATOMIC, strategy)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("strategy", BOTH)
+    def test_undeclared_name_after_a_false_arm(self, mode, strategy):
+        ghost = Name(NominalName("Ghost", False))
+        with pytest.raises(UnknownName, match="Ghost"):
+            reductive_sub(VOID, Union(V("Str"), ghost), V("Int"), mode, strategy)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("strategy", BOTH)
+    @pytest.mark.parametrize("t2", ["Int*Int|Int*Str", "Int*Int|Str"])
+    def test_leftmost_bad_name_inside_a_pair_below_no_pair_arm(self, mode, strategy, t2):
+        # The right side's components hold no pair, so the left pairs below
+        # the root meet no pair arm; Foo comes before Bar.
+        t1 = Pair(Pair(FOO, V("Int")), Pair(V("Int"), BAR))
+        with pytest.raises(UnknownName, match="Foo"):
+            reductive_sub(VOID, t1, V(t2), mode, strategy)
 
     @pytest.mark.parametrize("strategy", BOTH)
     @pytest.mark.parametrize(

@@ -305,3 +305,15 @@ class TestSeveralPairArms:
         # The union is walked in a loop, not one Python frame per arm.
         wide = T("Real*(" + "|".join(["Int"] * 3000) + ")")
         assert reductive_sub(TOWER, wide, T("Real*Int|Int*Real"), mode)[0] is True
+
+
+class TestOneWalk:
+    def test_only_the_right_side_is_checked_apart(self, monkeypatch):
+        # The verdict's walk checks the left side's names as it meets them.
+        calls = []
+        check = subtyping.validate_type
+        monkeypatch.setattr(
+            subtyping, "validate_type", lambda h, t, *args: calls.append(t) or check(h, t, *args)
+        )
+        assert reductive_sub(TOWER, T("Int*Flt"), T("Real*Real"))[0] is True
+        assert calls == [T("Real*Real")]
