@@ -9,7 +9,7 @@ significant because it fixes the canonical order used by normalization.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -56,53 +56,68 @@ class EmptyAbstract(TagsubError):
     """An abstract name with no concrete descendants has no normal form."""
 
 
-@dataclass(frozen=True)
-class NominalName:
+class _Value:
+    """A frozen record with slots, built without generating code at import.
+
+    Each subclass is a ``@dataclass(init=False, repr=False, eq=False,
+    slots=True)``, so that ``fields``, ``replace`` and ``asdict`` work, and
+    this base gives it the rest of ``frozen=True`` over ``__match_args__``.
+    A class built or compared on a hot path spells out its own methods.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs:
+            args += tuple(kwargs.pop(f) for f in names[len(args) :] if f in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__}() takes the arguments {names}")
+        for f, value in zip(names, args):
+            object.__setattr__(self, f, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class NominalName(_Value):
     """A declared name; ``abstract`` names cannot be instantiated."""
 
     text: str
     abstract: bool
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.text, self.abstract) == (other.text, other.abstract)
+
+    def __hash__(self):
+        return hash((self.text, self.abstract))
+
     def __str__(self) -> str:
         return self.text
-
-
-@dataclass(frozen=True)
-class Name:
-    name: NominalName
-
-    def __str__(self) -> str:
-        return _render(self)
-
-    def __repr__(self) -> str:
-        return _repr(self)
-
-
-@dataclass(frozen=True)
-class Pair:
-    left: "TypeExpr"
-    right: "TypeExpr"
-
-    def __str__(self) -> str:
-        return _render(self)
-
-    def __repr__(self) -> str:
-        return _repr(self)
-
-
-@dataclass(frozen=True)
-class Union:
-    left: "TypeExpr"
-    right: "TypeExpr"
-
-    def __str__(self) -> str:
-        return _render(self)
-
-    def __repr__(self) -> str:
-        return _repr(self)
-
-
-TypeExpr = Name | Pair | Union
 
 
 def _render(t: TypeExpr) -> str:
@@ -147,13 +162,96 @@ def _repr(t: TypeExpr) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class Decl:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class Name(_Value):
+    """A declared name as a type."""
+
+    name: NominalName
+
+    def __init__(self, name: NominalName):
+        _set_name(self, name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name,) == (other.name,)
+
+    def __hash__(self):
+        return hash((self.name,))
+
+    __str__ = _render
+    __repr__ = _repr
+
+
+# Pair and Union each spell out their methods: with one body for both, whose
+# attribute reads cannot be specialized to one class, == took 1.6-1.9 times as long.
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class Pair(_Value):
+    """The covariant pair type ``left * right``."""
+
+    left: "TypeExpr"
+    right: "TypeExpr"
+
+    def __init__(self, left: TypeExpr, right: TypeExpr):
+        _set_pair_left(self, left)
+        _set_pair_right(self, right)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self):
+        return hash((self.left, self.right))
+
+    __str__ = _render
+    __repr__ = _repr
+
+
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class Union(_Value):
+    """The untagged union type ``left | right``."""
+
+    left: "TypeExpr"
+    right: "TypeExpr"
+
+    def __init__(self, left: TypeExpr, right: TypeExpr):
+        _set_union_left(self, left)
+        _set_union_right(self, right)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self):
+        return hash((self.left, self.right))
+
+    __str__ = _render
+    __repr__ = _repr
+
+
+_set_name = Name.name.__set__
+_set_pair_left, _set_pair_right = Pair.left.__set__, Pair.right.__set__
+_set_union_left, _set_union_right = Union.left.__set__, Union.right.__set__
+
+TypeExpr = Name | Pair | Union
+
+
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class Decl(_Value):
     """One hierarchy declaration: a named node with an optional parent."""
 
     name: str
     abstract: bool
     parent: str | None = None
+
+    def __init__(self, name: str, abstract: bool, parent: str | None = None):
+        _Value.__init__(self, name, abstract, parent)
 
 
 class NominalHierarchy:

@@ -76,18 +76,6 @@ class Derivation(_ProofTree):
         _set_premises(self, premises)
         _set_witness(self, witness)
 
-    # Equality and hashing as a frozen dataclass has them.
-    def _key(self) -> tuple:
-        return (self.rule, self.lhs, self.rhs, self.premises, self.witness)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
 
 _set_witness = Derivation.witness.__set__
 

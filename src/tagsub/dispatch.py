@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from .core import NominalHierarchy, Pair, TagsubError, TypeExpr, _read_file, validate_type
+from .core import NominalHierarchy, Pair, TagsubError, TypeExpr, _read_file, _Value, validate_type
 from .semantics import Mode
 from .subtyping import _Node
 
@@ -53,15 +53,19 @@ class MethodFileError(TagsubError):
     pass
 
 
-@dataclass(frozen=True)
-class MethodDef:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class MethodDef(_Value):
+    """One method: the function it belongs to and its signature type."""
+
     function: str
     signature: TypeExpr
     body: str  # opaque label; bodies are never evaluated
 
 
-@dataclass(frozen=True)
-class MethodTable:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class MethodTable(_Value):
+    """The methods of a hierarchy's functions under one mode."""
+
     hierarchy: NominalHierarchy
     mode: Mode
     methods: tuple[MethodDef, ...] = ()
@@ -72,19 +76,27 @@ class MethodTable:
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
 
+    def __init__(self, hierarchy: NominalHierarchy, mode: Mode, methods: tuple = ()):
+        _Value.__init__(self, hierarchy, mode, methods)
+        object.__setattr__(self, "_compiled", {})
 
-@dataclass(frozen=True)
-class Selected:
+
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class Selected(_Value):
+    """Dispatch chose this method."""
+
     method: MethodDef
 
 
-@dataclass(frozen=True)
-class NoApplicableMethod:
-    pass
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class NoApplicableMethod(_Value):
+    """No method of the function applies to the call."""
 
 
-@dataclass(frozen=True)
-class Ambiguous:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class Ambiguous(_Value):
+    """Several applicable methods, none more specific than the others."""
+
     candidates: tuple[MethodDef, ...]
 
 

@@ -21,6 +21,7 @@ from .core import (
     TagsubError,
     TypeExpr,
     Union,
+    _Value,
     abstract_descendants,
     concrete_descendants,
     is_value_type,
@@ -38,16 +39,20 @@ class Mode(Enum):
     ATOMIC = "atomic"
 
 
-@dataclass(frozen=True)
-class Concrete:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class Concrete(_Value):
+    """The tag of a value of a concrete name."""
+
     name: NominalName
 
     def __str__(self) -> str:
         return _render_tag(self, False)
 
 
-@dataclass(frozen=True)
-class PairTag:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class PairTag(_Value):
+    """The tag of a pair value: the tags of its two components."""
+
     left: "Tag"
     right: "Tag"
 
@@ -55,8 +60,8 @@ class PairTag:
         return _render_tag(self, False)
 
 
-@dataclass(frozen=True)
-class Sentinel:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class Sentinel(_Value):
     """Placeholder tag for a future concrete subtype of an abstract name."""
 
     owner: NominalName

@@ -15,7 +15,6 @@ Every trace can be validated independently by :func:`check_reductive_trace`.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from enum import Enum
 
 from .core import (
@@ -27,6 +26,7 @@ from .core import (
     Union,
     UnknownName,
     _leaves,
+    _Value,
     concrete_descendants,
     nominal_subtype,
     validate_type,
@@ -48,14 +48,9 @@ class Strategy(Enum):
     SHORT_PATH_FIRST = "short-path-first"
 
 
-class _ProofTree:
+class _ProofTree(_Value):
     """A reductive trace or a declarative derivation: a rule, ``lhs <: rhs``
-    and premises.
-
-    A frozen value object with slots.  The constructors set the slots through
-    their descriptors, which costs about half of what a frozen dataclass's
-    generated ``__init__`` does; ``repr`` has the dataclass form.
-    """
+    and premises.  A frozen record whose fields are its slots."""
 
     __slots__ = ("rule", "lhs", "rhs", "premises")
     __match_args__ = __slots__  # the constructor's fields, as ``repr`` shows them
@@ -66,20 +61,6 @@ class _ProofTree:
         _set_lhs(self, lhs)
         _set_rhs(self, rhs)
         _set_premises(self, premises)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor: the slots are frozen.
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
     def size(self) -> int:
         """Number of rule applications in the tree, counted by one loop."""
@@ -100,18 +81,13 @@ class ReductiveTrace(_ProofTree):
     # accepted this root; no part of the value.
     __slots__ = ("_accepts",)
 
-    # Equality and hashing by value, so a trace built on demand compares and
-    # hashes like the same trace built eagerly.
-    def _key(self) -> tuple:
-        return (self.rule, self.lhs, self.rhs, self.premises)
-
+    # Equal across the class: a trace built on demand equals the eager one.
     def __eq__(self, other):
         if not isinstance(other, ReductiveTrace):
             return NotImplemented
-        return self._key() == other._key()
+        return self._fields() == other._fields()
 
-    def __hash__(self):
-        return hash(self._key())
+    __hash__ = _ProofTree.__hash__
 
 
 _set_accepts = ReductiveTrace._accepts.__set__

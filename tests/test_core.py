@@ -1,9 +1,15 @@
+import copy
+import importlib
+import os
+import pickle
+import pkgutil
 import random
-from dataclasses import fields, make_dataclass
+from dataclasses import FrozenInstanceError, asdict, field, fields, make_dataclass, replace
 
 import pytest
 
 from conftest import EXTENDED, TOWER, T, nested
+import tagsub
 from tagsub.core import (
     ConcreteParent,
     CycleDetected,
@@ -12,6 +18,7 @@ from tagsub.core import (
     HierarchySyntaxError,
     MultipleParents,
     Name,
+    NominalName,
     Pair,
     Union,
     UnknownName,
@@ -23,7 +30,15 @@ from tagsub.core import (
     validate_hierarchy,
     validate_type,
 )
+from tagsub.dispatch import (
+    Ambiguous,
+    MethodDef,
+    MethodTable,
+    NoApplicableMethod,
+    Selected,
+)
 from tagsub.gen import random_hierarchy, random_type
+from tagsub.semantics import Concrete, Mode, PairTag, Sentinel
 
 
 def names(seq):
@@ -166,11 +181,43 @@ class TestValidateType:
         assert validate_type(TOWER, T("|".join(["Int", "Str"] * 1500))) is None
 
 
-# Plain dataclasses with the same names and fields, so their default repr is
-# the reference that the types' own iterative repr must reproduce.
+# The package's immutable records, with their field names in order.
+VALUE_FIELDS = {
+    NominalName: ["text", "abstract"],
+    Name: ["name"],
+    Pair: ["left", "right"],
+    Union: ["left", "right"],
+    Decl: ["name", "abstract", "parent"],
+    Concrete: ["name"],
+    PairTag: ["left", "right"],
+    Sentinel: ["owner"],
+    MethodDef: ["function", "signature", "body"],
+    MethodTable: ["hierarchy", "mode", "methods", "_compiled"],
+    Selected: ["method"],
+    NoApplicableMethod: [],
+    Ambiguous: ["candidates"],
+}
+
+
+def _twin_field(f):
+    return field(
+        default=f.default,
+        default_factory=f.default_factory,
+        init=f.init,
+        repr=f.repr,
+        hash=f.hash,
+        compare=f.compare,
+    )
+
+
+# Plain frozen dataclasses with the same names and fields, so their generated
+# repr, ==, hash and frozenness are the reference that the records' own must
+# reproduce.
 MIRROR = {
-    cls: make_dataclass(cls.__name__, [f.name for f in fields(cls)], frozen=True)
-    for cls in (Name, Pair, Union)
+    cls: make_dataclass(
+        cls.__name__, [(f.name, f.type, _twin_field(f)) for f in fields(cls)], frozen=True
+    )
+    for cls in VALUE_FIELDS
 }
 
 
@@ -178,6 +225,142 @@ def mirror(t):
     if isinstance(t, Name):
         return MIRROR[Name](t.name)
     return MIRROR[type(t)](mirror(t.left), mirror(t.right))
+
+
+def twin(x):
+    """x with every record in it, and in its tuples, replaced by its MIRROR twin."""
+    if isinstance(x, tuple):
+        return tuple(twin(y) for y in x)
+    if type(x) not in MIRROR:
+        return x
+    return MIRROR[type(x)](**{f.name: twin(getattr(x, f.name)) for f in fields(x) if f.init})
+
+
+def value_samples():
+    """Instances of each record class; the first two are equal but built apart."""
+    num, int_ = TOWER.lookup("Num"), TOWER.lookup("Int")
+    m1, m2 = MethodDef("f", T("Int*Real"), "a"), MethodDef("f", T("Num*Num"), "b")
+    return {
+        NominalName: [NominalName("Int", False), int_, NominalName("Int", True)],
+        Name: [T("Int"), Name(NominalName("Int", False)), T("Num")],
+        Pair: [T("Int*Str"), T("Int*Str"), T("Str*Int"), T("Int*(Str|Real)")],
+        Union: [T("Int|Str"), T("Int|Str"), T("Str|Int"), T("Int|Str*Real")],
+        Decl: [Decl("Int", False, "Real"), Decl("Int", abstract=False, parent="Real"), Decl("Num", True)],
+        Concrete: [Concrete(int_), Concrete(NominalName("Int", False)), Concrete(TOWER.lookup("Flt"))],
+        PairTag: [
+            PairTag(Concrete(int_), Sentinel(num)),
+            PairTag(Concrete(int_), Sentinel(num)),
+            PairTag(Sentinel(num), Concrete(int_)),
+        ],
+        Sentinel: [Sentinel(num), Sentinel(NominalName("Num", True)), Sentinel(TOWER.lookup("Real"))],
+        MethodDef: [m1, MethodDef("f", T("Int*Real"), "a"), m2, MethodDef("g", T("Int*Real"), "a")],
+        MethodTable: [
+            MethodTable(TOWER, Mode.SEMANTIC, (m1, m2)),
+            MethodTable(TOWER, Mode.SEMANTIC, (MethodDef("f", T("Int*Real"), "a"), m2)),
+            MethodTable(TOWER, Mode.ATOMIC),
+            MethodTable(EXTENDED, Mode.SEMANTIC, (m1, m2)),
+        ],
+        Selected: [Selected(m1), Selected(MethodDef("f", T("Int*Real"), "a")), Selected(m2)],
+        NoApplicableMethod: [NoApplicableMethod(), NoApplicableMethod()],
+        Ambiguous: [Ambiguous((m1, m2)), Ambiguous((m1, m2)), Ambiguous((m2, m1))],
+    }
+
+
+class TestValueRecords:
+    """Every record behaves as the frozen dataclass with its fields would."""
+
+    def test_every_record_is_sampled(self):
+        samples = value_samples()
+        assert set(samples) == set(VALUE_FIELDS)
+        for cls, xs in samples.items():
+            assert all(type(x) is cls for x in xs)
+            assert xs[0] == xs[1] and xs[0] is not xs[1]
+
+    def test_field_names(self):
+        for cls, expected in VALUE_FIELDS.items():
+            assert [f.name for f in fields(cls)] == expected
+
+    def test_repr_matches_the_dataclass(self):
+        for xs in value_samples().values():
+            for x in xs:
+                assert repr(x) == repr(twin(x))
+
+    def test_eq_and_hash_match_the_dataclass(self):
+        for xs in value_samples().values():
+            for a in xs:
+                assert hash(a) == hash(twin(a))
+                assert a != twin(a) and not a == twin(a)
+                for b in xs:
+                    assert (a == b) == (twin(a) == twin(b))
+                    assert (a != b) == (twin(a) != twin(b))
+
+    def test_copy_and_pickle_round_trip(self):
+        for xs in value_samples().values():
+            for x in xs:
+                for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+                    assert type(y) is type(x)
+                    if isinstance(x, MethodTable):  # a hierarchy compares by identity
+                        assert y.hierarchy.decls == x.hierarchy.decls
+                        assert (y.mode, y.methods) == (x.mode, x.methods)
+                    else:
+                        assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+
+    def test_assignment_and_deletion_raise(self):
+        for xs in value_samples().values():
+            x = xs[0]
+            for f in fields(x):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(x, f.name, getattr(x, f.name))
+                with pytest.raises(FrozenInstanceError):
+                    delattr(x, f.name)
+            with pytest.raises(FrozenInstanceError):
+                x.other = None
+            assert x == xs[1]
+
+    def test_defaults_replace_and_asdict(self):
+        assert Decl("Num", True) == Decl("Num", True, None)
+        assert [f.default for f in fields(Decl)][2] is None
+        assert replace(Decl("Int", False, "Real"), parent=None) == Decl("Int", False)
+        m = MethodDef("f", T("Int"), "a")
+        assert replace(m, body="b") == MethodDef("f", T("Int"), "b")
+        assert asdict(m) == {"function": "f", "signature": asdict(T("Int")), "body": "a"}
+        tbl = MethodTable(TOWER, Mode.SEMANTIC, (m,))
+        assert MethodTable(TOWER, Mode.SEMANTIC).methods == ()
+        tbl._compiled["f"] = None
+        out = replace(tbl, mode=Mode.ATOMIC)
+        assert out == MethodTable(TOWER, Mode.ATOMIC, (m,))
+        assert out._compiled == {} and tbl._compiled == {"f": None}
+
+
+PACKAGE_DIR = os.path.dirname(os.path.abspath(tagsub.__file__))
+VALUE_METHODS = ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__")
+
+
+def package_classes():
+    for info in pkgutil.iter_modules(tagsub.__path__):
+        if info.name == "__main__":  # importing it would run the CLI
+            continue
+        module = importlib.import_module(f"tagsub.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                yield obj
+
+
+class TestNoGeneratedMethods:
+    def test_every_method_is_compiled_from_the_package_sources(self):
+        # Methods generated at import time, as a frozen dataclass's are, are
+        # compiled from a string: their code names no file of the package.
+        generated = [
+            f"{cls.__module__}.{cls.__qualname__}.{name}"
+            for cls in package_classes()
+            for name in VALUE_METHODS
+            if (code := getattr(cls.__dict__.get(name), "__code__", None)) is not None
+            and os.path.dirname(os.path.abspath(code.co_filename)) != PACKAGE_DIR
+        ]
+        assert generated == []
+
+    def test_the_records_are_found(self):
+        assert set(VALUE_FIELDS) <= set(package_classes())
 
 
 class TestRepr:
