@@ -16,6 +16,16 @@ over all of them, so runs of two checkouts can be alternated:
         python3 scripts/bench_medians.py --label baseline --root ../parent --append
         python3 scripts/bench_medians.py --label change --append
     done
+
+``--compare PARENT CHANGE`` reads two such files and pairs their runs in the
+order they were appended, per workload and seed.  For each end-to-end metric
+it prints the parent's median and quartiles, the change's median, their ratio,
+how many pairs the change won, whether the medians lie further apart than the
+parent's quartiles, and WORSE where the change's median is worse than the
+parent's by more than the metric's bound in ``BENCHMARK.json``.  It exits 1
+if any metric is WORSE:
+
+    python3 scripts/bench_medians.py --compare baseline change
 """
 
 from __future__ import annotations
@@ -75,9 +85,52 @@ def medians(runs: list[dict]) -> dict:
     return out
 
 
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def compare(parent: str, change: str) -> int:
+    """Print the paired comparison of two BENCH files; 1 if a metric is WORSE."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
+        metrics = json.load(f)["end_to_end"]
+    groups: dict = {}
+    for label in (parent, change):
+        with open(os.path.join(ROOT, f"BENCH_{label}.json"), encoding="utf-8") as f:
+            for run in json.load(f)["runs"]:
+                groups.setdefault((run["workload"], run["seed"]), {}).setdefault(label, []).append(run)
+    print(f"{'workload':<9} {'seed':>4} {'metric':<11} {'parent median [q1, q3]':<34}"
+          f" {'change':>10} {'ratio':>6} {'won':>5} {'>IQR':>4}")
+    worse = 0
+    for (workload, seed), by_label in groups.items():
+        pairs = list(zip(by_label.get(parent, []), by_label.get(change, [])))
+        if not pairs:
+            continue
+        for m in metrics:
+            name, lower = m["name"], m["better"] == "lower"
+            old = [p["metrics"][name]["value"] for p, _ in pairs]
+            new = [c["metrics"][name]["value"] for _, c in pairs]
+            med_old, med_new = statistics.median(old), statistics.median(new)
+            q1, q3 = _quartiles(old)
+            ratio = med_new / med_old
+            won = sum((b < a) if lower else (b > a) for a, b in zip(old, new))
+            flag = ratio > 1 + m["bound"] if lower else ratio < 1 - m["bound"]
+            worse += flag
+            spread = f"{med_old:.4g} [{q1:.4g}, {q3:.4g}]"
+            clear = "yes" if abs(med_new - med_old) > q3 - q1 else "no"
+            print(f"{workload:<9} {seed:>4} {name:<11} {spread:<34} {med_new:>10.4g}"
+                  f" {ratio:>6.3f} {f'{won}/{len(pairs)}':>5} {clear:>4}" + ("  WORSE" if flag else ""))
+    return 1 if worse else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    what = ap.add_mutually_exclusive_group(required=True)
+    what.add_argument("--label", help="writes BENCH_<label>.json")
+    what.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"),
+                      help="compare BENCH_PARENT.json with BENCH_CHANGE.json and run nothing")
     ap.add_argument("--workload", action="append", choices=WORKLOADS,
                     help="repeat for several; default: all")
     ap.add_argument("--seed", action="append", type=int, help="repeat for several; default: 1")
@@ -85,6 +138,8 @@ def main(argv=None) -> int:
     ap.add_argument("--root", default=ROOT, help="the checkout to benchmark")
     ap.add_argument("--append", action="store_true", help="add to an existing file")
     args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
 
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     runs = []

@@ -299,6 +299,8 @@ class NominalHierarchy:
 
         self.decls = decls
         self._names = {d.name: NominalName(d.name, d.abstract) for d in decls}
+        # Each name's Name type, the leaf that every parse against h shares.
+        self._name_types = {text: Name(n) for text, n in self._names.items()}
         self._parent = {
             d.name: self._names[d.parent] if d.parent else None for d in decls
         }

@@ -45,6 +45,17 @@ class Concrete(_Value):
 
     name: NominalName
 
+    def __init__(self, name: NominalName):
+        _set_concrete_name(self, name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name,) == (other.name,)
+
+    def __hash__(self):
+        return hash((self.name,))
+
     def __str__(self) -> str:
         return _render_tag(self, False)
 
@@ -56,6 +67,18 @@ class PairTag(_Value):
     left: "Tag"
     right: "Tag"
 
+    def __init__(self, left: Tag, right: Tag):
+        _set_pair_tag_left(self, left)
+        _set_pair_tag_right(self, right)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self):
+        return hash((self.left, self.right))
+
     def __str__(self) -> str:
         return _render_tag(self, False)
 
@@ -66,9 +89,26 @@ class Sentinel(_Value):
 
     owner: NominalName
 
+    def __init__(self, owner: NominalName):
+        _set_sentinel_owner(self, owner)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.owner,) == (other.owner,)
+
+    def __hash__(self):
+        return hash((self.owner,))
+
     def __str__(self) -> str:
         return _render_tag(self, False)
 
+
+# The set-based oracle builds and hashes tags in its inner loops, so each tag
+# spells out the methods that _Value would give it generically, as Name does.
+_set_concrete_name = Concrete.name.__set__
+_set_pair_tag_left, _set_pair_tag_right = PairTag.left.__set__, PairTag.right.__set__
+_set_sentinel_owner = Sentinel.owner.__set__
 
 Tag = Concrete | PairTag | Sentinel
 

@@ -1,9 +1,15 @@
+import copy
+import pickle
+import random
+import re
+
 import pytest
 from hypothesis import given
 
 from conftest import TOWER, T, type_exprs
-from tagsub.core import Name, Pair, Union, UnknownName
+from tagsub.core import Name, Pair, Union, UnknownName, validate_hierarchy
 from tagsub.frontend import ParseError, parse_type, print_type
+from tagsub.gen import random_hierarchy
 
 
 def N(text):
@@ -138,3 +144,164 @@ class TestPrint:
     @given(type_exprs(max_leaves=16))
     def test_round_trip(self, t):
         assert parse_type(print_type(t), TOWER) == t
+
+
+# The positioned parser that parse_type replaced, kept as the reference for
+# TestAgainstReference: one scan into (kind, text, pos) tokens, which raises
+# at the first bad character, then the same folding loop with a fresh Name
+# per looked-up name.
+_REF_TOKEN_RE = re.compile(r"([A-Za-z][A-Za-z0-9_]*)|([*×|∪()])|(\S)")
+_REF_ALIAS = {"×": "*", "∪": "|"}
+
+
+def _ref_scan(src):
+    tokens = []
+    for m in _REF_TOKEN_RE.finditer(src):
+        name, op, bad = m.groups()
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad!r}", m.start())
+        tokens.append(("name", name, m.start()) if op is None else (_REF_ALIAS.get(op, op), op, m.start()))
+    tokens.append(("end", "", len(src)))
+    return tokens
+
+
+def reference_parse(src, h):
+    tokens = iter(_ref_scan(src))
+    groups = []
+    union = prod = None
+    while True:
+        kind, text, pos = next(tokens)
+        if kind == "(":
+            groups.append((union, prod))
+            union = prod = None
+            continue
+        if kind != "name":
+            raise ParseError(f"expected a name or '(', got {text!r}", pos)
+        try:
+            t = Name(h.lookup(text))
+        except UnknownName:
+            raise UnknownName(f"unknown name {text!r} at position {pos}", pos) from None
+        while True:
+            prod = t if prod is None else Pair(prod, t)
+            kind, text, pos = next(tokens)
+            if kind == "*":
+                break
+            union = prod if union is None else Union(union, prod)
+            prod = None
+            if kind == "|":
+                break
+            if not groups:
+                if kind != "end":
+                    raise ParseError(f"unexpected {text!r}", pos)
+                return union
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
+            t = union
+            union, prod = groups.pop()
+
+
+def _outcome(parse, src, h):
+    try:
+        return "ok", parse(src, h)
+    except (ParseError, UnknownName) as err:
+        return type(err), str(err), err.position
+
+
+# ASCII and unicode whitespace (str.isspace), and characters that are bad
+# anywhere, bad at the start of a token, or part of a name or an operator.
+_SPACES = ["", "", "", " ", "  ", "\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\xa0", "\u2003", "\u3000"]
+_NOISE = "aZ09_*|×∪()" * 3 + " \t\u2003" + "&-é\u200b"
+
+
+def _random_source(rng, names, depth):
+    """Random source text over names (and now and then another name), up to
+    depth operators deep, with random spacing, ASCII or unicode operators and
+    redundant parentheses."""
+    if depth <= 1 or rng.random() < 0.3:
+        src = rng.choice(names) if rng.random() < 0.97 else rng.choice(["Foo", "Int3", "N_", "Str", "N0"])
+    else:
+        op = rng.choice("**||×∪")
+        left = _random_source(rng, names, depth - 1)
+        right = _random_source(rng, names, depth - 1)
+        src = left + rng.choice(_SPACES) + op + rng.choice(_SPACES) + right
+    if rng.random() < 0.3:
+        src = "(" + rng.choice(_SPACES) + src + rng.choice(_SPACES) + ")"
+    return rng.choice(_SPACES) + src + rng.choice(_SPACES)
+
+
+def _mutants(rng, src, count):
+    """src and count each of its one-character deletions, insertions and substitutions."""
+    out = [src]
+    for _ in range(count):
+        i = rng.randrange(len(src) + 1)
+        out.append(src[:i] + rng.choice(_NOISE) + src[i:])
+        if src:
+            i = rng.randrange(len(src))
+            out.append(src[:i] + src[i + 1 :])
+            out.append(src[:i] + rng.choice(_NOISE) + src[i + 1 :])
+    return out
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_types_and_errors(self, seed):
+        rng = random.Random(seed)
+        other = random_hierarchy(rng)
+        parsed = errors = deep = 0
+        for _ in range(80):
+            names = [n.text for n in rng.choice([TOWER, other]).names]
+            for src in _mutants(rng, _random_source(rng, names, rng.randint(1, 6)), 3):
+                for h in (TOWER, other):
+                    want = _outcome(reference_parse, src, h)
+                    assert _outcome(parse_type, src, h) == want, src
+                    if want[0] == "ok":
+                        parsed += 1
+                    else:
+                        errors += 1
+                        deep += want[2] > 40
+        # The fuzz parses types and reaches errors, also far into long inputs.
+        assert parsed > 100 and errors > 500 and deep > 50
+
+    @pytest.mark.parametrize(
+        "src",
+        [" ", "\u2003", "Int×", "∪Int", "Int\u2003∪", "Int3", "Int_x", "3Int", "Int3&", "Int (Flt"],
+    )
+    def test_edge_cases(self, src):
+        assert _outcome(parse_type, src, TOWER) == _outcome(reference_parse, src, TOWER)
+
+
+def _name_leaves(t):
+    out, todo = [], [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Name):
+            out.append(x)
+        else:
+            todo += [x.right, x.left]
+    return out
+
+
+class TestSharedLeaves:
+    SRC = "Int*(Flt|Int)|Num*Str"
+
+    def test_parsed_names_are_the_hierarchys_leaves(self):
+        for leaf in _name_leaves(parse_type(self.SRC, TOWER)):
+            assert leaf is TOWER._name_types[leaf.name.text]
+            assert leaf.name is TOWER.lookup(leaf.name.text)
+
+    def test_equal_hierarchies_give_equal_types(self):
+        h1, h2 = validate_hierarchy(TOWER.decls), validate_hierarchy(TOWER.decls)
+        t1, t2 = parse_type(self.SRC, h1), parse_type(self.SRC, h2)
+        assert h1._name_types["Int"] is not h2._name_types["Int"]
+        assert t1 == t2 and hash(t1) == hash(t2)
+        assert t1 == parse_type(self.SRC, TOWER) == reference_parse(self.SRC, h1)
+        assert hash(t1) == hash(reference_parse(self.SRC, h1))
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda h: pickle.loads(pickle.dumps(h))])
+    def test_copied_hierarchy_parses(self, clone):
+        h = clone(TOWER)
+        t = parse_type(self.SRC, h)
+        assert t == parse_type(self.SRC, TOWER)
+        for leaf in _name_leaves(t):
+            assert leaf is h._name_types[leaf.name.text]
+            assert leaf.name is h.lookup(leaf.name.text)
