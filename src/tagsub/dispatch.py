@@ -10,7 +10,8 @@ selects its single minimal applicable method, or is ambiguous between several.
 A table compiles each function into one cover-set node over all of its
 signatures (see :class:`tagsub.subtyping._Node`), the node that subtyping
 decides verdicts with: it answers "which signatures hold this type" as one
-bit mask, so resolving makes no subtype call.
+bit mask, so resolving makes no subtype call.  Equivalent signatures have
+equal up masks (the signatures at or above each), which order the candidates.
 
 Insertion builds that same compiled function.  :func:`add_method` and
 :func:`parse_methods` both insert through one routine that takes a batch of
@@ -123,7 +124,6 @@ class _Function:
         self.h, self.mode, self.methods, self.checked = h, mode, tuple(methods), checked
         self._root: _Node | None = None
         self._up: list[int | None] = [None] * len(self.methods)
-        self._strict: list[int | None] = [None] * len(self.methods)
 
     def root(self) -> _Node:
         if self._root is None:
@@ -137,11 +137,15 @@ class _Function:
             self._up[i] = self.root().mask(self.methods[i].signature)
         return self._up[i]
 
-    def strict(self, j: int) -> int:
-        """The bits of the signatures above signature j and not equivalent to it."""
-        if self._strict[j] is None:
-            self._strict[j] = sum(1 << i for i in _bits(self.up(j)) if not self.up(i) >> j & 1)
-        return self._strict[j]
+    def minimal(self, cands: int) -> int:
+        """The candidates that no candidate lies strictly below: in no other class's up mask."""
+        classes: dict[int, int] = {}  # up mask -> the candidates that have it
+        for i in _bits(cands):
+            up = self.up(i)
+            classes[up] = classes.get(up, 0) | 1 << i
+        for up, same in classes.items():
+            cands &= ~up | same
+        return cands
 
     def candidates(self, call: TypeExpr) -> int:
         """The bits of the signatures at or above the call."""
@@ -244,20 +248,16 @@ def applicable(tbl: MethodTable, function: str, call: TypeExpr) -> list[MethodDe
 def resolve(tbl: MethodTable, function: str, call: TypeExpr) -> DispatchOutcome:
     """The most specific applicable method, found by mask arithmetic.
 
-    The minimal candidates are those in no candidate's strict mask.  Since no
-    two signatures of a function are equivalent, a single minimal candidate is
-    the minimum and is selected; several are reported as an ambiguity, in
-    table order.
+    The minimal candidates come from their up masks (_Function.minimal).
+    Since insertion keeps no two equivalent signatures of a function, a single
+    minimal candidate is the minimum and is selected; several (equivalent
+    signatures of a hand-built table among them) are an ambiguity, in table order.
     """
     fn = _function(tbl, function)
     cands = fn.candidates(call)
-    at = _bits(cands)
-    if len(at) > 1:
-        above = 0
-        for j in at:
-            above |= fn.strict(j)
-        at = _bits(cands & ~above)
-    minimal = tuple(fn.methods[i] for i in at)
+    if cands & (cands - 1):  # two candidates or more
+        cands = fn.minimal(cands)
+    minimal = tuple(fn.methods[i] for i in _bits(cands))
     if len(minimal) == 1:
         return Selected(minimal[0])
     return Ambiguous(minimal) if minimal else NoApplicableMethod()

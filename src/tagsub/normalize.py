@@ -92,4 +92,4 @@ def nf_weight(h: NominalHierarchy, t: TypeExpr) -> int:
         return len(concrete_descendants(h, t.name)) + len(abstract_descendants(h, t.name))
     if isinstance(t, Pair):
         return nf_weight(h, t.left) * nf_weight(h, t.right)
-    return nf_weight(h, t.left) + nf_weight(h, t.right)
+    return sum(nf_weight(h, a) for a in _leaves(t, Union))

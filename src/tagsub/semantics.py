@@ -21,6 +21,7 @@ from .core import (
     TagsubError,
     TypeExpr,
     Union,
+    _leaves,
     _Value,
     abstract_descendants,
     concrete_descendants,
@@ -168,7 +169,7 @@ def interp(h: NominalHierarchy, t: TypeExpr, mode: Mode = Mode.SEMANTIC) -> froz
             for l in interp(h, t.left, mode)
             for r in interp(h, t.right, mode)
         )
-    return interp(h, t.left, mode) | interp(h, t.right, mode)
+    return frozenset().union(*[interp(h, a, mode) for a in _leaves(t, Union)])
 
 
 def matches(h: NominalHierarchy, v: TypeExpr, t: TypeExpr) -> bool:
@@ -184,14 +185,10 @@ def matches(h: NominalHierarchy, v: TypeExpr, t: TypeExpr) -> bool:
 
 def _matches(h: NominalHierarchy, v: TypeExpr, t: TypeExpr) -> bool:
     if isinstance(t, Union):
-        return _matches(h, v, t.left) or _matches(h, v, t.right)
+        return any(_matches(h, v, a) for a in _leaves(t, Union))
     if isinstance(t, Name):
         return isinstance(v, Name) and nominal_subtype(h, v.name, t.name)
-    return (
-        isinstance(v, Pair)
-        and _matches(h, v.left, t.left)
-        and _matches(h, v.right, t.right)
-    )
+    return isinstance(v, Pair) and _matches(h, v.left, t.left) and _matches(h, v.right, t.right)
 
 
 def semantic_sub(

@@ -114,6 +114,16 @@ class TestOtherCommands:
         code, _, err = run(capsys, "match", "Real", "Num")
         assert code == 2 and "value type" in err
 
+    @pytest.mark.parametrize("name, tags", [("Int", "{Int}"), ("Real", "{Flt, Int}")])
+    @pytest.mark.parametrize("right", [False, True])
+    def test_wide_union_is_answered(self, capsys, name, tags, right):
+        if right:
+            wide = "|(".join([name] * 3000) + ")" * 2999
+        else:
+            wide = "|".join([name] * 3000)
+        assert run(capsys, "interp", wide) == (0, tags + "\n", "")
+        assert run(capsys, "match", "Int", wide) == (0, "true\n", "")
+
     def test_eq(self, capsys):
         assert run(capsys, "eq", "Real", "Int|Flt")[:2] == (0, "true\n")
         assert run(capsys, "eq", "Real", "Int|Flt", "--mode", "atomic")[:2] == (

@@ -25,6 +25,7 @@ from tagsub.dispatch import (
     NoApplicableMethod,
     Selected,
     UnknownFunction,
+    _Function,
     add_method,
     applicable,
     parse_methods,
@@ -176,15 +177,29 @@ class TestResolve:
         # candidates: none lies below another, so no check runs backwards.
         assert len(calls) <= 9
 
-    def test_hand_built_equivalent_signatures(self):
-        # add_method would merge Real and Int|Flt in semantic mode; a table
-        # built by hand keeps both, and neither is below the other.
-        methods = (mk("f", "Real", "mR"), mk("f", "Int|Flt", "mU"))
-        out = resolve(MethodTable(TOWER, Mode.SEMANTIC, methods=methods), "f", T("Int"))
-        assert out == Ambiguous(methods)
-        # In atomic mode Int|Flt lies strictly below Real.
-        out = resolve(MethodTable(TOWER, Mode.ATOMIC, methods=methods), "f", T("Int"))
-        assert out == Selected(methods[1])
+    @pytest.mark.parametrize(
+        "mode, size, call, minimal",
+        [
+            # add_method would merge Real and Int|Flt in semantic mode; a table
+            # built by hand keeps both, and neither is below the other.
+            (Mode.SEMANTIC, 2, "Int", ["mR", "mU"]),
+            # In atomic mode Int|Flt lies strictly below Real.
+            (Mode.ATOMIC, 2, "Int", ["mU"]),
+            # Int lies strictly below both of the equivalent pair.
+            (Mode.SEMANTIC, 3, "Int", ["mI"]),
+            (Mode.SEMANTIC, 3, "Flt", ["mR", "mU"]),
+            (Mode.SEMANTIC, 3, "Real", ["mR", "mU"]),
+            (Mode.ATOMIC, 3, "Int", ["mI"]),
+            (Mode.ATOMIC, 3, "Flt", ["mU"]),
+            (Mode.ATOMIC, 3, "Real", ["mR"]),
+        ],
+    )
+    def test_hand_built_equivalent_signatures(self, mode, size, call, minimal):
+        methods = (mk("f", "Real", "mR"), mk("f", "Int|Flt", "mU"), mk("f", "Int", "mI"))
+        methods = methods[:size]
+        out = resolve(MethodTable(TOWER, mode, methods=methods), "f", T(call))
+        expected = tuple(m for m in methods if m.body in minimal)
+        assert out == (Selected(expected[0]) if len(expected) == 1 else Ambiguous(expected))
 
 
 def resolve_by_definition(tbl: MethodTable, function: str, call) -> object:
@@ -534,7 +549,7 @@ class TestErrorParity:
         tbl = MethodTable(h, Mode.SEMANTIC, methods=methods)
         with pytest.raises(EmptyAbstract, match="VoidA"):
             resolve(tbl, "f", T("Int*Int", h))
-        # A good first candidate whose strict mask holds the VoidB signature
+        # A good first candidate whose up mask holds the VoidB signature
         # but not the VoidA one: VoidA is still named first.
         good = mk("f", "Int*Int|Int*Str", "mG", h)
         tbl = MethodTable(h, Mode.SEMANTIC, methods=(good,) + methods)
@@ -945,6 +960,17 @@ class TestBuildGrowth:
         counts = count_walks(monkeypatch)
         assert resolve(tbl, "f", T("Int*Int*Int*Int")) == Selected(tbl.methods[0])
         assert counts == {"walks": 1, "nodes": 0}
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_resolve_reads_each_candidates_up_mask_at_most_once(self, mode, monkeypatch):
+        # Every signature lies at or above Int^4, so all 81 are candidates.
+        tbl = parse_methods(arity_file(mode, 4), TOWER)
+        call = T("Int*Int*Int*Int")
+        cands = [tbl.methods.index(m) for m in applicable(tbl, "f", call)]
+        reads, up = [], _Function.up
+        monkeypatch.setattr(_Function, "up", lambda fn, i: reads.append(i) or up(fn, i))
+        assert resolve(tbl, "f", call) == Selected(tbl.methods[0])
+        assert len(reads) == len(set(reads)) and set(reads) <= set(cands)
 
 
 class TestStabilityScenario:

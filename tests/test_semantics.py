@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given
 
-from conftest import EXTENDED, TOWER, T, type_exprs, value_type_exprs
-from tagsub.core import Decl, Name, validate_hierarchy
+from conftest import EXTENDED, TOWER, T, nested, type_exprs, value_type_exprs
+from tagsub.core import Decl, Name, Union, validate_hierarchy
 from tagsub.gen import types_up_to, value_types_up_to
+from tagsub.normalize import nf_weight
 from tagsub.semantics import (
     Concrete,
     Mode,
@@ -157,3 +158,19 @@ class TestOracles:
             base = interp(TOWER, t)
             wider = interp(EXTENDED, t)
             assert base <= wider
+
+
+class TestWideUnions:
+    """The oracles walk a union's arms flat, so no width overflows them."""
+
+    @pytest.mark.parametrize("name", ["Int", "Real"])
+    @pytest.mark.parametrize("right", [False, True])
+    def test_a_3000_arm_union_is_answered(self, name, right):
+        arm = T(name)
+        wide = nested(Union, [arm] * 3000, right)
+        for mode in Mode:
+            assert interp(TOWER, wide, mode) == interp(TOWER, arm, mode)
+            assert semantic_sub(TOWER, wide, arm, mode)
+            assert semantic_sub(TOWER, arm, wide, mode)
+        assert matching_sub(TOWER, wide, arm) and matching_sub(TOWER, arm, wide)
+        assert nf_weight(TOWER, wide) == 3000 * nf_weight(TOWER, arm)
