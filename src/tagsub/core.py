@@ -254,6 +254,10 @@ class Decl(_Value):
         _Value.__init__(self, name, abstract, parent)
 
 
+# A name of the type grammar, and of the hierarchy file format.
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+
 class NominalHierarchy:
     """Validated forest of nominal declarations.
 
@@ -299,8 +303,12 @@ class NominalHierarchy:
 
         self.decls = decls
         self._names = {d.name: NominalName(d.name, d.abstract) for d in decls}
-        # Each name's Name type, the leaf that every parse against h shares.
-        self._name_types = {text: Name(n) for text, n in self._names.items()}
+        # The Name type of each name that the type grammar can spell, the leaf
+        # that every parse against h shares.  A declaration may name anything,
+        # but a token that holds another character must never parse as a name.
+        self._name_types = {
+            text: Name(n) for text, n in self._names.items() if _NAME_RE.fullmatch(text)
+        }
         self._parent = {
             d.name: self._names[d.parent] if d.parent else None for d in decls
         }
@@ -373,6 +381,12 @@ def _leaves(t: TypeExpr, kind: type) -> list[TypeExpr]:
     right: a union's arms for Union, a pair tree's components for Pair."""
     if not isinstance(t, kind):
         return [t]
+    left, right = t.left, t.right
+    if not isinstance(right, kind):  # most unions have two or three arms
+        if not isinstance(left, kind):
+            return [left, right]
+        if not isinstance(left.left, kind) and not isinstance(left.right, kind):
+            return [left.left, left.right, right]
     out, todo = [], [t]
     while todo:
         x = todo.pop()
@@ -394,11 +408,15 @@ def validate_type(h: NominalHierarchy, t: TypeExpr, nonempty: bool = False) -> N
     with the same text and kind; with nonempty, raise EmptyAbstract there
     instead if the name is abstract without concrete descendants.  That is
     what normalizing t raises in semantic mode, without building it."""
+    leaves = h._name_types
     todo = [t]
     while todo:
         x = todo.pop()
         if isinstance(x, Name):
-            n = h.lookup(x.name)
+            n = x.name
+            # The hierarchy's own leaf needs no lookup.
+            if x is not leaves.get(n.text):
+                n = h.lookup(n)
             if nonempty and n.abstract and not h._concrete_desc[n.text]:
                 raise EmptyAbstract(f"abstract name {n} has no concrete descendants")
         else:
@@ -410,8 +428,7 @@ def validate_type(h: NominalHierarchy, t: TypeExpr, nonempty: bool = False) -> N
 #   abstract Num
 #   concrete Int <: Real
 _DECL_RE = re.compile(
-    r"^(abstract|concrete)\s+([A-Za-z][A-Za-z0-9_]*)"
-    r"(?:\s*<:\s*([A-Za-z][A-Za-z0-9_]*))?$"
+    rf"^(abstract|concrete)\s+({_NAME_RE.pattern})(?:\s*<:\s*({_NAME_RE.pattern}))?$"
 )
 
 

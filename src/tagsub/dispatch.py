@@ -11,7 +11,9 @@ A table compiles each function into one cover-set node over all of its
 signatures (see :class:`tagsub.subtyping._Node`), the node that subtyping
 decides verdicts with: it answers "which signatures hold this type" as one
 bit mask, so resolving makes no subtype call.  Equivalent signatures have
-equal up masks (the signatures at or above each), which order the candidates.
+equal up masks (the signatures at or above each).  A signature's up mask
+without its equivalents, its strict mask, is worked out once from the up
+masks and orders the candidates on every later call.
 
 Insertion builds that same compiled function.  :func:`add_method` and
 :func:`parse_methods` both insert through one routine that takes a batch of
@@ -88,10 +90,16 @@ class Selected(_Value):
 
     method: MethodDef
 
+    def __init__(self, method: MethodDef):
+        _set_method(self, method)
+
 
 @dataclass(init=False, repr=False, eq=False, slots=True)
 class NoApplicableMethod(_Value):
     """No method of the function applies to the call."""
+
+    def __init__(self):
+        pass
 
 
 @dataclass(init=False, repr=False, eq=False, slots=True)
@@ -99,6 +107,12 @@ class Ambiguous(_Value):
     """Several applicable methods, none more specific than the others."""
 
     candidates: tuple[MethodDef, ...]
+
+    def __init__(self, candidates: tuple[MethodDef, ...]):
+        _set_candidates(self, candidates)
+
+
+_set_method, _set_candidates = Selected.method.__set__, Ambiguous.candidates.__set__
 
 
 DispatchOutcome = Selected | NoApplicableMethod | Ambiguous
@@ -124,6 +138,7 @@ class _Function:
         self.h, self.mode, self.methods, self.checked = h, mode, tuple(methods), checked
         self._root: _Node | None = None
         self._up: list[int | None] = [None] * len(self.methods)
+        self._strict: list[int | None] = [None] * len(self.methods)
 
     def root(self) -> _Node:
         if self._root is None:
@@ -138,14 +153,35 @@ class _Function:
         return self._up[i]
 
     def minimal(self, cands: int) -> int:
-        """The candidates that no candidate lies strictly below: in no other class's up mask."""
-        classes: dict[int, int] = {}  # up mask -> the candidates that have it
+        """The candidates that no candidate lies strictly below: in no candidate's strict mask."""
+        strict, above, rest = self._strict, 0, cands
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            s = strict[i]
+            if s is None:
+                self._classify(cands)
+                s = strict[i]
+            above |= s
+        return cands & ~above
+
+    def _classify(self, cands: int) -> None:
+        """Fill the strict mask (the signatures strictly above) of each candidate.
+
+        A signature equivalent to a candidate is one too, and equivalent
+        signatures share an up mask, so grouping the candidates by up mask
+        finds their classes.  Classes are filled whole, so the candidates
+        without a strict mask hold whole classes, and each up mask is read once.
+        """
+        strict, classes = self._strict, {}  # up mask -> the candidates that have it
         for i in _bits(cands):
-            up = self.up(i)
-            classes[up] = classes.get(up, 0) | 1 << i
+            if strict[i] is None:
+                up = self.up(i)
+                classes[up] = classes.get(up, 0) | 1 << i
         for up, same in classes.items():
-            cands &= ~up | same
-        return cands
+            for i in _bits(same):
+                strict[i] = up & ~same
 
     def candidates(self, call: TypeExpr) -> int:
         """The bits of the signatures at or above the call."""
@@ -248,7 +284,7 @@ def applicable(tbl: MethodTable, function: str, call: TypeExpr) -> list[MethodDe
 def resolve(tbl: MethodTable, function: str, call: TypeExpr) -> DispatchOutcome:
     """The most specific applicable method, found by mask arithmetic.
 
-    The minimal candidates come from their up masks (_Function.minimal).
+    The minimal candidates come from their strict masks (_Function.minimal).
     Since insertion keeps no two equivalent signatures of a function, a single
     minimal candidate is the minimum and is selected; several (equivalent
     signatures of a hand-built table among them) are an ambiguity, in table order.
@@ -257,10 +293,11 @@ def resolve(tbl: MethodTable, function: str, call: TypeExpr) -> DispatchOutcome:
     cands = fn.candidates(call)
     if cands & (cands - 1):  # two candidates or more
         cands = fn.minimal(cands)
-    minimal = tuple(fn.methods[i] for i in _bits(cands))
-    if len(minimal) == 1:
-        return Selected(minimal[0])
-    return Ambiguous(minimal) if minimal else NoApplicableMethod()
+        if cands & (cands - 1):
+            return Ambiguous(tuple(fn.methods[i] for i in _bits(cands)))
+    if cands:
+        return Selected(fn.methods[cands.bit_length() - 1])
+    return NoApplicableMethod()
 
 
 # Method file format, one statement per line, '#' comments:

@@ -11,12 +11,16 @@ Grammar (ASCII; the unicode operators are accepted as input aliases):
 (A*B)*C and A|B*C as A|(B*C).  NAME is [A-Za-z][A-Za-z0-9_]*.  Printing uses
 minimal parentheses and round-trips through the parser.
 
-One regex match first checks the whole source for a bad character, so a bad
-character anywhere wins over an earlier unknown name.  One findall then splits
-the source into plain token strings.  One loop parses that list with the union
-and product so far and an explicit stack of open groups, so parentheses nest to
-any depth without recursion.  Each name becomes its hierarchy's shared Name
-leaf by one dict lookup.  Tokens carry no positions: an error rescans the
+The source is split into plain token strings by str.split() once each
+operator is padded with spaces, and the empty string ends the list.  One loop
+parses that list with the union and product so far and an explicit stack of
+open groups, so parentheses nest to any depth without recursion.  Each name
+becomes its hierarchy's shared Name leaf by one dict lookup; the hierarchy
+keeps leaves only for names of the grammar, so a token holding any other
+character is never a name and a parse that succeeds has seen only names,
+operators and whitespace.  Only an error runs the regex check of the whole
+source, so a bad character anywhere still wins over an earlier unknown name
+or a misplaced operator.  Tokens carry no positions: an error rescans the
 source for the position of the token it reports.
 """
 
@@ -41,8 +45,31 @@ class ParseError(TagsubError):
 # every fresh process pays.
 _CHECK_RE = re.compile(r"(?:[A-Za-z][A-Za-z0-9_]*|[*|()\s]|×|∪)*")
 # Once checked, a word is a name and any other non-space is an operator; the
-# empty match at the end of the source is the end token.
+# empty match at the end of the source is the end token.  On a checked source
+# these are exactly the tokens of _tokens, with their positions.
 _TOKEN_RE = re.compile(r"\w+|\S|\Z")
+
+
+def _tokens(src: str) -> list[str]:
+    """The tokens of src, then the end token ''."""
+    out = (
+        src.replace("(", " ( ")
+        .replace(")", " ) ")
+        .replace("*", " * ")
+        .replace("|", " | ")
+        .replace("×", " × ")
+        .replace("∪", " ∪ ")
+        .split()
+    )
+    out.append("")
+    return out
+
+
+def _check(src: str) -> None:
+    """Raise at the first bad character of src, if it holds one."""
+    bad = _CHECK_RE.match(src).end()
+    if bad < len(src):
+        raise ParseError(f"unexpected character {src[bad]!r}", bad)
 
 
 def _position(src: str, i: int) -> int:
@@ -52,10 +79,7 @@ def _position(src: str, i: int) -> int:
 
 def parse_type(src: str, h: NominalHierarchy) -> TypeExpr:
     """Parse a type expression, resolving every name against h."""
-    bad = _CHECK_RE.match(src).end()
-    if bad < len(src):
-        raise ParseError(f"unexpected character {src[bad]!r}", bad)
-    tokens = _TOKEN_RE.findall(src)
+    tokens = _tokens(src)
     leaves = h._name_types
     groups: list[tuple[TypeExpr | None, TypeExpr | None]] = []  # (union, prod) outside each open '('
     union = prod = None
@@ -70,6 +94,7 @@ def parse_type(src: str, h: NominalHierarchy) -> TypeExpr:
             continue
         t = leaves.get(tok)
         if t is None:
+            _check(src)
             pos = _position(src, i - 1)
             if tok[:1].isalpha():
                 raise UnknownName(f"unknown name {tok!r} at position {pos}", pos)
@@ -87,9 +112,11 @@ def parse_type(src: str, h: NominalHierarchy) -> TypeExpr:
                 break
             if not groups:
                 if tok:
+                    _check(src)
                     raise ParseError(f"unexpected {tok!r}", _position(src, i - 1))
                 return union
             if tok != ")":
+                _check(src)
                 raise ParseError("expected ')'", _position(src, i - 1))
             t = union
             union, prod = groups.pop()

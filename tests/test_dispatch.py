@@ -26,6 +26,7 @@ from tagsub.dispatch import (
     Selected,
     UnknownFunction,
     _Function,
+    _function,
     add_method,
     applicable,
     parse_methods,
@@ -971,6 +972,29 @@ class TestBuildGrowth:
         monkeypatch.setattr(_Function, "up", lambda fn, i: reads.append(i) or up(fn, i))
         assert resolve(tbl, "f", call) == Selected(tbl.methods[0])
         assert len(reads) == len(set(reads)) and set(reads) <= set(cands)
+
+
+class TestStrictMasks:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_repeated_resolve_reads_no_up_mask(self, mode, monkeypatch):
+        # The first resolve leaves each candidate's strict mask behind.
+        tbl = parse_methods(arity_file(mode, 4), TOWER)
+        call = T("Int*Int*Int*Int")
+        assert resolve(tbl, "f", call) == Selected(tbl.methods[0])
+        reads, up = [], _Function.up
+        monkeypatch.setattr(_Function, "up", lambda fn, i: reads.append(i) or up(fn, i))
+        assert resolve(tbl, "f", call) == Selected(tbl.methods[0])
+        assert reads == []
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_strict_masks_leave_out_the_equivalents(self, mode):
+        # Hand-built: m0 and m2 are equivalent, m1 lies strictly above both.
+        tbl = MethodTable(
+            TOWER, mode, (mk("f", "Int|Flt", "m0"), mk("f", "Num", "m1"), mk("f", "Flt|Int", "m2"))
+        )
+        assert resolve(tbl, "f", T("Int")) == Ambiguous((tbl.methods[0], tbl.methods[2]))
+        assert resolve(tbl, "f", T("Cmplx")) == Selected(tbl.methods[1])
+        assert _function(tbl, "f")._strict == [0b010, 0b000, 0b010]
 
 
 class TestStabilityScenario:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 
 from conftest import TOWER, T, type_exprs
-from tagsub.core import Name, Pair, Union, UnknownName, validate_hierarchy
+from tagsub import frontend
+from tagsub.core import Decl, Name, Pair, Union, UnknownName, validate_hierarchy
 from tagsub.frontend import ParseError, parse_type, print_type
 from tagsub.gen import random_hierarchy
 
@@ -268,6 +269,64 @@ class TestAgainstReference:
     )
     def test_edge_cases(self, src):
         assert _outcome(parse_type, src, TOWER) == _outcome(reference_parse, src, TOWER)
+
+    # A declaration may name anything, but only names of the grammar parse:
+    # any other declared name is a bad character wherever it appears.
+    ODD = validate_hierarchy(
+        [*TOWER.decls, Decl("a-b", False), Decl("Ωmega", False), Decl("1x", False), Decl("_x", False)]
+    )
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "a-b", "Ωmega", "1x", "_x", "Int*a-b", "a-b*Int", "(Int|Ωmega)", "Int×1x", "_x∪Int",
+            "Int Ωmega", "Ghost|a-b", "Int*(a-b", "Int)a-b", "a - b", "Int|", "x1|_x",
+        ],
+    )
+    def test_odd_declared_names(self, src):
+        for h in (self.ODD, TOWER):
+            assert _outcome(parse_type, src, h) == _outcome(reference_parse, src, h)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_odd_declared_names_fuzzed(self, seed):
+        rng = random.Random(seed)
+        names = [n.text for n in self.ODD.names]
+        for _ in range(60):
+            for src in _mutants(rng, _random_source(rng, names, rng.randint(1, 5)), 2):
+                assert _outcome(parse_type, src, self.ODD) == _outcome(reference_parse, src, self.ODD), src
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "\x1c", "\u2003", "\u3000", "Int\x1c*\u2003Flt\u3000", "\u3000(Int\x1c|\u2003Flt)\x1c",
+            "Int\u3000Flt", "Int\x1c&", "\u2003Ghost\u3000", "Int\u2003|\x1c", "(\u3000Int",
+        ],
+    )
+    def test_unicode_whitespace(self, src):
+        assert _outcome(parse_type, src, TOWER) == _outcome(reference_parse, src, TOWER)
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "Int×Flt", "Int∪Flt×Str", "(Int∪Flt)×Str", "Int×(Flt∪Str)", "Int×", "×Int", "Int∪∪Flt",
+            "Ghost×Int", "Int×Ghost", "Int∪Ghost&", "Int×∪Flt", "Int×)",
+        ],
+    )
+    def test_unicode_operators_touching_names(self, src):
+        assert _outcome(parse_type, src, TOWER) == _outcome(reference_parse, src, TOWER)
+
+
+class TestCheckOnlyOnError:
+    class Refuse:
+        def match(self, src):
+            raise AssertionError(f"checked {src!r}")
+
+    def test_a_successful_parse_runs_no_check(self, monkeypatch):
+        monkeypatch.setattr(frontend, "_CHECK_RE", self.Refuse())
+        for src in ["Int", " Str × ( Int ∪ Flt ) ", "((Int|Flt)*Num)\u3000", TestSharedLeaves.SRC]:
+            parse_type(src, TOWER)
+        with pytest.raises(AssertionError):
+            parse_type("Int*Ghost", TOWER)
 
 
 def _name_leaves(t):
