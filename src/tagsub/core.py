@@ -381,12 +381,6 @@ def _leaves(t: TypeExpr, kind: type) -> list[TypeExpr]:
     right: a union's arms for Union, a pair tree's components for Pair."""
     if not isinstance(t, kind):
         return [t]
-    left, right = t.left, t.right
-    if not isinstance(right, kind):  # most unions have two or three arms
-        if not isinstance(left, kind):
-            return [left, right]
-        if not isinstance(left.left, kind) and not isinstance(left.right, kind):
-            return [left.left, left.right, right]
     out, todo = [], [t]
     while todo:
         x = todo.pop()

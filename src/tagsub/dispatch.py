@@ -158,30 +158,31 @@ class _Function:
         while rest:
             low = rest & -rest
             rest ^= low
-            i = low.bit_length() - 1
-            s = strict[i]
+            s = strict[low.bit_length() - 1]
             if s is None:
-                self._classify(cands)
-                s = strict[i]
+                return self._classify(cands)
             above |= s
         return cands & ~above
 
-    def _classify(self, cands: int) -> None:
-        """Fill the strict mask (the signatures strictly above) of each candidate.
+    def _classify(self, cands: int) -> int:
+        """minimal(cands) worked out from the candidates' up masks, which
+        memoizes the strict mask of each candidate.
 
         A signature equivalent to a candidate is one too, and equivalent
         signatures share an up mask, so grouping the candidates by up mask
-        finds their classes.  Classes are filled whole, so the candidates
-        without a strict mask hold whole classes, and each up mask is read once.
+        finds their classes.  Each up mask is read once.
         """
-        strict, classes = self._strict, {}  # up mask -> the candidates that have it
-        for i in _bits(cands):
-            if strict[i] is None:
-                up = self.up(i)
-                classes[up] = classes.get(up, 0) | 1 << i
-        for up, same in classes.items():
-            for i in _bits(same):
-                strict[i] = up & ~same
+        strict, ups, bits = self._strict, self._up, _bits(cands)
+        classes: dict[int, int] = {}  # up mask -> the candidates that have it
+        for i in bits:
+            up = self.up(i)
+            classes[up] = classes.get(up, 0) | 1 << i
+        above = 0
+        for i in bits:
+            up = ups[i]
+            strict[i] = s = up & ~classes[up]
+            above |= s
+        return cands & ~above
 
     def candidates(self, call: TypeExpr) -> int:
         """The bits of the signatures at or above the call."""

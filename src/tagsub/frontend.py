@@ -20,14 +20,13 @@ keeps leaves only for names of the grammar, so a token holding any other
 character is never a name and a parse that succeeds has seen only names,
 operators and whitespace.  Only an error runs the regex check of the whole
 source, so a bad character anywhere still wins over an earlier unknown name
-or a misplaced operator.  Tokens carry no positions: an error rescans the
-source for the position of the token it reports.
+or a misplaced operator.  Tokens carry no positions: an error steps through
+the source token by token to the one it reports.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import islice
 
 from .core import NominalHierarchy, Pair, TagsubError, TypeExpr, Union, UnknownName
 
@@ -44,10 +43,6 @@ class ParseError(TagsubError):
 # class: inside it they made the pattern three times as slow to compile, which
 # every fresh process pays.
 _CHECK_RE = re.compile(r"(?:[A-Za-z][A-Za-z0-9_]*|[*|()\s]|×|∪)*")
-# Once checked, a word is a name and any other non-space is an operator; the
-# empty match at the end of the source is the end token.  On a checked source
-# these are exactly the tokens of _tokens, with their positions.
-_TOKEN_RE = re.compile(r"\w+|\S|\Z")
 
 
 def _tokens(src: str) -> list[str]:
@@ -72,9 +67,18 @@ def _check(src: str) -> None:
         raise ParseError(f"unexpected character {src[bad]!r}", bad)
 
 
-def _position(src: str, i: int) -> int:
-    """Where the i-th token of a checked source starts."""
-    return next(islice(_TOKEN_RE.finditer(src), i, None)).start()
+def _position(src: str, tokens: list[str], i: int) -> int:
+    """Where tokens[i] starts in src, a checked source split into tokens.
+
+    Only whitespace lies between two tokens of a checked source, so each token
+    is the first occurrence of its text after the one before it.
+    """
+    if not tokens[i]:
+        return len(src)
+    pos = 0
+    for tok in tokens[:i]:
+        pos = src.find(tok, pos) + len(tok)
+    return src.find(tokens[i], pos)
 
 
 def parse_type(src: str, h: NominalHierarchy) -> TypeExpr:
@@ -95,7 +99,7 @@ def parse_type(src: str, h: NominalHierarchy) -> TypeExpr:
         t = leaves.get(tok)
         if t is None:
             _check(src)
-            pos = _position(src, i - 1)
+            pos = _position(src, tokens, i - 1)
             if tok[:1].isalpha():
                 raise UnknownName(f"unknown name {tok!r} at position {pos}", pos)
             raise ParseError(f"expected a name or '(', got {tok!r}", pos)
@@ -113,11 +117,11 @@ def parse_type(src: str, h: NominalHierarchy) -> TypeExpr:
             if not groups:
                 if tok:
                     _check(src)
-                    raise ParseError(f"unexpected {tok!r}", _position(src, i - 1))
+                    raise ParseError(f"unexpected {tok!r}", _position(src, tokens, i - 1))
                 return union
             if tok != ")":
                 _check(src)
-                raise ParseError("expected ')'", _position(src, i - 1))
+                raise ParseError("expected ')'", _position(src, tokens, i - 1))
             t = union
             union, prod = groups.pop()
 

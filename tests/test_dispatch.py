@@ -996,6 +996,18 @@ class TestStrictMasks:
         assert resolve(tbl, "f", T("Cmplx")) == Selected(tbl.methods[1])
         assert _function(tbl, "f")._strict == [0b010, 0b000, 0b010]
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_warm_resolves_agree_with_cold_ones(self, mode):
+        # Later calls share some of their candidates with earlier ones, so
+        # they meet a memo that holds the strict masks of only some of them.
+        text = arity_file(mode, 3)
+        warm = parse_methods(text, TOWER)
+        parts = ["Int", "Flt", "Cmplx", "Str", "Real", "Num", "Int|Flt", "Real|Str"]
+        rng = random.Random(7)
+        for _ in range(60):
+            call = T("*".join(f"({rng.choice(parts)})" for _ in range(3)))
+            assert resolve(warm, "f", call) == resolve(parse_methods(text, TOWER), "f", call)
+
 
 class TestStabilityScenario:
     """The four-method program, before and after the Int8 extension."""
