@@ -4,13 +4,14 @@
     python3 scripts/bench_medians.py --label baseline --workload queries --seed 9
 
 For each chosen workload and seed this runs ``perfbench/run.py --trace 0``
-once, in the checkout given by ``--root`` (this repository by default), and
-writes ``BENCH_<label>.json`` at the root of this repository.  The file holds,
-per workload, each end-to-end metric's median over the runs, its per-run
-values and its unit, plus the commit, whether ``src/`` differed from it, the
-source digest, the Python version and the CPU count of the runs.  With
-``--append`` the runs are added to an existing file and the medians are taken
-over all of them, so runs of two checkouts can be alternated:
+once, in the checkout given by ``--root`` (this repository by default), after
+deleting that checkout's ``src/tagsub/__pycache__`` so that it imports from
+source, and writes ``BENCH_<label>.json`` at the root of this repository.
+The file holds, per workload, each end-to-end metric's median over the runs,
+its per-run values and its unit, plus the commit, whether ``src/`` differed
+from it, the source digest, the Python version and the CPU count of the runs.
+With ``--append`` the runs are added to an existing file and the medians are
+taken over all of them, so runs of two checkouts can be alternated:
 
     for i in 1 2 3; do
         python3 scripts/bench_medians.py --label baseline --root ../parent --append
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -42,7 +44,13 @@ WORKLOADS = ("queries", "arity", "dispatch")
 
 
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py --trace 0`` run: its report and its result line."""
+    """One ``perfbench/run.py --trace 0`` run: its report and its result line.
+
+    ``<root>/src/tagsub/__pycache__`` is deleted first, so that the run
+    imports the package from source even where bytecode compiled from other
+    sources was left behind; both sides of a pair are then measured alike.
+    """
+    shutil.rmtree(os.path.join(root, "src", "tagsub", "__pycache__"), ignore_errors=True)
     proc = subprocess.run(
         [
             sys.executable,

@@ -12,8 +12,9 @@ signatures (see :class:`tagsub.subtyping._Node`), the node that subtyping
 decides verdicts with: it answers "which signatures hold this type" as one
 bit mask, so resolving makes no subtype call.  Equivalent signatures have
 equal up masks (the signatures at or above each).  A signature's up mask
-without its equivalents, its strict mask, is worked out once from the up
-masks and orders the candidates on every later call.
+without its equivalents, its strict mask, orders the candidates.  A
+function's strict masks are worked out together, once: at build, or at its
+first resolve with two candidates or more.
 
 Insertion builds that same compiled function.  :func:`add_method` and
 :func:`parse_methods` both insert through one routine that takes a batch of
@@ -138,7 +139,7 @@ class _Function:
         self.h, self.mode, self.methods, self.checked = h, mode, tuple(methods), checked
         self._root: _Node | None = None
         self._up: list[int | None] = [None] * len(self.methods)
-        self._strict: list[int | None] = [None] * len(self.methods)
+        self._strict: list[int] | None = None
 
     def root(self) -> _Node:
         if self._root is None:
@@ -152,36 +153,24 @@ class _Function:
             self._up[i] = self.root().mask(self.methods[i].signature)
         return self._up[i]
 
+    def strict(self) -> list[int]:
+        """Per signature, the bits of the signatures strictly above it: its up
+        mask without its class, found by grouping the up masks by value."""
+        if self._strict is None:
+            ups = [self.up(i) for i in range(len(self.methods))]
+            classes: dict[int, int] = {}  # up mask -> the signatures that have it
+            for i, up in enumerate(ups):
+                classes[up] = classes.get(up, 0) | 1 << i
+            self._strict = [up & ~classes[up] for up in ups]
+        return self._strict
+
     def minimal(self, cands: int) -> int:
         """The candidates that no candidate lies strictly below: in no candidate's strict mask."""
-        strict, above, rest = self._strict, 0, cands
+        strict, above, rest = self.strict(), 0, cands
         while rest:
             low = rest & -rest
             rest ^= low
-            s = strict[low.bit_length() - 1]
-            if s is None:
-                return self._classify(cands)
-            above |= s
-        return cands & ~above
-
-    def _classify(self, cands: int) -> int:
-        """minimal(cands) worked out from the candidates' up masks, which
-        memoizes the strict mask of each candidate.
-
-        A signature equivalent to a candidate is one too, and equivalent
-        signatures share an up mask, so grouping the candidates by up mask
-        finds their classes.  Each up mask is read once.
-        """
-        strict, ups, bits = self._strict, self._up, _bits(cands)
-        classes: dict[int, int] = {}  # up mask -> the candidates that have it
-        for i in bits:
-            up = self.up(i)
-            classes[up] = classes.get(up, 0) | 1 << i
-        above = 0
-        for i in bits:
-            up = ups[i]
-            strict[i] = s = up & ~classes[up]
-            above |= s
+            above |= strict[low.bit_length() - 1]
         return cands & ~above
 
     def candidates(self, call: TypeExpr) -> int:
@@ -259,6 +248,8 @@ def _insert(tbl: MethodTable, new: Sequence[MethodDef]) -> MethodTable:
                     first[js[p - k]] = where[i]
                     break
         if all(first[j] == base + j for j in js):
+            if k == 0:  # the loop has read every up mask
+                fn.strict()
             compiled[name] = fn
         elif done == k:
             replaced.append(name)

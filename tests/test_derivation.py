@@ -28,6 +28,7 @@ from tagsub.derivation import (
     SD_TRANS,
     SD_UNION_L,
     SD_UNION_R1,
+    SD_UNION_R2,
     Derivation,
     InvalidTrace,
     check_declarative,
@@ -166,6 +167,35 @@ class TestChecker:
         assert not check_declarative(TOWER, Derivation(SD_DISTR1, t, over_right))
         assert check_declarative(TOWER, Derivation(SD_DISTR2, t, over_right))
         assert not check_declarative(TOWER, Derivation(SD_DISTR2, t, over_left))
+
+
+class TestMalformedDerivations:
+    """Nodes that break their rule's schema: rejected in both modes."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize(
+        "d",
+        [
+            Derivation("SD-Bogus", T("Int"), T("Str")),
+            Derivation(SD_ABS_UNION, T("Int"), T("Int")),
+            Derivation(
+                SD_UNION_R1, T("Int"), T("Int|Str"), (Derivation(SD_REFL, T("Int"), T("Int")),)
+            ),
+            Derivation(
+                SD_UNION_R2, T("Str"), T("Int|Str"), (Derivation(SD_REFL, T("Str"), T("Str")),)
+            ),
+            Derivation(SD_NOM, Name(NominalName("Ghost", False)), T("Real")),
+        ],
+        ids=[
+            "unknown rule",
+            "SD-AbsUnion on a concrete name",
+            "SD-UnionR1 with a premise",
+            "SD-UnionR2 with a premise",
+            "SD-Nom from an undeclared name",
+        ],
+    )
+    def test_rejected(self, d, mode):
+        assert not check_declarative(TOWER, d, mode)
 
 
 class TestSynthesize:

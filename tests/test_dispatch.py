@@ -1008,6 +1008,15 @@ class TestStrictMasks:
             call = T("*".join(f"({rng.choice(parts)})" for _ in range(3)))
             assert resolve(warm, "f", call) == resolve(parse_methods(text, TOWER), "f", call)
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_the_first_resolve_reads_no_up_mask(self, mode, monkeypatch):
+        # The build has read every up mask and left the strict masks behind.
+        tbl = parse_methods(arity_file(mode, 4), TOWER)
+        reads, up = [], _Function.up
+        monkeypatch.setattr(_Function, "up", lambda fn, i: reads.append(i) or up(fn, i))
+        assert resolve(tbl, "f", T("Int*Int*Int*Int")) == Selected(tbl.methods[0])
+        assert reads == []
+
 
 class TestStabilityScenario:
     """The four-method program, before and after the Int8 extension."""

@@ -323,6 +323,24 @@ class TestTraceChecker:
         assert check_reductive_trace(TOWER, trace)
 
 
+class TestMalformedTraces:
+    """Nodes that break their rule's schema: rejected in both modes."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            ReductiveTrace("SR-Bogus", T("Int"), T("Str")),
+            ReductiveTrace(
+                SR_NOM, T("Int"), T("Real"), (ReductiveTrace(SR_BASE_REFL, T("Int"), T("Int")),)
+            ),
+        ],
+        ids=["unknown rule", "SR-Nom with a premise"],
+    )
+    def test_rejected(self, trace, mode):
+        assert not check_reductive_trace(TOWER, trace, mode)
+
+
 class TestAgainstOracle:
     def test_exhaustive_depth_2_both_modes(self):
         ts = types_up_to(TOWER, 2)
