@@ -15,6 +15,7 @@ from __future__ import annotations
 from .core import (
     Name,
     NominalHierarchy,
+    NominalName,
     Pair,
     TagsubError,
     TypeExpr,
@@ -38,6 +39,7 @@ from .subtyping import (
     _set_premises,
     _set_rhs,
     _set_rule,
+    _split_premises,
     check_reductive_trace,
     format_trace,
 )
@@ -118,41 +120,25 @@ def check_declarative(
     if d.rule == SD_NOM:
         if prem or not (isinstance(lhs, Name) and isinstance(rhs, Name)):
             return False
-        if lhs.name == rhs.name:
+        n1, n2 = lhs.name, rhs.name
+        if not (isinstance(n1, NominalName) and isinstance(n2, NominalName)) or n1 == n2:
             return False
         try:
-            return nominal_subtype(h, lhs.name, rhs.name)
+            return nominal_subtype(h, n1, n2)
         except UnknownName:
             return False
     if d.rule == SD_ABS_UNION:
         if mode is Mode.ATOMIC or prem:
             return False
-        if not (isinstance(lhs, Name) and lhs.name.abstract):
+        if not (isinstance(lhs, Name) and isinstance(lhs.name, NominalName) and lhs.name.abstract):
             return False
         try:
             return rhs == descendant_union(h, lhs.name)
         except (EmptyAbstract, UnknownName):
             return False
-    if d.rule == SD_PAIR:
+    if d.rule in (SD_PAIR, SD_UNION_L):
         return (
-            isinstance(lhs, Pair)
-            and isinstance(rhs, Pair)
-            and len(prem) == 2
-            and prem[0].lhs == lhs.left
-            and prem[0].rhs == rhs.left
-            and prem[1].lhs == lhs.right
-            and prem[1].rhs == rhs.right
-            and check_declarative(h, prem[0], mode)
-            and check_declarative(h, prem[1], mode)
-        )
-    if d.rule == SD_UNION_L:
-        return (
-            isinstance(lhs, Union)
-            and len(prem) == 2
-            and prem[0].lhs == lhs.left
-            and prem[0].rhs == rhs
-            and prem[1].lhs == lhs.right
-            and prem[1].rhs == rhs
+            _split_premises(d.rule == SD_PAIR, lhs, rhs, prem)
             and check_declarative(h, prem[0], mode)
             and check_declarative(h, prem[1], mode)
         )

@@ -24,19 +24,20 @@ signature above it runs once too, and equivalence is both bits set.  So an
 n-method file costs n walks, not n²/2, and when every new signature of a
 function is appended the node and its masks become the new table's compiled
 function, so the first resolve walks only the call.  Each new signature is
-checked in full once, before it is inserted (:func:`parse_methods` checks
-the lines it has read before it raises a read error, so that errors come in
-line order).  The record that a function's signatures are all checked is
-its compiled function, marked checked by the insertion that hands it over
-or by its first call, after whose walk a hand-built function is checked in
-table order.  Without that record, insertion checks the earlier signatures
-in table order, each just before it is walked.  A call is checked by its walk.
+checked in full once, where it enters: :func:`add_method` checks its one
+signature, and :func:`parse_methods` each line's signature as it reads the
+line, so that errors come in line order.  The record that a function's
+signatures are all checked is its compiled function, marked checked by the
+insertion that hands it over or by its first call, after whose walk a
+hand-built function is checked in table order.  Without that record,
+insertion checks the earlier signatures in table order, each just before it
+is walked.  A call is checked by its walk.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -205,11 +206,12 @@ def _function(tbl: MethodTable, function: str) -> _Function:
 
 def add_method(tbl: MethodTable, m: MethodDef) -> MethodTable:
     """Insert m, replacing an equivalent-signature method of the same function."""
+    validate_type(tbl.hierarchy, m.signature, tbl.mode is Mode.SEMANTIC)
     return _insert(tbl, [m])
 
 
 def _insert(tbl: MethodTable, new: Sequence[MethodDef]) -> MethodTable:
-    """Insert the methods new in order, checking each signature first.
+    """Insert the methods new, whose signatures are checked, in order.
 
     The result is that of inserting them one at a time: each method takes the
     place of the first method of its function, in table order, whose signature
@@ -219,8 +221,6 @@ def _insert(tbl: MethodTable, new: Sequence[MethodDef]) -> MethodTable:
     every new method is appended.
     """
     h, mode, nonempty = tbl.hierarchy, tbl.mode, tbl.mode is Mode.SEMANTIC
-    for m in new:
-        validate_type(h, m.signature, nonempty)
     base = len(tbl.methods)
     first = [0] * len(new)  # per new method: the position of its first equivalent
     names = dict.fromkeys(m.function for m in new)
@@ -262,7 +262,7 @@ def _insert(tbl: MethodTable, new: Sequence[MethodDef]) -> MethodTable:
             methods[slot.get(first[j], first[j])] = m
     for name in replaced:  # keeps the record; the node is built on first use
         compiled[name] = _Function(h, mode, [m for m in methods if m.function == name], True)
-    out = replace(tbl, methods=tuple(methods))
+    out = MethodTable(h, mode, tuple(methods))
     out._compiled.update(compiled)
     return out
 
@@ -304,29 +304,25 @@ def parse_methods(text: str, h: NominalHierarchy) -> MethodTable:
 
     mode: Mode | None = None
     defs: list[MethodDef] = []
-    try:
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            m = _MODE_RE.match(line)
-            if m:
-                if mode is not None:
-                    raise MethodFileError(f"line {lineno}: duplicate mode declaration")
-                mode = Mode(m.group(1))
-                continue
-            m = _METHOD_RE.match(line)
-            if m is None:
-                raise MethodFileError(f"line {lineno}: cannot parse {line!r}")
-            if mode is None:
-                raise MethodFileError(f"line {lineno}: method before mode declaration")
-            fn, sig_src, body = m.groups()
-            defs.append(MethodDef(fn, parse_type(sig_src, h), body))
-    except TagsubError:
-        # Errors come in line order: an earlier line's signature error first.
-        for d in defs:
-            validate_type(h, d.signature, mode is Mode.SEMANTIC)
-        raise
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        m = _MODE_RE.match(line)
+        if m:
+            if mode is not None:
+                raise MethodFileError(f"line {lineno}: duplicate mode declaration")
+            mode = Mode(m.group(1))
+            continue
+        m = _METHOD_RE.match(line)
+        if m is None:
+            raise MethodFileError(f"line {lineno}: cannot parse {line!r}")
+        if mode is None:
+            raise MethodFileError(f"line {lineno}: method before mode declaration")
+        fn, sig_src, body = m.groups()
+        sig = parse_type(sig_src, h)
+        validate_type(h, sig, mode is Mode.SEMANTIC)
+        defs.append(MethodDef(fn, sig, body))
     if mode is None:
         raise MethodFileError("missing mode declaration")
     return _insert(MethodTable(h, mode), defs)

@@ -294,15 +294,43 @@ class _Node:
         return out
 
 
-def _nominal_step(h, lhs: Name, rhs: Name, mode: Mode) -> ReductiveTrace | None:
+def _name_rule(h, lhs, rhs, mode: Mode) -> str | None:
+    # The name-leaf rule that concludes lhs <: rhs, if any: SR-BaseRefl for a
+    # concrete name of h below itself, else SR-Nom along nominal_subtype from
+    # a left name that is concrete unless the mode is atomic.  Identity is
+    # tried before ==, a Python call, since names parsed over h are h's own.
+    if not (isinstance(lhs, Name) and isinstance(rhs, Name)):
+        return None
     n1, n2 = lhs.name, rhs.name
-    if n1 == n2 and not n1.abstract:
-        return ReductiveTrace(SR_BASE_REFL, lhs, rhs)
+    if not (isinstance(n1, NominalName) and isinstance(n2, NominalName)):
+        return None
+    if (n1 is n2 or n1 == n2) and not n1.abstract:
+        declared = h._names.get(n1.text)
+        return SR_BASE_REFL if declared is n1 or declared == n1 else None
     if n1.abstract and mode is not Mode.ATOMIC:
         return None
-    if nominal_subtype(h, n1, n2):
-        return ReductiveTrace(SR_NOM, lhs, rhs)
-    return None
+    try:
+        return SR_NOM if nominal_subtype(h, n1, n2) else None
+    except UnknownName:
+        return None
+
+
+def _split_premises(componentwise: bool, lhs, rhs, prem: tuple) -> bool:
+    # The premise schema that SR-Pair and SD-Pair share (componentwise: pairs
+    # lhs and rhs, related left to left and right to right) and that
+    # SR-UnionL and SD-UnionL share (lhs a union, each arm related to rhs).
+    # The caller checks the two premises themselves, left first.  A tuple
+    # compares its items by identity before ==, and a premise's sides are
+    # usually the very subterms of the node's.
+    if componentwise:
+        if not (isinstance(lhs, Pair) and isinstance(rhs, Pair)):
+            return False
+        want = (lhs.left, rhs.left, lhs.right, rhs.right)
+    elif isinstance(lhs, Union):
+        want = (lhs.left, rhs, lhs.right, rhs)
+    else:
+        return False
+    return len(prem) == 2 and (prem[0].lhs, prem[0].rhs, prem[1].lhs, prem[1].rhs) == want
 
 
 def _decide(
@@ -317,8 +345,8 @@ def _decide(
         return p2 and ReductiveTrace(SR_UNION_L, lhs, rhs, (p1, p2))
     direct: ReductiveTrace | None = None
     if isinstance(rhs, Name):
-        if isinstance(lhs, Name):
-            direct = _nominal_step(h, lhs, rhs, mode)
+        rule = _name_rule(h, lhs, rhs, mode)
+        direct = rule and ReductiveTrace(rule, lhs, rhs)
     elif isinstance(rhs, Pair):
         if isinstance(lhs, Pair):
             p1 = _decide(h, lhs.left, rhs.left, mode, nfs)
@@ -384,46 +412,11 @@ def _check(h, tr: ReductiveTrace, mode: Mode, nf_allowed: bool) -> bool:
     for p in prem:
         if not isinstance(p, ReductiveTrace):
             return False
-    if tr.rule == SR_BASE_REFL:
+    if tr.rule in (SR_BASE_REFL, SR_NOM):
+        return not prem and _name_rule(h, lhs, rhs, mode) == tr.rule
+    if tr.rule in (SR_PAIR, SR_UNION_L):
         return (
-            not prem
-            and isinstance(lhs, Name)
-            and lhs == rhs
-            and not lhs.name.abstract
-            and h._names.get(lhs.name.text) == lhs.name
-        )
-    if tr.rule == SR_NOM:
-        if prem or not (isinstance(lhs, Name) and isinstance(rhs, Name)):
-            return False
-        n1, n2 = lhs.name, rhs.name
-        if n1.abstract and mode is not Mode.ATOMIC:
-            return False
-        if n1 == n2 and not n1.abstract:
-            return False
-        try:
-            return nominal_subtype(h, n1, n2)
-        except UnknownName:
-            return False
-    if tr.rule == SR_PAIR:
-        return (
-            isinstance(lhs, Pair)
-            and isinstance(rhs, Pair)
-            and len(prem) == 2
-            and prem[0].lhs == lhs.left
-            and prem[0].rhs == rhs.left
-            and prem[1].lhs == lhs.right
-            and prem[1].rhs == rhs.right
-            and _check(h, prem[0], mode, nf_allowed)
-            and _check(h, prem[1], mode, nf_allowed)
-        )
-    if tr.rule == SR_UNION_L:
-        return (
-            isinstance(lhs, Union)
-            and len(prem) == 2
-            and prem[0].lhs == lhs.left
-            and prem[0].rhs == rhs
-            and prem[1].lhs == lhs.right
-            and prem[1].rhs == rhs
+            _split_premises(tr.rule == SR_PAIR, lhs, rhs, prem)
             and _check(h, prem[0], mode, nf_allowed)
             and _check(h, prem[1], mode, nf_allowed)
         )

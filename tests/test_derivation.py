@@ -169,6 +169,88 @@ class TestChecker:
         assert not check_declarative(TOWER, Derivation(SD_DISTR2, t, over_left))
 
 
+def D(rule, lhs, rhs, *premises, witness=None):
+    """A derivation node; a side or witness given as text is parsed over TOWER."""
+    lhs, rhs, witness = (T(x) if isinstance(x, str) else x for x in (lhs, rhs, witness))
+    return Derivation(rule, lhs, rhs, premises, witness)
+
+
+#: Declared names of TOWER with the other kind, and an abstract name and its
+#: one child declared only in another hierarchy.
+ABSTRACT_INT = Name(NominalName("Int", True))
+CONCRETE_REAL = Name(NominalName("Real", False))
+SHAPE, CIRCLE = (
+    Name(n) for n in validate_hierarchy([Decl("Shape", True), Decl("Circle", False, "Shape")]).names
+)
+ALL_MODES = tuple(Mode)
+D_INT, D_REAL = D(SD_REFL, "Int", "Int"), D(SD_REFL, "Real", "Real")
+INT_REAL, FLT_REAL = D(SD_NOM, "Int", "Real"), D(SD_NOM, "Flt", "Real")
+INT_FLT, FLT_INT = (INT_REAL, FLT_REAL), (FLT_REAL, INT_REAL)  # in and out of order
+INT_NUM, FLT_NUM = D(SD_NOM, "Int", "Num"), D(SD_NOM, "Flt", "Num")
+REAL_NUM = D(SD_NOM, "Real", "Num")
+BAD = D(SD_REFL, "Flt", "Real")  # a well-typed premise that no rule concludes
+TRACE_INT = ReductiveTrace(SR_BASE_REFL, T("Int"), T("Int"))
+#: The two distributions of a pair with one union component.
+OVER_LEFT, OVER_RIGHT = ("(Int|Flt)*Str", "Int*Str|Flt*Str"), ("Str*(Int|Flt)", "Str*Int|Str*Flt")
+
+
+def trans(lhs, witness, rhs, *premises):
+    """An SD-Trans node from lhs through witness to rhs."""
+    return D(SD_TRANS, lhs, rhs, *premises, witness=witness)
+
+
+#: Per rule, nodes that break its schema in one way each: (id, node, the
+#: modes that reject it).  A node rejected in one mode only is accepted in
+#: the other, which pins the mode as the reason.
+MALFORMED_DERIVATION_TABLE = [
+    ("SD-Refl with a premise", D(SD_REFL, "Int", "Int", D_INT), ALL_MODES),
+    ("SD-Refl between distinct names", D(SD_REFL, "Int", "Flt"), ALL_MODES),
+    ("SD-Refl with a witness", D(SD_REFL, "Int", "Int", witness="Int"), ALL_MODES),
+    ("SD-Nom with a premise", D(SD_NOM, "Int", "Real", D_INT), ALL_MODES),
+    ("SD-Nom on one name", D(SD_NOM, "Int", "Int"), ALL_MODES),
+    ("SD-Nom on one abstract name", D(SD_NOM, "Real", "Real"), ALL_MODES),
+    ("SD-Nom upward", D(SD_NOM, "Real", "Int"), ALL_MODES),
+    ("SD-Nom from an abstract Int", D(SD_NOM, ABSTRACT_INT, "Real"), ALL_MODES),
+    ("SD-Nom to a concrete Real", D(SD_NOM, "Int", CONCRETE_REAL), ALL_MODES),
+    ("SD-Nom to another hierarchy's name", D(SD_NOM, CIRCLE, SHAPE), ALL_MODES),
+    ("SD-AbsUnion with a premise", D(SD_ABS_UNION, "Real", "Int|Flt", D_REAL), ALL_MODES),
+    ("SD-AbsUnion upward", D(SD_ABS_UNION, "Int|Flt", "Real"), ALL_MODES),
+    ("SD-AbsUnion to a partial union", D(SD_ABS_UNION, "Real", "Int"), ALL_MODES),
+    ("SD-AbsUnion to a reordered union", D(SD_ABS_UNION, "Real", "Flt|Int"), ALL_MODES),
+    ("SD-AbsUnion on a concrete Real", D(SD_ABS_UNION, CONCRETE_REAL, "Int|Flt"), ALL_MODES),
+    ("SD-AbsUnion on an abstract Int", D(SD_ABS_UNION, ABSTRACT_INT, "Int"), ALL_MODES),
+    ("SD-AbsUnion on another hierarchy's name", D(SD_ABS_UNION, SHAPE, CIRCLE), ALL_MODES),
+    ("SD-AbsUnion in the atomic mode", D(SD_ABS_UNION, "Real", "Int|Flt"), (Mode.ATOMIC,)),
+    ("SD-Pair with one premise", D(SD_PAIR, "Int*Flt", "Real*Real", INT_REAL), ALL_MODES),
+    ("SD-Pair over traces", D(SD_PAIR, "Int*Int", "Int*Int", TRACE_INT, TRACE_INT), ALL_MODES),
+    ("SD-Pair with swapped premises", D(SD_PAIR, "Int*Flt", "Real*Real", *FLT_INT), ALL_MODES),
+    ("SD-Pair over a bad second premise", D(SD_PAIR, "Int*Flt", "Real*Real", INT_REAL, BAD), ALL_MODES),
+    ("SD-Pair to a name", D(SD_PAIR, "Int*Flt", "Real", INT_REAL, FLT_REAL), ALL_MODES),
+    ("SD-UnionL with three premises", D(SD_UNION_L, "Int|Flt", "Real", *INT_FLT, D_INT), ALL_MODES),
+    ("SD-UnionL over traces", D(SD_UNION_L, "Int|Int", "Int", TRACE_INT, TRACE_INT), ALL_MODES),
+    ("SD-UnionL with swapped premises", D(SD_UNION_L, "Int|Flt", "Real", *FLT_INT), ALL_MODES),
+    ("SD-UnionL from a pair", D(SD_UNION_L, "Int*Flt", "Real", INT_REAL, FLT_REAL), ALL_MODES),
+    ("SD-UnionR1 naming the right arm", D(SD_UNION_R1, "Flt", "Int|Flt"), ALL_MODES),
+    ("SD-UnionR2 naming the left arm", D(SD_UNION_R2, "Int", "Int|Flt"), ALL_MODES),
+    ("SD-UnionR1 upward", D(SD_UNION_R1, "Int|Flt", "Int"), ALL_MODES),
+    ("SD-UnionR1 to a pair", D(SD_UNION_R1, "Int", "Int*Flt"), ALL_MODES),
+    ("SD-Trans without a witness", D(SD_TRANS, "Int", "Real", INT_REAL, D_REAL), ALL_MODES),
+    ("SD-Trans with one premise", trans("Int", "Real", "Real", INT_REAL), ALL_MODES),
+    ("SD-Trans over traces", trans("Int", "Int", "Int", TRACE_INT, TRACE_INT), ALL_MODES),
+    ("SD-Trans with swapped premises", trans("Int", "Real", "Num", REAL_NUM, INT_REAL), ALL_MODES),
+    ("SD-Trans, premise 1 off the witness", trans("Int", "Real", "Num", INT_NUM, REAL_NUM), ALL_MODES),
+    ("SD-Trans, premise 2 off the witness", trans("Int", "Real", "Num", INT_REAL, FLT_NUM), ALL_MODES),
+    ("SD-Trans over a bad second premise", trans("Flt", "Flt", "Real", D(SD_REFL, "Flt", "Flt"), BAD), ALL_MODES),
+    ("SD-Trans from another left side", trans("Flt", "Real", "Num", INT_REAL, REAL_NUM), ALL_MODES),
+    ("SD-Trans to another right side", trans("Int", "Real", "Real", INT_REAL, REAL_NUM), ALL_MODES),
+    ("SD-Distr1 with a premise", D(SD_DISTR1, *OVER_LEFT, D_INT), ALL_MODES),
+    ("SD-Distr1 upward", D(SD_DISTR1, *reversed(OVER_LEFT)), ALL_MODES),
+    ("SD-Distr1 from a union", D(SD_DISTR1, "Int|Flt|Str", "Int*Str|Flt*Str"), ALL_MODES),
+    ("SD-Distr2 over the left component", D(SD_DISTR2, *OVER_LEFT), ALL_MODES),
+    ("SD-Distr2 with a premise", D(SD_DISTR2, *OVER_RIGHT, D_INT), ALL_MODES),
+]
+
+
 class TestMalformedDerivations:
     """Nodes that break their rule's schema: rejected in both modes."""
 
@@ -196,6 +278,15 @@ class TestMalformedDerivations:
     )
     def test_rejected(self, d, mode):
         assert not check_declarative(TOWER, d, mode)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize(
+        "d, rejecting",
+        [row[1:] for row in MALFORMED_DERIVATION_TABLE],
+        ids=[row[0] for row in MALFORMED_DERIVATION_TABLE],
+    )
+    def test_table(self, d, rejecting, mode):
+        assert check_declarative(TOWER, d, mode) is (mode not in rejecting)
 
 
 class TestSynthesize:
@@ -680,6 +771,9 @@ class TestMalformedTrees:
             ReductiveTrace(SR_BASE_REFL, INT, INT, None),
             ReductiveTrace(SR_UNION_L, T("Int|Int"), INT, [REFL_INT, REFL_INT]),
             ReductiveTrace(SR_PAIR, T("Int*Int"), T("Int*Int"), (Derivation(SD_REFL, INT, INT),) * 2),
+            # A Name around a plain string rather than a NominalName.
+            ReductiveTrace(SR_BASE_REFL, Name("Int"), Name("Int")),
+            ReductiveTrace(SR_NOM, Name("Int"), Name("Int")),
         ],
     )
     def test_trace(self, trace):
@@ -704,6 +798,8 @@ class TestMalformedTrees:
             Derivation(SD_UNION_L, T("Int|Int"), INT, [Derivation(SD_REFL, INT, INT)] * 2),
             "Int",
             REFL_INT,
+            Derivation(SD_ABS_UNION, Name("Real"), T("Int|Flt")),
+            Derivation(SD_NOM, Name("Int"), T("Real")),
         ],
     )
     def test_derivation(self, d):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from conftest import TOWER, T, type_exprs
 from tagsub.core import Decl, Name, NominalName, Pair, Union, UnknownName, validate_hierarchy
+from tagsub.derivation import SD_REFL, Derivation
 from tagsub.gen import random_hierarchy, random_type, types_up_to, value_types_up_to
 from tagsub.normalize import EmptyAbstract, nf
 from tagsub.semantics import Mode, matches, matching_sub, semantic_sub
@@ -14,6 +15,8 @@ from tagsub.subtyping import (
     SR_NOM,
     SR_PAIR,
     SR_UNION_L,
+    SR_UNION_R1,
+    SR_UNION_R2,
     ReductiveTrace,
     Strategy,
     check_reductive_trace,
@@ -323,6 +326,86 @@ class TestTraceChecker:
         assert check_reductive_trace(TOWER, trace)
 
 
+def R(rule, lhs, rhs, *premises):
+    """A trace node; a side given as text is parsed over TOWER."""
+    lhs, rhs = (T(x) if isinstance(x, str) else x for x in (lhs, rhs))
+    return ReductiveTrace(rule, lhs, rhs, premises)
+
+
+#: Declared names of TOWER with the other kind: an abstract Int, a concrete Real.
+ABSTRACT_INT = Name(NominalName("Int", True))
+CONCRETE_REAL = Name(NominalName("Real", False))
+ALL_MODES = tuple(Mode)
+D_INT = Derivation(SD_REFL, T("Int"), T("Int"))
+INT_INT = R(SR_BASE_REFL, "Int", "Int")
+INT_REAL, FLT_REAL = R(SR_NOM, "Int", "Real"), R(SR_NOM, "Flt", "Real")
+INT_NUM, FLT_NUM = R(SR_NOM, "Int", "Num"), R(SR_NOM, "Flt", "Num")
+REAL_NUM = R(SR_UNION_L, "Int|Flt", "Num", INT_NUM, FLT_NUM)  # below SR-NF from Real
+
+
+def pair(*premises):
+    """SR-Pair concluding Int*Flt <: Real*Real, which INT_REAL, FLT_REAL prove."""
+    return R(SR_PAIR, "Int*Flt", "Real*Real", *premises)
+
+
+#: Per rule, nodes that break its schema in one way each: (id, node, the
+#: modes that reject it).  A node rejected in one mode only is accepted in
+#: the other, which pins the mode as the reason.
+MALFORMED_TRACE_TABLE = [
+    ("SR-BaseRefl with a premise", R(SR_BASE_REFL, "Int", "Int", INT_INT), ALL_MODES),
+    ("SR-BaseRefl on an abstract name", R(SR_BASE_REFL, "Real", "Real"), ALL_MODES),
+    ("SR-BaseRefl on an abstract Int", R(SR_BASE_REFL, ABSTRACT_INT, ABSTRACT_INT), ALL_MODES),
+    ("SR-BaseRefl on another hierarchy's name", R(SR_BASE_REFL, FOO, FOO), ALL_MODES),
+    ("SR-Nom upward", R(SR_NOM, "Real", "Int"), ALL_MODES),
+    ("SR-Nom from an abstract Int", R(SR_NOM, ABSTRACT_INT, "Real"), ALL_MODES),
+    ("SR-Nom to a concrete Real", R(SR_NOM, "Int", CONCRETE_REAL), ALL_MODES),
+    ("SR-Nom to another hierarchy's name", R(SR_NOM, "Int", FOO), ALL_MODES),
+    ("SR-Nom on another hierarchy's name", R(SR_NOM, FOO, FOO), ALL_MODES),
+    ("SR-Nom from an abstract name", R(SR_NOM, "Real", "Num"), (Mode.SEMANTIC,)),
+    ("SR-Pair with one premise", pair(INT_REAL), ALL_MODES),
+    ("SR-Pair with three premises", pair(INT_REAL, FLT_REAL, FLT_REAL), ALL_MODES),
+    ("SR-Pair over derivations", R(SR_PAIR, "Int*Int", "Int*Int", D_INT, D_INT), ALL_MODES),
+    ("SR-Pair with swapped premises", pair(FLT_REAL, INT_REAL), ALL_MODES),
+    ("SR-Pair, first premise off the left", pair(FLT_REAL, FLT_REAL), ALL_MODES),
+    ("SR-Pair, first premise off the right", pair(INT_NUM, FLT_REAL), ALL_MODES),
+    ("SR-Pair, second premise off the left", pair(INT_REAL, INT_REAL), ALL_MODES),
+    ("SR-Pair, second premise off the right", pair(INT_REAL, FLT_NUM), ALL_MODES),
+    ("SR-Pair over a bad second premise", pair(INT_REAL, R(SR_BASE_REFL, "Flt", "Real")), ALL_MODES),
+    ("SR-Pair from a union", R(SR_PAIR, "Int|Flt", "Real*Real", INT_REAL, FLT_REAL), ALL_MODES),
+    ("SR-Pair to a name", R(SR_PAIR, "Int*Flt", "Real", INT_REAL, FLT_REAL), ALL_MODES),
+    ("SR-UnionL with one premise", R(SR_UNION_L, "Int|Flt", "Real", INT_REAL), ALL_MODES),
+    ("SR-UnionL over derivations", R(SR_UNION_L, "Int|Int", "Int", D_INT, D_INT), ALL_MODES),
+    (
+        "SR-UnionL with swapped premises",
+        R(SR_UNION_L, "Int|Flt", "Real", FLT_REAL, INT_REAL),
+        ALL_MODES,
+    ),
+    ("SR-UnionL from a pair", R(SR_UNION_L, "Int*Flt", "Real", INT_REAL, FLT_REAL), ALL_MODES),
+    ("SR-UnionR1 without a premise", R(SR_UNION_R1, "Int", "Int|Flt"), ALL_MODES),
+    (
+        "SR-UnionR2 with two premises",
+        R(SR_UNION_R2, "Flt", "Int|Flt", FLT_REAL, FLT_REAL),
+        ALL_MODES,
+    ),
+    ("SR-UnionR1 over a derivation", R(SR_UNION_R1, "Int", "Int|Flt", D_INT), ALL_MODES),
+    ("SR-UnionR1 naming the right arm", R(SR_UNION_R1, "Flt", "Str|Real", FLT_REAL), ALL_MODES),
+    ("SR-UnionR2 naming the left arm", R(SR_UNION_R2, "Int", "Real|Str", INT_REAL), ALL_MODES),
+    ("SR-UnionR1 off the left", R(SR_UNION_R1, "Flt", "Real|Str", INT_REAL), ALL_MODES),
+    ("SR-UnionR1 to a pair", R(SR_UNION_R1, "Int", "Real*Str", INT_REAL), ALL_MODES),
+    ("SR-NF without a premise", R(SR_NF, "Real", "Num"), ALL_MODES),
+    ("SR-NF with two premises", R(SR_NF, "Real", "Num", REAL_NUM, REAL_NUM), ALL_MODES),
+    ("SR-NF over a derivation", R(SR_NF, "Int", "Int", D_INT), ALL_MODES),
+    ("SR-NF off the right", R(SR_NF, "Real", "Real|Str", REAL_NUM), ALL_MODES),
+    ("SR-NF from an abstract Int", R(SR_NF, ABSTRACT_INT, "Num", REAL_NUM), ALL_MODES),
+    ("SR-NF to the semantic normal form", R(SR_NF, "Real", "Num", REAL_NUM), (Mode.ATOMIC,)),
+    (
+        "SR-NF inside SR-NF",
+        R(SR_NF, "Real", "Num", R(SR_NF, "Int|Flt", "Num", REAL_NUM)),
+        ALL_MODES,
+    ),
+]
+
+
 class TestMalformedTraces:
     """Nodes that break their rule's schema: rejected in both modes."""
 
@@ -339,6 +422,15 @@ class TestMalformedTraces:
     )
     def test_rejected(self, trace, mode):
         assert not check_reductive_trace(TOWER, trace, mode)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize(
+        "trace, rejecting",
+        [row[1:] for row in MALFORMED_TRACE_TABLE],
+        ids=[row[0] for row in MALFORMED_TRACE_TABLE],
+    )
+    def test_table(self, trace, rejecting, mode):
+        assert check_reductive_trace(TOWER, trace, mode) is (mode not in rejecting)
 
 
 class TestAgainstOracle:

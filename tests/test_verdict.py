@@ -14,11 +14,32 @@ import pytest
 from conftest import TOWER, T
 from tagsub import subtyping
 from tagsub.core import Name, Pair, Union, nominal_subtype
+from tagsub.derivation import (
+    SD_ABS_UNION,
+    SD_DISTR1,
+    SD_DISTR2,
+    SD_NOM,
+    SD_PAIR,
+    SD_REFL,
+    SD_TRANS,
+    SD_UNION_L,
+    SD_UNION_R1,
+    SD_UNION_R2,
+    Derivation,
+    check_declarative,
+    synthesize,
+)
 from tagsub.gen import random_hierarchy, random_type
 from tagsub.normalize import nf_for_mode, nf_weight
 from tagsub.semantics import Mode, semantic_sub
 from tagsub.subtyping import (
+    SR_BASE_REFL,
     SR_NF,
+    SR_NOM,
+    SR_PAIR,
+    SR_UNION_L,
+    SR_UNION_R1,
+    SR_UNION_R2,
     ReductiveTrace,
     Strategy,
     check_reductive_trace,
@@ -317,3 +338,111 @@ class TestOneWalk:
         )
         assert reductive_sub(TOWER, T("Int*Flt"), T("Real*Real"))[0] is True
         assert calls == [T("Real*Real")]
+
+
+SR_RULES = (SR_BASE_REFL, SR_NOM, SR_PAIR, SR_UNION_L, SR_UNION_R1, SR_UNION_R2, SR_NF)
+SD_RULES = (
+    SD_REFL,
+    SD_TRANS,
+    SD_NOM,
+    SD_ABS_UNION,
+    SD_PAIR,
+    SD_UNION_L,
+    SD_UNION_R1,
+    SD_UNION_R2,
+    SD_DISTR1,
+    SD_DISTR2,
+)
+
+
+def _nodes(tree):
+    """Each node of tree with its path of premise positions from the root."""
+    out, todo = [], [(tree, ())]
+    while todo:
+        x, path = todo.pop()
+        out.append((x, path))
+        todo.extend((p, (*path, i)) for i, p in enumerate(x.premises))
+    return out
+
+
+def _remade(node, rule, lhs, rhs, premises):
+    if isinstance(node, Derivation):
+        return Derivation(rule, lhs, rhs, premises, node.witness)
+    return ReductiveTrace(rule, lhs, rhs, premises)
+
+
+def _put(tree, path, new):
+    """tree with its node at path replaced by new."""
+    if not path:
+        return new
+    premises = list(tree.premises)
+    premises[path[0]] = _put(premises[path[0]], path[1:], new)
+    return _remade(tree, tree.rule, tree.lhs, tree.rhs, tuple(premises))
+
+
+class TestMutatedProofs:
+    """Valid traces and derivations of TestVerdictDifferential's queries,
+    each with one node changed: its rule, one side, or one premise.  A
+    checker that accepts a tree accepts each of its subtrees, so wherever
+    the changed judgement is false by the semantic oracle, which knows
+    nothing of the rule schemas, the checker must reject the tree."""
+
+    def _change(self, rng, h, tree, rules):
+        # The changed node, and tree with that node in its place.
+        nodes = _nodes(tree)
+        node, path = rng.choice(nodes)
+        rule, lhs, rhs, premises = node.rule, node.lhs, node.rhs, list(node.premises)
+        kind = rng.randrange(3)
+        if kind == 0:
+            rule = rng.choice([r for r in rules if r != rule])
+        elif kind == 1:
+            other = rng.choice(
+                [
+                    Name(rng.choice(h.names)),
+                    random_type(rng, h, 2, max_nf_weight=4),
+                    rng.choice(nodes)[0].rhs,
+                    lhs if rng.random() < 0.5 else rhs,  # the two sides swapped
+                ]
+            )
+            if other is lhs or other is rhs:
+                lhs, rhs = rhs, lhs
+            elif rng.random() < 0.5:
+                lhs = other
+            else:
+                rhs = other
+        else:
+            donor = rng.choice(nodes)[0]
+            if premises and rng.random() < 0.5:
+                premises[rng.randrange(len(premises))] = donor
+            elif premises and rng.random() < 0.5:
+                del premises[rng.randrange(len(premises))]
+            else:
+                premises.insert(rng.randrange(len(premises) + 1), donor)
+        new = _remade(node, rule, lhs, rhs, tuple(premises))
+        return new, _put(tree, path, new)
+
+    def test_false_judgements_are_rejected_by_both_checkers(self):
+        rng = random.Random(2718)
+        query = TestVerdictDifferential()._query
+        rejected = {check_reductive_trace: 0, check_declarative: 0}
+        for _ in range(12):
+            h = random_hierarchy(rng, 8)
+            for q in range(60):
+                t1, t2, _ = query(rng, h, q)
+                if max(nf_weight(h, t1), nf_weight(h, t2)) > 64:
+                    continue
+                mode = Mode.SEMANTIC if q % 2 == 0 else Mode.ATOMIC
+                verdict, trace = reductive_sub(h, t1, t2, mode, rng.choice(BOTH))
+                if not verdict:
+                    continue
+                d = synthesize(h, trace, mode)
+                for tree, check, rules in (
+                    (trace, check_reductive_trace, SR_RULES),
+                    (d, check_declarative, SD_RULES),
+                ):
+                    for _ in range(6):
+                        node, changed = self._change(rng, h, tree, rules)
+                        if not semantic_sub(h, node.lhs, node.rhs, mode):
+                            assert not check(h, changed, mode), format_trace(changed)
+                            rejected[check] += 1
+        assert min(rejected.values()) >= 300, rejected
