@@ -45,18 +45,69 @@ JOBS = 2  # mutants tested at once, at most one per CPU
 
 #: (label, module, text, replacement): the text occurs once in the module.
 MUTANTS = [
+    # _is_type, the test of each root judgement's sides: one per condition.
+    (
+        "_is_type: a union or pair's right side unread",
+        S,
+        "            todo += x.left, x.right\n",
+        "            todo.append(x.left)\n",
+    ),
+    (
+        "_is_type: a subclass of Pair or Union",
+        S,
+        "        if type(x) is Pair or type(x) is Union:\n",
+        "        if isinstance(x, (Pair, Union)):\n",
+    ),
+    (
+        "_is_type: a subclass of Name",
+        S,
+        "n = x.name if type(x) is Name else None",
+        "n = x.name if isinstance(x, Name) else None",
+    ),
+    (
+        "_is_type: a Name around no NominalName",
+        S,
+        "if type(n) is NominalName and type(n.text) is str else None",
+        "if type(n.text) is str else None",
+    ),
+    (
+        "_is_type: a subclass of NominalName",
+        S,
+        "if type(n) is NominalName and type(n.text) is str else None",
+        "if isinstance(n, NominalName) and type(n.text) is str else None",
+    ),
+    (
+        "_is_type: a name whose text is no str",
+        S,
+        "if type(n) is NominalName and type(n.text) is str else None",
+        "if type(n) is NominalName else None",
+    ),
+    (
+        "_is_type: a name of the other kind",
+        S,
+        "        if declared is None or declared.abstract is not n.abstract:\n",
+        "        if declared is None:\n",
+    ),
+    (
+        "check_reductive_trace: root left side untested",
+        S,
+        "(_is_type(h, trace.lhs) and _is_type(h, trace.rhs))",
+        "_is_type(h, trace.rhs)",
+    ),
+    (
+        "check_reductive_trace: root right side untested",
+        S,
+        "(_is_type(h, trace.lhs) and _is_type(h, trace.rhs))",
+        "_is_type(h, trace.lhs)",
+    ),
+    ("check_declarative: root left side untested", D, " and _is_type(h, d.lhs)", ""),
+    ("check_declarative: root right side untested", D, " and _is_type(h, d.rhs)", ""),
     # _name_rule, the name-leaf rules SR-BaseRefl and SR-Nom: one per condition.
     (
         "name rule: sides that are not names",
         S,
         "    if not (isinstance(lhs, Name) and isinstance(rhs, Name)):\n        return None\n",
         "",
-    ),
-    (
-        "name rule: names that hold no NominalName",
-        S,
-        "    if not (isinstance(n1, NominalName) and isinstance(n2, NominalName)):\n",
-        "    if False:\n",
     ),
     (
         "name rule: SR-BaseRefl between distinct names",
@@ -71,12 +122,6 @@ MUTANTS = [
         "    if n1 is n2 or n1 == n2:\n",
     ),
     (
-        "name rule: SR-BaseRefl on an undeclared name",
-        S,
-        "SR_BASE_REFL if declared is n1 or declared == n1 else None",
-        "SR_BASE_REFL",
-    ),
-    (
         "name rule: SR-Nom from an abstract name in either mode",
         S,
         "    if n1.abstract and mode is not Mode.ATOMIC:\n        return None\n",
@@ -89,100 +134,152 @@ MUTANTS = [
         "    if n1.abstract:\n",
     ),
     (
-        "name rule: SR-Nom outside nominal_subtype",
+        "name rule: SR-Nom outside h's ancestor sets",
         S,
-        "SR_NOM if nominal_subtype(h, n1, n2) else None",
+        "SR_NOM if n2.text in h._above[n1.text] else None",
         "SR_NOM",
-    ),
-    (
-        "name rule: SR-Nom on an undeclared name",
-        S,
-        "    except UnknownName:\n        return None\n",
-        "    except UnknownName:\n        return SR_NOM\n",
     ),
     # _split_premises, the pair and left-union premise schemas: one per condition.
     (
         "premises: a pair rule from a non-pair",
         S,
-        "        if not (isinstance(lhs, Pair) and isinstance(rhs, Pair)):\n",
-        "        if not isinstance(rhs, Pair):\n",
+        "if componentwise and isinstance(lhs, Pair) and isinstance(rhs, Pair):",
+        "if componentwise and isinstance(rhs, Pair):",
     ),
     (
         "premises: a pair rule to a non-pair",
         S,
-        "        if not (isinstance(lhs, Pair) and isinstance(rhs, Pair)):\n",
-        "        if not isinstance(lhs, Pair):\n",
+        "if componentwise and isinstance(lhs, Pair) and isinstance(rhs, Pair):",
+        "if componentwise and isinstance(lhs, Pair):",
     ),
     (
         "premises: a pair rule crosswise",
         S,
-        "want = (lhs.left, rhs.left, lhs.right, rhs.right)",
-        "want = (lhs.left, rhs.right, lhs.right, rhs.left)",
+        "a, b, c, d = lhs.left, rhs.left, lhs.right, rhs.right",
+        "a, b, c, d = lhs.left, rhs.right, lhs.right, rhs.left",
     ),
     (
         "premises: a left-union rule from a non-union",
         S,
-        "    elif isinstance(lhs, Union):\n",
-        "    elif True:\n",
+        "    elif not componentwise and isinstance(lhs, Union):\n",
+        "    elif not componentwise:\n",
     ),
     (
         "premises: a left-union rule with its arms swapped",
         S,
-        "want = (lhs.left, rhs, lhs.right, rhs)",
-        "want = (lhs.right, rhs, lhs.left, rhs)",
+        "a, b, c, d = lhs.left, rhs, lhs.right, rhs",
+        "a, b, c, d = lhs.right, rhs, lhs.left, rhs",
     ),
-    ("premises: any number", S, "return len(prem) == 2 and (prem", "return (prem"),
+    ("premises: any number", S, "return len(prem) == 2 and _concludes", "return _concludes"),
+    ("premises: first premise's sides unread", S, "_concludes(prem[0], a, b) and ", ""),
+    ("premises: second premise's sides unread", S, " and _concludes(prem[1], c, d)", ""),
+    # _concludes and _same, which compare a premise's sides with the ones
+    # its node's rule gives it.
     (
-        "premises: first left side",
+        "_concludes: a premise's left side unread",
         S,
-        "(prem[0].lhs, prem[0].rhs, prem[1].lhs, prem[1].rhs) == want",
-        "(want[0], prem[0].rhs, prem[1].lhs, prem[1].rhs) == want",
-    ),
-    (
-        "premises: first right side",
-        S,
-        "(prem[0].lhs, prem[0].rhs, prem[1].lhs, prem[1].rhs) == want",
-        "(prem[0].lhs, want[1], prem[1].lhs, prem[1].rhs) == want",
+        "(p.lhs is lhs or _same(p.lhs, lhs)) and ",
+        "",
     ),
     (
-        "premises: second left side",
+        "_concludes: a premise's right side unread",
         S,
-        "(prem[0].lhs, prem[0].rhs, prem[1].lhs, prem[1].rhs) == want",
-        "(prem[0].lhs, prem[0].rhs, want[2], prem[1].rhs) == want",
+        " and (p.rhs is rhs or _same(p.rhs, rhs))",
+        "",
     ),
     (
-        "premises: second right side",
+        "_same: a value's own == believed",
         S,
-        "(prem[0].lhs, prem[0].rhs, prem[1].lhs, prem[1].rhs) == want",
-        "(prem[0].lhs, prem[0].rhs, prem[1].lhs, want[3]) == want",
+        "    if g is w:\n        return True\n    kind = type(g)\n",
+        "    if g is w or g == w:\n        return True\n    kind = type(g)\n",
+    ),
+    (
+        "_same: a pair the same as a union",
+        S,
+        "    if (kind is Pair or kind is Union) and type(w) is kind:\n",
+        "    if (kind is Pair or kind is Union) and type(w) in (Pair, Union):\n",
+    ),
+    (
+        "_same: the right components unread",
+        S,
+        "        return _same(g.left, w.left) and _same(g.right, w.right)\n",
+        "        return _same(g.left, w.left)\n",
+    ),
+    (
+        "_same: a subclass of Name",
+        S,
+        "    if kind is not Name or type(w) is not Name:\n",
+        "    if not isinstance(g, Name) or type(w) is not Name:\n",
+    ),
+    (
+        "_same: a name whose class or text is any",
+        S,
+        "(texts and m.text == n.text and m.abstract is n.abstract)",
+        "(m.text == n.text and m.abstract is n.abstract)",
+    ),
+    (
+        "_same: names of another text",
+        S,
+        "(texts and m.text == n.text and m.abstract is n.abstract)",
+        "(texts and m.abstract is n.abstract)",
+    ),
+    (
+        "_same: names of the other kind",
+        S,
+        "(texts and m.text == n.text and m.abstract is n.abstract)",
+        "(texts and m.text == n.text)",
     ),
     # _check, the reductive trace checker.
     (
         "_check: an unknown rule (item 11)",
         S,
-        "            and _check(h, prem[0], mode, nf_allowed=False)\n        )\n    return False\n",
-        "            and _check(h, prem[0], mode, nf_allowed=False)\n        )\n    return True\n",
+        "_check(h, prem[0], mode, nf_allowed=False)\n    return False\n",
+        "_check(h, prem[0], mode, nf_allowed=False)\n    return True\n",
     ),
     (
         "_check: premises that are no tuple",
         S,
+        "    if type(prem) is not tuple:\n"
+        "        return False\n"
+        "    for p in prem:\n"
+        "        if type(p) is not ReductiveTrace:",
+        "    for p in prem:\n        if type(p) is not ReductiveTrace:",
+    ),
+    (
+        "_check: premises in a subclass of tuple",
+        S,
+        "    if type(prem) is not tuple:\n"
+        "        return False\n"
+        "    for p in prem:\n"
+        "        if type(p) is not ReductiveTrace:",
         "    if not isinstance(prem, tuple):\n"
         "        return False\n"
         "    for p in prem:\n"
-        "        if not isinstance(p, ReductiveTrace):",
-        "    for p in prem:\n        if not isinstance(p, ReductiveTrace):",
+        "        if type(p) is not ReductiveTrace:",
+    ),
+    (
+        "_check: a premise of a subclass of ReductiveTrace",
+        S,
+        "        if type(p) is not ReductiveTrace:\n",
+        "        if not isinstance(p, ReductiveTrace):\n",
     ),
     (
         "_check: a name-leaf rule with premises (item 11: SR-Nom with premises)",
         S,
-        "        return not prem and _name_rule(h, lhs, rhs, mode) == tr.rule\n",
-        "        return _name_rule(h, lhs, rhs, mode) == tr.rule\n",
+        "        return not prem and rule is not None and rule == tr.rule\n",
+        "        return rule is not None and rule == tr.rule\n",
     ),
     (
         "_check: either name-leaf rule where one applies",
         S,
-        "_name_rule(h, lhs, rhs, mode) == tr.rule\n",
-        "_name_rule(h, lhs, rhs, mode) is not None\n",
+        "rule is not None and rule == tr.rule\n",
+        "rule is not None\n",
+    ),
+    (
+        "_check: a name leaf that no rule concludes, under a rule equal to every rule",
+        S,
+        " and rule is not None and rule == tr.rule\n",
+        " and rule == tr.rule\n",
     ),
     (
         "_check: second premise of SR-Pair or SR-UnionL unchecked",
@@ -194,44 +291,62 @@ MUTANTS = [
     (
         "_check: SR-UnionR to a non-union",
         S,
-        "            isinstance(rhs, Union)\n            and len(prem) == 1\n",
-        "            len(prem) == 1\n",
+        "(SR_UNION_R1, SR_UNION_R2) and isinstance(rhs, Union) and len(prem) == 1:",
+        "(SR_UNION_R1, SR_UNION_R2) and len(prem) == 1:",
     ),
-    ("_check: SR-UnionR premise count", S, "            and len(prem) == 1\n", ""),
-    ("_check: SR-UnionR from another left side", S, "            and prem[0].lhs == lhs\n", ""),
+    (
+        "_check: SR-UnionR premise count",
+        S,
+        "(SR_UNION_R1, SR_UNION_R2) and isinstance(rhs, Union) and len(prem) == 1:",
+        "(SR_UNION_R1, SR_UNION_R2) and isinstance(rhs, Union) and len(prem) >= 1:",
+    ),
+    (
+        "_check: SR-UnionR from another left side",
+        S,
+        "_concludes(prem[0], lhs, arm)",
+        "_concludes(prem[0], prem[0].lhs, arm)",
+    ),
+    (
+        "_check: SR-UnionR to another right side",
+        S,
+        "_concludes(prem[0], lhs, arm)",
+        "_concludes(prem[0], lhs, prem[0].rhs)",
+    ),
     (
         "_check: SR-UnionR arms swapped",
         S,
-        "(rhs.left if tr.rule == SR_UNION_R1 else rhs.right)",
-        "(rhs.right if tr.rule == SR_UNION_R1 else rhs.left)",
+        "arm = rhs.left if tr.rule == SR_UNION_R1 else rhs.right",
+        "arm = rhs.right if tr.rule == SR_UNION_R1 else rhs.left",
     ),
     (
         "_check: SR-NF below SR-NF",
         S,
-        "        if not nf_allowed or len(prem) != 1",
-        "        if len(prem) != 1",
+        "    if tr.rule == SR_NF and nf_allowed and len(prem) == 1:\n",
+        "    if tr.rule == SR_NF and len(prem) == 1:\n",
     ),
-    ("_check: SR-NF premise count", S, " or len(prem) != 1 or ", " or "),
-    ("_check: SR-NF on a non-type", S, " or not _is_type(lhs):", ":"),
     (
-        "_check: SR-NF on an undeclared name",
+        "_check: SR-NF premise count",
         S,
-        "        except (EmptyAbstract, UnknownName):\n"
-        "            return False\n"
-        "        return (\n",
-        "        except (EmptyAbstract, UnknownName):\n            return True\n        return (\n",
+        "    if tr.rule == SR_NF and nf_allowed and len(prem) == 1:\n",
+        "    if tr.rule == SR_NF and nf_allowed and len(prem) >= 1:\n",
+    ),
+    (
+        "_check: SR-NF on a childless abstract name",
+        S,
+        "        except EmptyAbstract:\n            return False\n",
+        "        except EmptyAbstract:\n            return True\n",
     ),
     (
         "_check: SR-NF from another left side",
         S,
-        "            prem[0].lhs == normed\n            and ",
-        "            ",
+        "_concludes(prem[0], normed, rhs)",
+        "_concludes(prem[0], prem[0].lhs, rhs)",
     ),
     (
         "_check: SR-NF to another right side",
         S,
-        "            and prem[0].rhs == rhs\n            and _check",
-        "            and _check",
+        "_concludes(prem[0], normed, rhs)",
+        "_concludes(prem[0], normed, prem[0].rhs)",
     ),
     ("_check: SR-NF premise normalizing again", S, "nf_allowed=False)\n", "nf_allowed=True)\n"),
     # check_declarative, the declarative derivation checker.
@@ -244,40 +359,55 @@ MUTANTS = [
     (
         "check_declarative: premises that are no tuple",
         D,
-        "    if not isinstance(prem, tuple):\n        return False\n",
+        "    if type(prem) is not tuple:\n        return False\n",
         "",
+    ),
+    (
+        "check_declarative: premises in a subclass of tuple",
+        D,
+        "    if type(prem) is not tuple:\n",
+        "    if not isinstance(prem, tuple):\n",
+    ),
+    (
+        "check_declarative: a premise of a subclass of Derivation",
+        D,
+        "        if type(p) is not Derivation:\n",
+        "        if not isinstance(p, Derivation):\n",
     ),
     (
         "check_declarative: SD-Trans, first premise off the witness",
         D,
-        "            and prem[0].rhs == d.witness\n",
-        "",
+        "_concludes(prem[0], lhs, d.witness)",
+        "_concludes(prem[0], lhs, prem[0].rhs)",
     ),
     (
         "check_declarative: SD-Trans, second premise off the witness",
         D,
-        "            and prem[1].lhs == d.witness\n",
-        "",
+        "_concludes(prem[1], d.witness, rhs)",
+        "_concludes(prem[1], prem[1].lhs, rhs)",
     ),
     (
         "check_declarative: SD-Trans from another left side",
         D,
-        "            and prem[0].lhs == lhs\n",
-        "",
+        "_concludes(prem[0], lhs, d.witness)",
+        "_concludes(prem[0], prem[0].lhs, d.witness)",
     ),
     (
         "check_declarative: SD-Trans to another right side",
         D,
-        "            and prem[1].rhs == rhs\n",
-        "",
+        "_concludes(prem[1], d.witness, rhs)",
+        "_concludes(prem[1], d.witness, prem[1].rhs)",
     ),
     (
         "check_declarative: SD-Trans second premise unchecked",
         D,
-        "            and prem[1].rhs == rhs\n"
-        "            and check_declarative(h, prem[0], mode)\n"
-        "            and check_declarative(h, prem[1], mode)\n",
-        "            and prem[1].rhs == rhs\n            and check_declarative(h, prem[0], mode)\n",
+        "            and _check_derivation(h, prem[0], mode)\n"
+        "            and _check_derivation(h, prem[1], mode)\n"
+        "        )\n"
+        "    if d.witness is not None:\n",
+        "            and _check_derivation(h, prem[0], mode)\n"
+        "        )\n"
+        "    if d.witness is not None:\n",
     ),
     (
         "check_declarative: a witness where the rule has none",
@@ -356,10 +486,10 @@ MUTANTS = [
         "check_declarative: second premise of SD-Pair or SD-UnionL unchecked",
         D,
         "            _split_premises(d.rule == SD_PAIR, lhs, rhs, prem)\n"
-        "            and check_declarative(h, prem[0], mode)\n"
-        "            and check_declarative(h, prem[1], mode)\n",
+        "            and _check_derivation(h, prem[0], mode)\n"
+        "            and _check_derivation(h, prem[1], mode)\n",
         "            _split_premises(d.rule == SD_PAIR, lhs, rhs, prem)\n"
-        "            and check_declarative(h, prem[0], mode)\n",
+        "            and _check_derivation(h, prem[0], mode)\n",
     ),
     (
         "check_declarative: SD-UnionR with premises (item 11)",
@@ -384,6 +514,24 @@ MUTANTS = [
         D,
         "        return not prem and isinstance(lhs, Pair) and ",
         "        return isinstance(lhs, Pair) and ",
+    ),
+    (
+        "check_declarative: SD-Distr1 from a pair without a left union",
+        D,
+        "        u = p.left\n        if not isinstance(u, Union):\n            return False\n",
+        "        u = p.left\n        if not isinstance(u, Union):\n            return True\n",
+    ),
+    (
+        "check_declarative: SD-Distr to a non-union",
+        D,
+        "    if rhs.__class__ is not Union:\n        return False\n",
+        "    if rhs.__class__ is not Union:\n        return True\n",
+    ),
+    (
+        "check_declarative: SD-Distr to a union with an arm that is no pair",
+        D,
+        "    if a.__class__ is not Pair or b.__class__ is not Pair:\n        return False\n",
+        "    if a.__class__ is not Pair or b.__class__ is not Pair:\n        return True\n",
     ),
     (
         "check_declarative: SD-Distr from a non-pair",

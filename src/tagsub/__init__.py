@@ -37,6 +37,7 @@ from .derivation import (
 from .dispatch import (
     Ambiguous,
     DispatchOutcome,
+    EmptySignature,
     MethodDef,
     MethodTable,
     NoApplicableMethod,

@@ -34,6 +34,8 @@ from .subtyping import (
     SR_UNION_R1,
     SR_UNION_R2,
     ReductiveTrace,
+    _concludes,
+    _is_type,
     _ProofTree,
     _set_lhs,
     _set_premises,
@@ -89,29 +91,34 @@ def _refl(t: TypeExpr) -> Derivation:
 def check_declarative(
     h: NominalHierarchy, d: Derivation, mode: Mode = Mode.SEMANTIC
 ) -> bool:
-    """True iff every node instantiates its rule schema under the mode.
+    """True iff the root judgement relates two types of h and every node
+    instantiates its rule schema under the mode.
 
     The atomic mode rejects SD-AbsUnion nodes; everything else is shared.
+    As in :func:`check_reductive_trace`, every premise's sides must be the
+    sides its node's rule gives it or copies of them.  An SD-Trans witness
+    is not tested, so SD-Nom and SD-AbsUnion still test their names.
     Malformed trees yield False rather than raising.
     """
-    if not isinstance(d, Derivation):
+    if not (isinstance(d, Derivation) and _is_type(h, d.lhs) and _is_type(h, d.rhs)):
         return False
+    return _check_derivation(h, d, mode)
+
+
+def _check_derivation(h, d: Derivation, mode: Mode) -> bool:
     lhs, rhs, prem = d.lhs, d.rhs, d.premises
-    if not isinstance(prem, tuple):
+    if type(prem) is not tuple:
         return False
     for p in prem:
-        if not isinstance(p, Derivation):
+        if type(p) is not Derivation:
             return False
     if d.rule == SD_TRANS:
         return (
-            d.witness is not None
-            and len(prem) == 2
-            and prem[0].lhs == lhs
-            and prem[0].rhs == d.witness
-            and prem[1].lhs == d.witness
-            and prem[1].rhs == rhs
-            and check_declarative(h, prem[0], mode)
-            and check_declarative(h, prem[1], mode)
+            len(prem) == 2
+            and _concludes(prem[0], lhs, d.witness)
+            and _concludes(prem[1], d.witness, rhs)
+            and _check_derivation(h, prem[0], mode)
+            and _check_derivation(h, prem[1], mode)
         )
     if d.witness is not None:
         return False
@@ -139,8 +146,8 @@ def check_declarative(
     if d.rule in (SD_PAIR, SD_UNION_L):
         return (
             _split_premises(d.rule == SD_PAIR, lhs, rhs, prem)
-            and check_declarative(h, prem[0], mode)
-            and check_declarative(h, prem[1], mode)
+            and _check_derivation(h, prem[0], mode)
+            and _check_derivation(h, prem[1], mode)
         )
     if d.rule in (SD_UNION_R1, SD_UNION_R2):
         if prem or not isinstance(rhs, Union):

@@ -58,6 +58,10 @@ class MethodFileError(TagsubError):
     pass
 
 
+class EmptySignature(TagsubError, ValueError):
+    """An argument list with no arguments has no tuple type."""
+
+
 @dataclass(init=False, repr=False, eq=False, slots=True)
 class MethodDef(_Value):
     """One method: the function it belongs to and its signature type."""
@@ -123,7 +127,7 @@ DispatchOutcome = Selected | NoApplicableMethod | Ambiguous
 def tuple_type(parts: Sequence[TypeExpr]) -> TypeExpr:
     """Encode an argument list as a right-nested pair chain."""
     if not parts:
-        raise ValueError("empty signature")
+        raise EmptySignature("empty signature")
     out = parts[-1]
     for p in reversed(parts[:-1]):
         out = Pair(p, out)

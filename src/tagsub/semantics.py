@@ -176,10 +176,13 @@ def matches(h: NominalHierarchy, v: TypeExpr, t: TypeExpr) -> bool:
     """True iff the value type v matches t (tag membership, syntactically).
 
     Concrete names match themselves and their transitive abstract ancestors,
-    pairs match componentwise, unions match through either arm.
+    pairs match componentwise, unions match through either arm.  Undeclared
+    names raise ``UnknownName``, v's before t's, whichever arm they are in.
     """
     if not is_value_type(v):
         raise NotAValueType(f"not a value type: {v}")
+    validate_type(h, v)
+    validate_type(h, t)
     return _matches(h, v, t)
 
 

@@ -24,11 +24,9 @@ from .core import (
     Pair,
     TypeExpr,
     Union,
-    UnknownName,
     _leaves,
     _Value,
     concrete_descendants,
-    nominal_subtype,
     validate_type,
 )
 from .normalize import EmptyAbstract, nf_for_mode
@@ -295,42 +293,56 @@ class _Node:
 
 
 def _name_rule(h, lhs, rhs, mode: Mode) -> str | None:
-    # The name-leaf rule that concludes lhs <: rhs, if any: SR-BaseRefl for a
-    # concrete name of h below itself, else SR-Nom along nominal_subtype from
-    # a left name that is concrete unless the mode is atomic.  Identity is
-    # tried before ==, a Python call, since names parsed over h are h's own.
+    # The name-leaf rule that concludes lhs <: rhs, if any, for names that h
+    # declares with their kind (the verdict has checked the search's sides,
+    # and the checker's are parts of a root that passed _is_type or of their
+    # normal forms): SR-BaseRefl for a concrete name below itself, else
+    # SR-Nom along h's ancestor sets from a left name that is concrete
+    # unless the mode is atomic.  Identity is tried before ==, a Python
+    # call, since names parsed over h are h's own.
     if not (isinstance(lhs, Name) and isinstance(rhs, Name)):
         return None
     n1, n2 = lhs.name, rhs.name
-    if not (isinstance(n1, NominalName) and isinstance(n2, NominalName)):
-        return None
     if (n1 is n2 or n1 == n2) and not n1.abstract:
-        declared = h._names.get(n1.text)
-        return SR_BASE_REFL if declared is n1 or declared == n1 else None
+        return SR_BASE_REFL
     if n1.abstract and mode is not Mode.ATOMIC:
         return None
-    try:
-        return SR_NOM if nominal_subtype(h, n1, n2) else None
-    except UnknownName:
-        return None
+    return SR_NOM if n2.text in h._above[n1.text] else None
 
 
 def _split_premises(componentwise: bool, lhs, rhs, prem: tuple) -> bool:
     # The premise schema that SR-Pair and SD-Pair share (componentwise: pairs
     # lhs and rhs, related left to left and right to right) and that
     # SR-UnionL and SD-UnionL share (lhs a union, each arm related to rhs).
-    # The caller checks the two premises themselves, left first.  A tuple
-    # compares its items by identity before ==, and a premise's sides are
-    # usually the very subterms of the node's.
-    if componentwise:
-        if not (isinstance(lhs, Pair) and isinstance(rhs, Pair)):
-            return False
-        want = (lhs.left, rhs.left, lhs.right, rhs.right)
-    elif isinstance(lhs, Union):
-        want = (lhs.left, rhs, lhs.right, rhs)
+    # The caller checks the two premises themselves, left first.
+    if componentwise and isinstance(lhs, Pair) and isinstance(rhs, Pair):
+        a, b, c, d = lhs.left, rhs.left, lhs.right, rhs.right
+    elif not componentwise and isinstance(lhs, Union):
+        a, b, c, d = lhs.left, rhs, lhs.right, rhs
     else:
         return False
-    return len(prem) == 2 and (prem[0].lhs, prem[0].rhs, prem[1].lhs, prem[1].rhs) == want
+    return len(prem) == 2 and _concludes(prem[0], a, b) and _concludes(prem[1], c, d)
+
+
+def _concludes(p, lhs, rhs) -> bool:
+    # Whether premise p's sides are lhs and rhs, which a rule gives them, or
+    # copies of them.  They are most often the very objects.
+    return (p.lhs is lhs or _same(p.lhs, lhs)) and (p.rhs is rhs or _same(p.rhs, rhs))
+
+
+def _same(g, w) -> bool:
+    # Whether g is w or a copy of it, compared class by class and name by
+    # name, so that no value's own ==, which may equal everything, is asked.
+    if g is w:
+        return True
+    kind = type(g)
+    if (kind is Pair or kind is Union) and type(w) is kind:
+        return _same(g.left, w.left) and _same(g.right, w.right)
+    if kind is not Name or type(w) is not Name:
+        return False
+    m, n = g.name, w.name
+    texts = type(m) is type(n) is NominalName and type(m.text) is type(n.text) is str
+    return m is n or (texts and m.text == n.text and m.abstract is n.abstract)
 
 
 def _decide(
@@ -389,16 +401,22 @@ def check_reductive_trace(
 ) -> bool:
     """Validate a trace against the rule schemas, independently of the solver.
 
-    The normalization rule may occur at most once on any root-to-leaf path.
-    Malformed trees yield False rather than raising.  An accept is recorded
-    on the root for this hierarchy object and mode, so checking the same
-    trace again under both returns True without a walk.
+    The root judgement must relate two types of h, and every premise's sides
+    must be the very sides its node's rule gives it or copies of them (see
+    ``_same``), so every side that a rule reads is a type of h and the rules
+    need not test names again.  The normalization rule may occur at most
+    once on any root-to-leaf path.  Malformed trees yield False rather than
+    raising.  An accept is recorded on the root for this hierarchy object
+    and mode, so checking the same trace again under both returns True
+    without a walk.
     """
     if not isinstance(trace, ReductiveTrace):
         return False
     accepts = getattr(trace, "_accepts", ())
     if (h, mode) in accepts:
         return True
+    if not (_is_type(h, trace.lhs) and _is_type(h, trace.rhs)):
+        return False
     if not _check(h, trace, mode, nf_allowed=True):
         return False
     _set_accepts(trace, (*accepts, (h, mode)))
@@ -406,52 +424,48 @@ def check_reductive_trace(
 
 
 def _check(h, tr: ReductiveTrace, mode: Mode, nf_allowed: bool) -> bool:
+    # Premises of exactly these classes, so that every read of a field gives
+    # the value that the parent node compared.
     lhs, rhs, prem = tr.lhs, tr.rhs, tr.premises
-    if not isinstance(prem, tuple):
+    if type(prem) is not tuple:
         return False
     for p in prem:
-        if not isinstance(p, ReductiveTrace):
+        if type(p) is not ReductiveTrace:
             return False
     if tr.rule in (SR_BASE_REFL, SR_NOM):
-        return not prem and _name_rule(h, lhs, rhs, mode) == tr.rule
+        rule = _name_rule(h, lhs, rhs, mode)
+        return not prem and rule is not None and rule == tr.rule
     if tr.rule in (SR_PAIR, SR_UNION_L):
         return (
             _split_premises(tr.rule == SR_PAIR, lhs, rhs, prem)
             and _check(h, prem[0], mode, nf_allowed)
             and _check(h, prem[1], mode, nf_allowed)
         )
-    if tr.rule in (SR_UNION_R1, SR_UNION_R2):
-        return (
-            isinstance(rhs, Union)
-            and len(prem) == 1
-            and prem[0].lhs == lhs
-            and prem[0].rhs == (rhs.left if tr.rule == SR_UNION_R1 else rhs.right)
-            and _check(h, prem[0], mode, nf_allowed)
-        )
-    if tr.rule == SR_NF:
-        if not nf_allowed or len(prem) != 1 or not _is_type(lhs):
-            return False
+    if tr.rule in (SR_UNION_R1, SR_UNION_R2) and isinstance(rhs, Union) and len(prem) == 1:
+        arm = rhs.left if tr.rule == SR_UNION_R1 else rhs.right
+        return _concludes(prem[0], lhs, arm) and _check(h, prem[0], mode, nf_allowed)
+    if tr.rule == SR_NF and nf_allowed and len(prem) == 1:
         try:
             normed = nf_for_mode(h, lhs, mode)
-        except (EmptyAbstract, UnknownName):
+        except EmptyAbstract:
             return False
-        return (
-            prem[0].lhs == normed
-            and prem[0].rhs == rhs
-            and _check(h, prem[0], mode, nf_allowed=False)
-        )
+        return _concludes(prem[0], normed, rhs) and _check(h, prem[0], mode, nf_allowed=False)
     return False
 
 
-def _is_type(t) -> bool:
-    # A tree of pairs and unions over names of declared-name objects.
+def _is_type(h, t) -> bool:
+    # A tree of pairs and unions over names that h declares with their kind.
+    # Classes are tested exactly and a name's text must be a str, so every ==
+    # that the checkers then ask of the tree is structural.
     todo = [t]
     while todo:
         x = todo.pop()
-        if isinstance(x, (Pair, Union)):
-            todo.append(x.left)
-            todo.append(x.right)
-        elif not (isinstance(x, Name) and isinstance(x.name, NominalName)):
+        if type(x) is Pair or type(x) is Union:
+            todo += x.left, x.right
+            continue
+        n = x.name if type(x) is Name else None
+        declared = h._names.get(n.text) if type(n) is NominalName and type(n.text) is str else None
+        if declared is None or declared.abstract is not n.abstract:
             return False
     return True
 

@@ -195,6 +195,10 @@ class TestDispatchCommand:
         assert out.startswith("error: ambiguous")
         assert "mIR" in out and "mRI" in out
 
+    def test_call_without_a_type_exits_2(self, capsys, methods_file):
+        code, out, err = run(capsys, "dispatch", "--methods", methods_file, "--call", "plus")
+        assert code == 2 and out == "" and err.startswith("error: --call expects")
+
     def test_unknown_function(self, capsys, methods_file):
         code, _, err = run(
             capsys, "dispatch", "--methods", methods_file, "--call", "minus Int*Int"

@@ -73,6 +73,10 @@ class TestValidation:
         with pytest.raises(DuplicateName):
             validate_hierarchy([Decl("A", True), Decl("A", True)])
 
+    def test_empty_name(self):
+        with pytest.raises(DuplicateName, match="empty name"):
+            validate_hierarchy([Decl("", False)])
+
     def test_multiple_parents(self):
         with pytest.raises(MultipleParents):
             validate_hierarchy(
@@ -275,6 +279,10 @@ class TestValueRecords:
         for cls, xs in samples.items():
             assert all(type(x) is cls for x in xs)
             assert xs[0] == xs[1] and xs[0] is not xs[1]
+
+    def test_too_few_arguments(self):
+        with pytest.raises(TypeError):
+            MethodDef("f", T("Int"))
 
     def test_field_names(self):
         for cls, expected in VALUE_FIELDS.items():

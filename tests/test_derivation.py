@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -248,6 +249,11 @@ MALFORMED_DERIVATION_TABLE = [
     ("SD-Distr1 from a union", D(SD_DISTR1, "Int|Flt|Str", "Int*Str|Flt*Str"), ALL_MODES),
     ("SD-Distr2 over the left component", D(SD_DISTR2, *OVER_LEFT), ALL_MODES),
     ("SD-Distr2 with a premise", D(SD_DISTR2, *OVER_RIGHT, D_INT), ALL_MODES),
+    ("SD-Distr1 over the right component", D(SD_DISTR1, *OVER_RIGHT), ALL_MODES),
+    ("SD-Distr1 to a pair", D(SD_DISTR1, "(Int|Flt)*Str", "Int*Str"), ALL_MODES),
+    ("SD-Distr2 to a pair", D(SD_DISTR2, "Str*(Int|Flt)", "Str*Int"), ALL_MODES),
+    ("SD-Distr1 to a union with a name arm", D(SD_DISTR1, "(Int|Flt)*Str", "Int*Str|Flt"), ALL_MODES),
+    ("SD-Distr2 to a union with a name arm", D(SD_DISTR2, "Str*(Int|Flt)", "Str|Str*Flt"), ALL_MODES),
 ]
 
 
@@ -754,6 +760,71 @@ class TestTraceCheckedOnce:
 
 INT, FLT = T("Int"), T("Flt")
 REFL_INT = ReductiveTrace(SR_BASE_REFL, INT, INT)
+#: Declared in no hierarchy here.
+GHOST, ABSTRACT_GHOST = Name(NominalName("Ghost", False)), Name(NominalName("Ghost", True))
+
+
+def _through_witness(rule, x, rhs, int_below):
+    """Int <: rhs by SD-Trans through the witness Int|x, then SD-UnionL over
+    int_below: Int <: rhs and a rule node x <: rhs, which reads x from the
+    witness and not from the root."""
+    witness = Union(INT, x)
+    arms = Derivation(SD_UNION_L, witness, rhs, (int_below, Derivation(rule, x, rhs)))
+    return Derivation(SD_TRANS, INT, rhs, (Derivation(SD_UNION_R1, INT, witness), arms), witness)
+
+
+INT_INT_FLT = Derivation(SD_UNION_R1, INT, T("Int|Flt"))
+
+
+class _EqualsAll:
+    """Mixed into a class of the type grammar: an instance equals every
+    value, as ``unittest.mock.ANY`` does, and takes precedence over the
+    base class's ``==``."""
+
+    def __eq__(self, other):
+        return True
+
+    __hash__ = object.__hash__
+
+
+class _AnyName(_EqualsAll, Name):
+    pass
+
+
+class _AnyPair(_EqualsAll, Pair):
+    pass
+
+
+class _AnyNominalName(_EqualsAll, NominalName):
+    pass
+
+
+class _AnyStr(_EqualsAll, str):
+    __hash__ = str.__hash__  # so that h finds it under the text it spells
+
+
+#: Values that compare equal to every type and are no type of TOWER: a name
+#: around mock.ANY, Int in a subclass of Name, a name of a subclass of
+#: NominalName, and a name whose text is of a subclass of str.
+NAMES_EQUAL_TO_ALL = [
+    Name(NominalName(mock.ANY, False)),
+    _AnyName(INT.name),
+    Name(_AnyNominalName("Int", False)),
+    Name(NominalName(_AnyStr("Int"), False)),
+]
+STR_FLT = T("Str|Flt")
+
+
+class _Premises(tuple):
+    """A subclass of tuple, which could answer each read differently."""
+
+
+class _Trace(ReductiveTrace):
+    """A subclass of ReductiveTrace, whose fields could be properties."""
+
+
+class _Derivation(Derivation):
+    """A subclass of Derivation, whose fields could be properties."""
 
 
 class TestMalformedTrees:
@@ -774,6 +845,72 @@ class TestMalformedTrees:
             # A Name around a plain string rather than a NominalName.
             ReductiveTrace(SR_BASE_REFL, Name("Int"), Name("Int")),
             ReductiveTrace(SR_NOM, Name("Int"), Name("Int")),
+            # A root judgement about a side that is no type of TOWER.
+            ReductiveTrace(SR_UNION_R1, INT, Union(INT, GHOST), (REFL_INT,)),
+            ReductiveTrace(SR_UNION_R1, INT, Union(INT, "junk"), (REFL_INT,)),
+            ReductiveTrace(SR_UNION_R1, INT, Union(INT, CONCRETE_REAL), (REFL_INT,)),
+            ReductiveTrace(SR_BASE_REFL, GHOST, GHOST),
+            ReductiveTrace(SR_UNION_R1, mock.ANY, T("Int|Flt"), (REFL_INT,)),
+            ReductiveTrace(SR_BASE_REFL, Name(NominalName(mock.ANY, False)), INT),
+            ReductiveTrace(SR_BASE_REFL, Name(NominalName(["Int"], False)), INT),
+            # Int <: Str|Flt, false, through a premise side equal to every type.
+            *(
+                ReductiveTrace(SR_UNION_R1, INT, STR_FLT, (ReductiveTrace(SR_BASE_REFL, x, x),))
+                for x in NAMES_EQUAL_TO_ALL
+            ),
+            ReductiveTrace(
+                SR_UNION_R1,
+                T("Str*Int"),
+                T("Int*Int|Flt"),
+                (ReductiveTrace(SR_PAIR, _AnyPair(INT, INT), _AnyPair(INT, INT), (REFL_INT,) * 2),),
+            ),
+            ReductiveTrace(
+                SR_UNION_R1,
+                T("Str*Int"),
+                T("Int*Int|Flt"),
+                (ReductiveTrace(SR_PAIR, Pair(mock.ANY, mock.ANY), T("Int*Int"), (REFL_INT,) * 2),),
+            ),
+            # Int <: Int|Flt holds, but a premise's side is no type: the kernel
+            # must not normalize it or read a name from it.
+            ReductiveTrace(
+                SR_UNION_R1, INT, T("Int|Flt"), (ReductiveTrace(SR_NF, mock.ANY, INT, (REFL_INT,)),)
+            ),
+            ReductiveTrace(
+                SR_UNION_R1,
+                INT,
+                T("Int|Flt"),
+                (ReductiveTrace(SR_BASE_REFL, Name(mock.ANY), Name(mock.ANY)),),
+            ),
+            # Int <: Str, false, under a rule that equals every rule.
+            ReductiveTrace(mock.ANY, INT, T("Str")),
+            ReductiveTrace(SR_UNION_L, T("Int|Int"), INT, _Premises((REFL_INT, REFL_INT))),
+            ReductiveTrace(SR_UNION_R1, INT, T("Int|Flt"), (REFL_INT, REFL_INT)),
+            ReductiveTrace(SR_UNION_R1, INT, T("Int|Flt"), (_Trace(SR_BASE_REFL, INT, INT),)),
+            # A premise that is valid on its own sides, but they differ from
+            # the ones its node gives it by a constructor, a right component
+            # or a kind.
+            ReductiveTrace(
+                SR_UNION_R1,
+                T("Int|Int"),
+                T("Int|Int|Flt"),
+                (ReductiveTrace(SR_PAIR, T("Int*Int"), T("Int*Int"), (REFL_INT,) * 2),),
+            ),
+            ReductiveTrace(
+                SR_UNION_R1,
+                T("Int*Int"),
+                T("Int*Int|Flt"),
+                (
+                    ReductiveTrace(
+                        SR_PAIR,
+                        T("Int*Flt"),
+                        T("Int*Flt"),
+                        (REFL_INT, ReductiveTrace(SR_BASE_REFL, FLT, FLT)),
+                    ),
+                ),
+            ),
+            ReductiveTrace(
+                SR_UNION_R1, INT, T("Int|Flt"), (ReductiveTrace(SR_NOM, ABSTRACT_INT, ABSTRACT_INT),)
+            ),
         ],
     )
     def test_trace(self, trace):
@@ -800,6 +937,51 @@ class TestMalformedTrees:
             REFL_INT,
             Derivation(SD_ABS_UNION, Name("Real"), T("Int|Flt")),
             Derivation(SD_NOM, Name("Int"), T("Real")),
+            # A root judgement about a side that is no type of TOWER.
+            Derivation(SD_UNION_R1, INT, Union(INT, GHOST)),
+            Derivation(SD_UNION_R1, INT, Union(INT, "junk")),
+            Derivation(SD_UNION_R1, INT, Union(INT, CONCRETE_REAL)),
+            Derivation(SD_REFL, "x", "x"),
+            Derivation(SD_REFL, GHOST, GHOST),
+            Derivation(
+                SD_DISTR1, Pair(Union(INT, GHOST), INT), Union(T("Int*Int"), Pair(GHOST, INT))
+            ),
+            Derivation(SD_REFL, mock.ANY, INT),  # equal to every type
+            Derivation(SD_REFL, *[Name(NominalName(["Int"], False))] * 2),
+            # Int*Str <: Int*Flt and Int <: Str, false, through premise sides
+            # equal to every type.
+            *(
+                Derivation(
+                    SD_PAIR,
+                    T("Int*Str"),
+                    T("Int*Flt"),
+                    (Derivation(SD_REFL, INT, INT), Derivation(SD_REFL, x, x)),
+                )
+                for x in NAMES_EQUAL_TO_ALL
+            ),
+            Derivation(SD_TRANS, INT, T("Str"), (Derivation(SD_REFL, mock.ANY, mock.ANY),) * 2, INT),
+            Derivation(SD_UNION_L, T("Int|Int"), INT, _Premises((Derivation(SD_REFL, INT, INT),) * 2)),
+            Derivation(SD_UNION_L, T("Int|Int"), INT, (_Derivation(SD_REFL, INT, INT),) * 2),
+            # Int <: Str and Int*Int <: Str*Str, false, from a root side equal
+            # to every type.
+            *(Derivation(SD_REFL, x, T("Str")) for x in NAMES_EQUAL_TO_ALL),
+            Derivation(SD_REFL, _AnyPair(INT, INT), T("Str*Str")),
+            # Int*Str <: Int*Flt, false, through premise sides that are Str
+            # and Flt in a subclass of Name.
+            Derivation(
+                SD_PAIR,
+                T("Int*Str"),
+                T("Int*Flt"),
+                (
+                    Derivation(SD_REFL, INT, INT),
+                    Derivation(SD_REFL, _AnyName(T("Str").name), _AnyName(FLT.name)),
+                ),
+            ),
+            # A name that SD-Nom or SD-AbsUnion reads from an SD-Trans witness.
+            _through_witness(SD_NOM, Name("Int"), T("Real"), INT_REAL),
+            _through_witness(SD_NOM, GHOST, T("Real"), INT_REAL),
+            _through_witness(SD_NOM, ABSTRACT_INT, T("Real"), INT_REAL),
+            _through_witness(SD_ABS_UNION, ABSTRACT_GHOST, T("Int|Flt"), INT_INT_FLT),
         ],
     )
     def test_derivation(self, d):
@@ -814,3 +996,15 @@ class TestMalformedTrees:
         refl = Derivation(SD_REFL, INT, INT)
         assert check_declarative(TOWER, Derivation(SD_UNION_L, T("Int|Int"), INT, (refl, refl)))
         assert check_declarative(TOWER, Derivation(SD_TRANS, INT, INT, (refl, refl), witness=INT))
+
+    def test_the_same_judgements_over_types_of_the_hierarchy_pass(self):
+        # The ill-formed judgements above with each bad name made a declared one.
+        trace = ReductiveTrace(SR_UNION_R1, INT, T("Int|Flt"), (REFL_INT,))
+        distr = Derivation(SD_DISTR1, T("(Int|Flt)*Int"), T("Int*Int|Flt*Int"))
+        flt = _through_witness(SD_NOM, FLT, T("Real"), INT_REAL)
+        for mode in Mode:
+            assert check_reductive_trace(TOWER, trace, mode)
+            for d in (INT_INT_FLT, distr, flt):
+                assert check_declarative(TOWER, d, mode)
+        real = _through_witness(SD_ABS_UNION, T("Real"), T("Int|Flt"), INT_INT_FLT)
+        assert check_declarative(TOWER, real, Mode.SEMANTIC)

@@ -1050,6 +1050,10 @@ class TestTupleType:
         with pytest.raises(ValueError):
             tuple_type([])
 
+    def test_empty_is_a_library_error(self):
+        with pytest.raises(TagsubError, match="empty signature"):
+            tuple_type([])
+
 
 METHODS_TEXT = """
 # addition
@@ -1078,6 +1082,10 @@ class TestMethodFile:
     def test_bad_line(self):
         with pytest.raises(MethodFileError):
             parse_methods("mode semantic\nmethod plus Int*Int -> mII", TOWER)
+
+    def test_no_mode_line_and_no_methods(self):
+        with pytest.raises(MethodFileError, match="missing mode declaration"):
+            parse_methods("# nothing here\n\n", TOWER)
 
     @pytest.mark.parametrize(
         "bad,error",

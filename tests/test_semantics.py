@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 
 from conftest import EXTENDED, TOWER, T, nested, type_exprs, value_type_exprs
-from tagsub.core import Decl, Name, Union, validate_hierarchy
+from tagsub.core import Decl, Name, NominalName, Pair, UnknownName, Union, validate_hierarchy
 from tagsub.gen import types_up_to, value_types_up_to
 from tagsub.normalize import nf_weight
 from tagsub.semantics import (
@@ -16,8 +16,11 @@ from tagsub.semantics import (
     matches,
     matching_sub,
     semantic_sub,
+    tag_to_type,
     type_to_tag,
 )
+
+GHOST = Name(NominalName("Ghost", False))  # declared in no hierarchy here
 
 
 def tags(*texts):
@@ -109,6 +112,27 @@ class TestMatches:
         with pytest.raises(NotAValueType):
             matches(TOWER, T("Int|Int"), T("Num"))
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            Union(T("Int"), GHOST),
+            Union(GHOST, T("Int")),
+            Union(T("Int"), Name(NominalName("Real", False))),
+        ],
+        ids=["undeclared right arm", "undeclared left arm", "Real of the other kind"],
+    )
+    def test_a_name_h_does_not_declare_raises_in_either_arm(self, t):
+        # semantic_sub and matching_sub raise on the same right side.
+        with pytest.raises(UnknownName):
+            matches(TOWER, T("Int"), t)
+        with pytest.raises(UnknownName):
+            semantic_sub(TOWER, T("Int"), t)
+
+    def test_the_value_names_are_checked_first(self):
+        t = Union(T("Int*Int"), Name(NominalName("Real", False)))
+        with pytest.raises(UnknownName, match="Ghost"):
+            matches(TOWER, Pair(T("Int"), GHOST), t)
+
     def test_matching_coincides_with_membership(self):
         vs = value_types_up_to(TOWER, 3)
         ts = types_up_to(TOWER, 2)
@@ -120,6 +144,16 @@ class TestMatches:
     @given(value_type_exprs(), type_exprs())
     def test_matching_coincides_with_membership_random(self, v, t):
         assert matches(TOWER, v, t) == (type_to_tag(v) in interp(TOWER, t))
+
+
+class TestTagConversions:
+    def test_a_sentinel_has_no_type(self):
+        with pytest.raises(NotAValueType, match="sentinel"):
+            tag_to_type(Sentinel(TOWER.lookup("Real")))
+
+    def test_an_abstract_name_has_no_tag(self):
+        with pytest.raises(NotAValueType):
+            type_to_tag(T("Real"))
 
 
 class TestOracles:

@@ -317,6 +317,15 @@ class TestTraceChecker:
         )
         assert not check_reductive_trace(TOWER, bad)
 
+    def test_rejects_nf_of_a_childless_abstract_name(self):
+        # Void has no normal form in the semantic mode, and is its own in the
+        # atomic mode, where SR-Nom concludes Void <: Void.
+        h = validate_hierarchy([Decl("Void", True), Decl("Int", False)])
+        void = Name(h.lookup("Void"))
+        trace = ReductiveTrace(SR_NF, void, void, (ReductiveTrace(SR_NOM, void, void),))
+        assert not check_reductive_trace(h, trace, Mode.SEMANTIC)
+        assert check_reductive_trace(h, trace, Mode.ATOMIC)
+
     def test_accepts_short_path_traces_with_inner_nf(self):
         verdict, trace = sub(
             "Int*Real", "Int*(Int|Flt)", strategy=Strategy.SHORT_PATH_FIRST

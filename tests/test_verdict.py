@@ -13,7 +13,7 @@ import pytest
 
 from conftest import TOWER, T
 from tagsub import subtyping
-from tagsub.core import Name, Pair, Union, nominal_subtype
+from tagsub.core import Name, NominalName, Pair, Union, nominal_subtype
 from tagsub.derivation import (
     SD_ABS_UNION,
     SD_DISTR1,
@@ -272,6 +272,13 @@ class TestOnDemandTrace:
         assert format_trace(lazy) == format_trace(eager)
         assert {lazy, eager} == {eager}
 
+    def test_a_trace_is_unequal_to_other_values(self):
+        _, lazy = reductive_sub(TOWER, T("Int"), T("Int"), strategy=Strategy.SHORT_PATH_FIRST)
+        eager = ReductiveTrace(SR_BASE_REFL, T("Int"), T("Int"))
+        assert lazy == eager
+        for trace in (lazy, eager):
+            assert trace != "SR-BaseRefl: Int <: Int" and not trace == SR_BASE_REFL
+
     def test_reading_twice_builds_once(self, monkeypatch):
         built = []
         real = subtyping._search
@@ -380,6 +387,33 @@ def _put(tree, path, new):
     return _remade(tree, tree.rule, tree.lhs, tree.rhs, tuple(premises))
 
 
+GHOST = Name(NominalName("Ghost", False))  # declared in no hierarchy here
+
+
+def _one_name_replaced(rng, t):
+    """t with one of its names, picked by rng, replaced by GHOST or by the
+    same text with the other kind."""
+    leaves, todo = [], [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Name):
+            leaves.append(x)
+        else:
+            todo += x.right, x.left
+    k = rng.randrange(len(leaves))
+    n = leaves[k].name
+    new = GHOST if rng.random() < 0.5 else Name(NominalName(n.text, not n.abstract))
+
+    def rebuilt(x):
+        nonlocal k
+        if isinstance(x, Name):
+            k -= 1
+            return new if k == -1 else x
+        return type(x)(rebuilt(x.left), rebuilt(x.right))
+
+    return rebuilt(t)
+
+
 class TestMutatedProofs:
     """Valid traces and derivations of TestVerdictDifferential's queries,
     each with one node changed: its rule, one side, or one premise.  A
@@ -446,3 +480,39 @@ class TestMutatedProofs:
                             assert not check(h, changed, mode), format_trace(changed)
                             rejected[check] += 1
         assert min(rejected.values()) >= 300, rejected
+
+    def test_names_outside_h_are_rejected_by_both_checkers(self):
+        # One name in one side of one node, the root in half the trees, made
+        # one that h does not declare with that kind.  A parent compares that
+        # side with a subterm of its own sides, and the root's sides must be
+        # types of h, so the checker rejects every such tree.
+        rng = random.Random(1414)
+        query = TestVerdictDifferential()._query
+        roots = {check_reductive_trace: 0, check_declarative: 0}
+        for _ in range(8):
+            h = random_hierarchy(rng, 8)
+            for q in range(40):
+                t1, t2, _ = query(rng, h, q)
+                if max(nf_weight(h, t1), nf_weight(h, t2)) > 64:
+                    continue
+                mode = Mode.SEMANTIC if q % 2 == 0 else Mode.ATOMIC
+                verdict, trace = reductive_sub(h, t1, t2, mode, rng.choice(BOTH))
+                if not verdict:
+                    continue
+                for tree, check in (
+                    (trace, check_reductive_trace),
+                    (synthesize(h, trace, mode), check_declarative),
+                ):
+                    nodes = _nodes(tree)
+                    for _ in range(4):
+                        node, path = nodes[0] if rng.random() < 0.5 else rng.choice(nodes)
+                        lhs, rhs = node.lhs, node.rhs
+                        if rng.random() < 0.5:
+                            lhs = _one_name_replaced(rng, lhs)
+                        else:
+                            rhs = _one_name_replaced(rng, rhs)
+                        new = _remade(node, node.rule, lhs, rhs, node.premises)
+                        changed = _put(tree, path, new)
+                        assert not check(h, changed, mode), format_trace(changed)
+                        roots[check] += not path
+        assert min(roots.values()) >= 100, roots
