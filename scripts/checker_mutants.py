@@ -12,8 +12,10 @@ survives when every test passes.  The default tests are the proof test files:
 
 Exits 0 when every mutant is killed, 1 when one survives, and 2 when the
 unmutated copy fails or a mutant no longer matches the source exactly once.
-It tests two mutants at once, each on its own copy.  It uses the standard
-library only; the tests need pytest and hypothesis.
+It tests as many mutants at once as the process may use CPUs, each on its
+own copy; on 2 CPUs the 85 mutants took 3 min 26 s and 4 min 25 s in two
+runs.  It uses the standard library only; the tests need pytest and
+hypothesis.
 
     python3 scripts/checker_mutants.py
 
@@ -41,11 +43,11 @@ TESTS = [
     "tests/test_acceptance.py",
 ]
 S, D = "subtyping.py", "derivation.py"
-JOBS = 2  # mutants tested at once, at most one per CPU
 
 #: (label, module, text, replacement): the text occurs once in the module.
 MUTANTS = [
-    # _is_type, the test of each root judgement's sides: one per condition.
+    # _is_type, the test of each root judgement's sides, and _declared, the
+    # one name test of both checkers: one per condition.
     (
         "_is_type: a union or pair's right side unread",
         S,
@@ -61,32 +63,38 @@ MUTANTS = [
     (
         "_is_type: a subclass of Name",
         S,
-        "n = x.name if type(x) is Name else None",
-        "n = x.name if isinstance(x, Name) else None",
+        "        elif type(x) is not Name or not _declared(h, x.name):\n",
+        "        elif not isinstance(x, Name) or not _declared(h, x.name):\n",
     ),
     (
-        "_is_type: a Name around no NominalName",
+        "_is_type: a leaf name undeclared",
         S,
-        "if type(n) is NominalName and type(n.text) is str else None",
-        "if type(n.text) is str else None",
+        "        elif type(x) is not Name or not _declared(h, x.name):\n",
+        "        elif type(x) is not Name:\n",
     ),
     (
-        "_is_type: a subclass of NominalName",
+        "_declared: a Name around no NominalName",
         S,
-        "if type(n) is NominalName and type(n.text) is str else None",
-        "if isinstance(n, NominalName) and type(n.text) is str else None",
+        "    if type(n) is not NominalName or type(n.text) is not str:\n",
+        "    if type(n.text) is not str:\n",
     ),
     (
-        "_is_type: a name whose text is no str",
+        "_declared: a subclass of NominalName",
         S,
-        "if type(n) is NominalName and type(n.text) is str else None",
-        "if type(n) is NominalName else None",
+        "    if type(n) is not NominalName or type(n.text) is not str:\n",
+        "    if not isinstance(n, NominalName) or type(n.text) is not str:\n",
     ),
     (
-        "_is_type: a name of the other kind",
+        "_declared: a name whose text is no str",
         S,
-        "        if declared is None or declared.abstract is not n.abstract:\n",
-        "        if declared is None:\n",
+        "    if type(n) is not NominalName or type(n.text) is not str:\n",
+        "    if type(n) is not NominalName:\n",
+    ),
+    (
+        "_declared: a name of the other kind",
+        S,
+        "    return declared is not None and declared.abstract is n.abstract\n",
+        "    return declared is not None\n",
     ),
     (
         "check_reductive_trace: root left side untested",
@@ -100,7 +108,6 @@ MUTANTS = [
         "(_is_type(h, trace.lhs) and _is_type(h, trace.rhs))",
         "_is_type(h, trace.lhs)",
     ),
-    ("check_declarative: root left side untested", D, " and _is_type(h, d.lhs)", ""),
     ("check_declarative: root right side untested", D, " and _is_type(h, d.rhs)", ""),
     # _name_rule, the name-leaf rules SR-BaseRefl and SR-Nom: one per condition.
     (
@@ -143,14 +150,20 @@ MUTANTS = [
     (
         "premises: a pair rule from a non-pair",
         S,
-        "if componentwise and isinstance(lhs, Pair) and isinstance(rhs, Pair):",
-        "if componentwise and isinstance(rhs, Pair):",
+        "if componentwise and type(lhs) is Pair and type(rhs) is Pair:",
+        "if componentwise and type(rhs) is Pair:",
     ),
     (
         "premises: a pair rule to a non-pair",
         S,
+        "if componentwise and type(lhs) is Pair and type(rhs) is Pair:",
+        "if componentwise and type(lhs) is Pair:",
+    ),
+    (
+        "premises: a pair rule over a subclass of Pair",
+        S,
+        "if componentwise and type(lhs) is Pair and type(rhs) is Pair:",
         "if componentwise and isinstance(lhs, Pair) and isinstance(rhs, Pair):",
-        "if componentwise and isinstance(lhs, Pair):",
     ),
     (
         "premises: a pair rule crosswise",
@@ -161,7 +174,7 @@ MUTANTS = [
     (
         "premises: a left-union rule from a non-union",
         S,
-        "    elif not componentwise and isinstance(lhs, Union):\n",
+        "    elif not componentwise and type(lhs) is Union:\n",
         "    elif not componentwise:\n",
     ),
     (
@@ -353,8 +366,8 @@ MUTANTS = [
     (
         "check_declarative: an unknown rule (item 11)",
         D,
-        "_distributes(lhs, rhs, d.rule)\n    return False\n",
-        "_distributes(lhs, rhs, d.rule)\n    return True\n",
+        "        return u is not None and _same(rhs, u)\n    return False\n",
+        "        return u is not None and _same(rhs, u)\n    return True\n",
     ),
     (
         "check_declarative: premises that are no tuple",
@@ -416,73 +429,6 @@ MUTANTS = [
         "",
     ),
     (
-        "check_declarative: SD-Refl with premises",
-        D,
-        "        return not prem and lhs == rhs\n",
-        "        return lhs == rhs\n",
-    ),
-    (
-        "check_declarative: SD-Refl between any sides",
-        D,
-        "        return not prem and lhs == rhs\n",
-        "        return not prem\n",
-    ),
-    (
-        "check_declarative: SD-Nom with premises",
-        D,
-        "        if prem or not (isinstance(lhs, Name) and isinstance(rhs, Name)):\n",
-        "        if not (isinstance(lhs, Name) and isinstance(rhs, Name)):\n",
-    ),
-    (
-        "check_declarative: SD-Nom on names that hold no NominalName",
-        D,
-        "if not (isinstance(n1, NominalName) and isinstance(n2, NominalName)) or n1 == n2:",
-        "if n1 == n2:",
-    ),
-    ("check_declarative: SD-Nom on one name", D, " or n1 == n2:", ":"),
-    (
-        "check_declarative: SD-Nom outside nominal_subtype",
-        D,
-        "return nominal_subtype(h, n1, n2)",
-        "return True",
-    ),
-    (
-        "check_declarative: SD-Nom on an undeclared name (item 11)",
-        D,
-        "        except UnknownName:\n            return False\n",
-        "        except UnknownName:\n            return True\n",
-    ),
-    (
-        "check_declarative: SD-AbsUnion in atomic mode",
-        D,
-        "        if mode is Mode.ATOMIC or prem:\n",
-        "        if prem:\n",
-    ),
-    (
-        "check_declarative: SD-AbsUnion with premises",
-        D,
-        "        if mode is Mode.ATOMIC or prem:\n",
-        "        if mode is Mode.ATOMIC:\n",
-    ),
-    (
-        "check_declarative: SD-AbsUnion on a concrete name (item 11)",
-        D,
-        " and lhs.name.abstract):",
-        "):",
-    ),
-    (
-        "check_declarative: SD-AbsUnion to any union",
-        D,
-        "            return rhs == descendant_union(h, lhs.name)\n",
-        "            return descendant_union(h, lhs.name) is not None\n",
-    ),
-    (
-        "check_declarative: SD-AbsUnion on an undeclared name",
-        D,
-        "        except (EmptyAbstract, UnknownName):\n            return False\n",
-        "        except (EmptyAbstract, UnknownName):\n            return True\n",
-    ),
-    (
         "check_declarative: second premise of SD-Pair or SD-UnionL unchecked",
         D,
         "            _split_premises(d.rule == SD_PAIR, lhs, rhs, prem)\n"
@@ -492,52 +438,123 @@ MUTANTS = [
         "            and _check_derivation(h, prem[0], mode)\n",
     ),
     (
-        "check_declarative: SD-UnionR with premises (item 11)",
+        "check_declarative: an axiom with premises (item 11: SD-UnionR with premises)",
         D,
-        "        if prem or not isinstance(rhs, Union):\n",
-        "        if not isinstance(rhs, Union):\n",
+        "    if prem:  # every other rule is an axiom\n        return False\n",
+        "",
+    ),
+    (
+        "check_declarative: SD-Refl by ==",
+        D,
+        "        return _same(lhs, rhs)\n",
+        "        return lhs == rhs\n",
+    ),
+    (
+        "check_declarative: SD-Refl between any sides",
+        D,
+        "        return _same(lhs, rhs)\n",
+        "        return True\n",
+    ),
+    (
+        "check_declarative: SD-Nom from an undeclared name (item 11)",
+        D,
+        "            _declared(h, n)\n            and _declared(h, m)\n",
+        "            _declared(h, m)\n",
+    ),
+    (
+        "check_declarative: SD-Nom to an undeclared name",
+        D,
+        "            _declared(h, n)\n            and _declared(h, m)\n",
+        "            _declared(h, n)\n",
+    ),
+    ("check_declarative: SD-Nom on one name", D, "            and m.text != n.text\n", ""),
+    (
+        "check_declarative: SD-Nom outside h's ancestor sets",
+        D,
+        "            and m.text in h._above[n.text]\n",
+        "",
+    ),
+    (
+        "check_declarative: SD-AbsUnion in atomic mode",
+        D,
+        "            mode is not Mode.ATOMIC\n            and _declared(h, n)\n",
+        "            _declared(h, n)\n",
+    ),
+    (
+        "check_declarative: SD-AbsUnion on an undeclared name",
+        D,
+        "            mode is not Mode.ATOMIC\n            and _declared(h, n)\n",
+        "            mode is not Mode.ATOMIC\n",
+    ),
+    (
+        "check_declarative: SD-AbsUnion on a concrete name (item 11)",
+        D,
+        "            and n.abstract\n",
+        "",
+    ),
+    (
+        "check_declarative: SD-AbsUnion on a childless abstract name",
+        D,
+        "            and bool(h._concrete_desc[n.text])\n",
+        "",
+    ),
+    (
+        "check_declarative: SD-AbsUnion by ==",
+        D,
+        "_same(rhs, descendant_union(h, n))",
+        "rhs == descendant_union(h, n)",
+    ),
+    (
+        "check_declarative: SD-AbsUnion to any union",
+        D,
+        "_same(rhs, descendant_union(h, n))",
+        "descendant_union(h, n) is not None",
     ),
     (
         "check_declarative: SD-UnionR to a non-union",
         D,
-        "        if prem or not isinstance(rhs, Union):\n",
-        "        if prem:\n",
+        "        return type(rhs) is Union and _same(\n",
+        "        return _same(\n",
+    ),
+    (
+        "check_declarative: SD-UnionR by ==",
+        D,
+        "        return type(rhs) is Union and _same(\n"
+        "            lhs, rhs.left if d.rule == SD_UNION_R1 else rhs.right\n"
+        "        )\n",
+        "        return type(rhs) is Union and lhs == (\n"
+        "            rhs.left if d.rule == SD_UNION_R1 else rhs.right\n"
+        "        )\n",
     ),
     (
         "check_declarative: SD-UnionR arms swapped",
         D,
-        "(rhs.left if d.rule == SD_UNION_R1 else rhs.right)",
-        "(rhs.right if d.rule == SD_UNION_R1 else rhs.left)",
-    ),
-    (
-        "check_declarative: SD-Distr with premises",
-        D,
-        "        return not prem and isinstance(lhs, Pair) and ",
-        "        return isinstance(lhs, Pair) and ",
-    ),
-    (
-        "check_declarative: SD-Distr1 from a pair without a left union",
-        D,
-        "        u = p.left\n        if not isinstance(u, Union):\n            return False\n",
-        "        u = p.left\n        if not isinstance(u, Union):\n            return True\n",
-    ),
-    (
-        "check_declarative: SD-Distr to a non-union",
-        D,
-        "    if rhs.__class__ is not Union:\n        return False\n",
-        "    if rhs.__class__ is not Union:\n        return True\n",
-    ),
-    (
-        "check_declarative: SD-Distr to a union with an arm that is no pair",
-        D,
-        "    if a.__class__ is not Pair or b.__class__ is not Pair:\n        return False\n",
-        "    if a.__class__ is not Pair or b.__class__ is not Pair:\n        return True\n",
+        "lhs, rhs.left if d.rule == SD_UNION_R1 else rhs.right",
+        "lhs, rhs.right if d.rule == SD_UNION_R1 else rhs.left",
     ),
     (
         "check_declarative: SD-Distr from a non-pair",
         D,
-        "        return not prem and isinstance(lhs, Pair) and ",
-        "        return not prem and ",
+        "        u = _distribute(lhs, d.rule) if type(lhs) is Pair else None\n",
+        "        u = _distribute(lhs, d.rule)\n",
+    ),
+    (
+        "check_declarative: SD-Distr by ==",
+        D,
+        "        return u is not None and _same(rhs, u)\n",
+        "        return u is not None and rhs == u\n",
+    ),
+    (
+        "_distribute: its rule ignored",
+        D,
+        "    if rule == SD_DISTR1:\n        return Union(Pair(x.left, y), Pair(x.right, y))",
+        "    if type(x) is Union:\n        return Union(Pair(x.left, y), Pair(x.right, y))",
+    ),
+    (
+        "_distribute: SD-Distr1 from a pair without a left union",
+        D,
+        "Union(Pair(x.left, y), Pair(x.right, y)) if type(x) is Union else None",
+        "Union(Pair(x.left, y), Pair(x.right, y))",
     ),
 ]
 
@@ -572,7 +589,12 @@ def run(mutants: list[tuple[str, str, str, str]], tests: list[str]) -> int:
     if stale:
         print("no longer match the source exactly once:", *stale, sep="\n  ")
         return 2
-    jobs = max(1, min(JOBS, os.cpu_count() or 1, len(mutants)))
+    # One mutant at a time per CPU that this process may run on.
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    jobs = max(1, min(cpus, len(mutants)))
     with tempfile.TemporaryDirectory(prefix="checker-mutants-") as tmp:
         copies: queue.SimpleQueue[Path] = queue.SimpleQueue()
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")

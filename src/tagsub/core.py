@@ -441,9 +441,10 @@ def parse_hierarchy(text: str) -> NominalHierarchy:
 
 
 def _read_file(path: str | Path, error: type[TagsubError]) -> str:
-    """The UTF-8 text of a file; undecodable bytes raise error, a TagsubError."""
+    """The UTF-8 text of a file, without the byte-order mark that some editors
+    write first; undecodable bytes raise error, a TagsubError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as err:
         raise error(f"{path}: not UTF-8 text: {err}") from None
 

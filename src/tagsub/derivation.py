@@ -12,18 +12,8 @@ normalizes each subterm once and only orients the rules per direction.
 
 from __future__ import annotations
 
-from .core import (
-    Name,
-    NominalHierarchy,
-    NominalName,
-    Pair,
-    TagsubError,
-    TypeExpr,
-    Union,
-    UnknownName,
-    nominal_subtype,
-)
-from .normalize import EmptyAbstract, descendant_union, nf_for_mode
+from .core import Name, NominalHierarchy, Pair, TagsubError, TypeExpr, Union
+from .normalize import descendant_union, nf_for_mode
 from .semantics import Mode
 from .subtyping import (
     SR_BASE_REFL,
@@ -35,8 +25,10 @@ from .subtyping import (
     SR_UNION_R2,
     ReductiveTrace,
     _concludes,
+    _declared,
     _is_type,
     _ProofTree,
+    _same,
     _set_lhs,
     _set_premises,
     _set_rhs,
@@ -95,9 +87,12 @@ def check_declarative(
     instantiates its rule schema under the mode.
 
     The atomic mode rejects SD-AbsUnion nodes; everything else is shared.
-    As in :func:`check_reductive_trace`, every premise's sides must be the
-    sides its node's rule gives it or copies of them.  An SD-Trans witness
-    is not tested, so SD-Nom and SD-AbsUnion still test their names.
+    As in :func:`check_reductive_trace`, every side that a rule reads is
+    compared class by class and name by name (``_same``), never by a value's
+    own ``==``.  An SD-Trans witness is not tested, and need not be: a value
+    that is no type of h is then the same as itself only, so it acts as a
+    fresh name that only SD-Refl and the structural rules can relate, and
+    SD-Nom and SD-AbsUnion read only names that h declares (``_declared``).
     Malformed trees yield False rather than raising.
     """
     if not (isinstance(d, Derivation) and _is_type(h, d.lhs) and _is_type(h, d.rhs)):
@@ -122,62 +117,41 @@ def _check_derivation(h, d: Derivation, mode: Mode) -> bool:
         )
     if d.witness is not None:
         return False
-    if d.rule == SD_REFL:
-        return not prem and lhs == rhs
-    if d.rule == SD_NOM:
-        if prem or not (isinstance(lhs, Name) and isinstance(rhs, Name)):
-            return False
-        n1, n2 = lhs.name, rhs.name
-        if not (isinstance(n1, NominalName) and isinstance(n2, NominalName)) or n1 == n2:
-            return False
-        try:
-            return nominal_subtype(h, n1, n2)
-        except UnknownName:
-            return False
-    if d.rule == SD_ABS_UNION:
-        if mode is Mode.ATOMIC or prem:
-            return False
-        if not (isinstance(lhs, Name) and isinstance(lhs.name, NominalName) and lhs.name.abstract):
-            return False
-        try:
-            return rhs == descendant_union(h, lhs.name)
-        except (EmptyAbstract, UnknownName):
-            return False
     if d.rule in (SD_PAIR, SD_UNION_L):
         return (
             _split_premises(d.rule == SD_PAIR, lhs, rhs, prem)
             and _check_derivation(h, prem[0], mode)
             and _check_derivation(h, prem[1], mode)
         )
+    if prem:  # every other rule is an axiom
+        return False
+    if d.rule == SD_REFL:
+        return _same(lhs, rhs)
+    n = lhs.name if type(lhs) is Name else None
+    if d.rule == SD_NOM:
+        m = rhs.name if type(rhs) is Name else None
+        return (
+            _declared(h, n)
+            and _declared(h, m)
+            and m.text != n.text
+            and m.text in h._above[n.text]
+        )
+    if d.rule == SD_ABS_UNION:
+        return (
+            mode is not Mode.ATOMIC
+            and _declared(h, n)
+            and n.abstract
+            and bool(h._concrete_desc[n.text])
+            and _same(rhs, descendant_union(h, n))
+        )
     if d.rule in (SD_UNION_R1, SD_UNION_R2):
-        if prem or not isinstance(rhs, Union):
-            return False
-        return lhs == (rhs.left if d.rule == SD_UNION_R1 else rhs.right)
+        return type(rhs) is Union and _same(
+            lhs, rhs.left if d.rule == SD_UNION_R1 else rhs.right
+        )
     if d.rule in (SD_DISTR1, SD_DISTR2):
-        return not prem and isinstance(lhs, Pair) and _distributes(lhs, rhs, d.rule)
+        u = _distribute(lhs, d.rule) if type(lhs) is Pair else None
+        return u is not None and _same(rhs, u)
     return False
-
-
-def _distributes(p: Pair, rhs, rule: str) -> bool:
-    # rhs == Union(Pair(a, y), Pair(b, y)) for p = (a|b)*y under SD-Distr1,
-    # or Union(Pair(x, a), Pair(x, b)) for p = x*(a|b) under SD-Distr2,
-    # decided component by component without building that union.
-    if rule == SD_DISTR1:
-        u = p.left
-        if not isinstance(u, Union):
-            return False
-        want = (u.left, p.right, u.right, p.right)
-    else:
-        u = p.right
-        if not isinstance(u, Union):
-            return False
-        want = (p.left, u.left, p.left, u.right)
-    if rhs.__class__ is not Union:
-        return False
-    a, b = rhs.left, rhs.right
-    if a.__class__ is not Pair or b.__class__ is not Pair:
-        return False
-    return (a.left, a.right, b.left, b.right) == want
 
 
 def synthesize(
@@ -291,27 +265,26 @@ def _nf_proof(
     return distributed.rhs, _trans(componentwise, distributed)
 
 
-def _distribute(p: Pair) -> tuple[str, Pair, Pair] | None:
-    """One distribution step of p: the rule and the two pairs it splits into,
-    over the left component if that is a union (SD-Distr1), else the right."""
+def _distribute(p: Pair, rule: str) -> Union | None:
+    """The union that one SD-Distr1 step distributes p into, over its left
+    component, or one SD-Distr2 step, over its right; None if that
+    component is no union."""
     x, y = p.left, p.right
-    if isinstance(x, Union):
-        return SD_DISTR1, Pair(x.left, y), Pair(x.right, y)
-    if isinstance(y, Union):
-        return SD_DISTR2, Pair(x, y.left), Pair(x, y.right)
-    return None
+    if rule == SD_DISTR1:
+        return Union(Pair(x.left, y), Pair(x.right, y)) if type(x) is Union else None
+    return Union(Pair(x, y.left), Pair(x, y.right)) if type(y) is Union else None
 
 
 def _pair_below_unprs(p: Pair) -> Derivation:
     """Derivation of p <: u, u being the union that distributing p reaches,
     for p a pair of normalized types."""
-    step = _distribute(p)
-    if step is None:
+    rule = SD_DISTR1 if type(p.left) is Union else SD_DISTR2
+    u = _distribute(p, rule)
+    if u is None:
         return _refl(p)
-    rule, a, b = step
-    da, db = _pair_below_unprs(a), _pair_below_unprs(b)
+    da, db = _pair_below_unprs(u.left), _pair_below_unprs(u.right)
     rest = _armwise(Union(da.rhs, db.rhs), da, db)
-    return _trans(Derivation(rule, p, Union(a, b)), rest)
+    return _trans(Derivation(rule, p, u), rest)
 
 
 def _union_below_name(u: TypeExpr, t: Name) -> Derivation:
@@ -329,10 +302,10 @@ def _union_below_name(u: TypeExpr, t: Name) -> Derivation:
 def _unprs_below_pair(target: Pair) -> Derivation:
     """Derivation of u <: target, u being the union that distributing target
     reaches, for target a pair of normalized types."""
-    step = _distribute(target)
-    if step is None:
+    rule = SD_DISTR1 if type(target.left) is Union else SD_DISTR2
+    u = _distribute(target, rule)
+    if u is None:
         return _refl(target)
-    rule, a, b = step
 
     def arm(p: Pair, inj: str) -> Derivation:
         # u_p <: p <: target, widening the component that was split.
@@ -346,7 +319,7 @@ def _unprs_below_pair(target: Pair) -> Derivation:
             return widen
         return _trans(sub, widen)
 
-    da, db = arm(a, SD_UNION_R1), arm(b, SD_UNION_R2)
+    da, db = arm(u.left, SD_UNION_R1), arm(u.right, SD_UNION_R2)
     return Derivation(SD_UNION_L, Union(da.lhs, db.lhs), target, (da, db))
 
 

@@ -314,10 +314,11 @@ def _split_premises(componentwise: bool, lhs, rhs, prem: tuple) -> bool:
     # The premise schema that SR-Pair and SD-Pair share (componentwise: pairs
     # lhs and rhs, related left to left and right to right) and that
     # SR-UnionL and SD-UnionL share (lhs a union, each arm related to rhs).
+    # Classes are tested exactly, so each component read is a slot's value.
     # The caller checks the two premises themselves, left first.
-    if componentwise and isinstance(lhs, Pair) and isinstance(rhs, Pair):
+    if componentwise and type(lhs) is Pair and type(rhs) is Pair:
         a, b, c, d = lhs.left, rhs.left, lhs.right, rhs.right
-    elif not componentwise and isinstance(lhs, Union):
+    elif not componentwise and type(lhs) is Union:
         a, b, c, d = lhs.left, rhs, lhs.right, rhs
     else:
         return False
@@ -454,20 +455,26 @@ def _check(h, tr: ReductiveTrace, mode: Mode, nf_allowed: bool) -> bool:
 
 
 def _is_type(h, t) -> bool:
-    # A tree of pairs and unions over names that h declares with their kind.
-    # Classes are tested exactly and a name's text must be a str, so every ==
-    # that the checkers then ask of the tree is structural.
+    # A tree of pairs and unions, of exactly those classes, over names that
+    # h declares with their kind.
     todo = [t]
     while todo:
         x = todo.pop()
         if type(x) is Pair or type(x) is Union:
             todo += x.left, x.right
-            continue
-        n = x.name if type(x) is Name else None
-        declared = h._names.get(n.text) if type(n) is NominalName and type(n.text) is str else None
-        if declared is None or declared.abstract is not n.abstract:
+        elif type(x) is not Name or not _declared(h, x.name):
             return False
     return True
+
+
+def _declared(h, n) -> bool:
+    # Whether n is a name that h declares with its kind: a NominalName of
+    # exactly that class whose text is a str, so that no value's own == or
+    # hash is asked.  The one name test of both checkers.
+    if type(n) is not NominalName or type(n.text) is not str:
+        return False
+    declared = h._names.get(n.text)
+    return declared is not None and declared.abstract is n.abstract
 
 
 def format_trace(trace: ReductiveTrace) -> str:

@@ -151,6 +151,12 @@ class TestHierarchyCommand:
         code, out, _ = run(capsys, "check", "Real", "Int|Flt", "--hierarchy", str(f))
         assert code == 1 and out == "false\n"
 
+    def test_file_with_a_byte_order_mark(self, capsys, tmp_path):
+        f = tmp_path / "h.txt"
+        f.write_text(HIERARCHY.lstrip(), encoding="utf-8-sig")
+        code, out, _ = run(capsys, "hierarchy", "validate", "--file", str(f))
+        assert code == 0 and out == "valid\n"
+
     def test_missing_hierarchy_file_exits_2(self, capsys):
         code, _, err = run(capsys, "check", "Int", "Int", "--hierarchy", "/nonexistent")
         assert code == 2 and "error" in err
@@ -194,6 +200,12 @@ class TestDispatchCommand:
         assert code == 4
         assert out.startswith("error: ambiguous")
         assert "mIR" in out and "mRI" in out
+
+    def test_methods_file_with_a_byte_order_mark(self, capsys, tmp_path):
+        f = tmp_path / "methods.txt"
+        f.write_text(METHODS.lstrip(), encoding="utf-8-sig")
+        code, out, _ = run(capsys, "dispatch", "--methods", str(f), "--call", "plus Int*Int")
+        assert code == 0 and out == "selected: mII\n"
 
     def test_call_without_a_type_exits_2(self, capsys, methods_file):
         code, out, err = run(capsys, "dispatch", "--methods", methods_file, "--call", "plus")

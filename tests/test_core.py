@@ -25,6 +25,7 @@ from tagsub.core import (
     UnknownParent,
     concrete_descendants,
     is_value_type,
+    load_hierarchy,
     nominal_subtype,
     parse_hierarchy,
     validate_hierarchy,
@@ -415,6 +416,12 @@ class TestHierarchyFile:
     def test_bad_line(self):
         with pytest.raises(HierarchySyntaxError):
             parse_hierarchy("abstract 9Lives")
+
+    def test_file_with_a_byte_order_mark(self, tmp_path):
+        # As Windows Notepad saves UTF-8: the mark is no part of the first line.
+        f = tmp_path / "h.txt"
+        f.write_text("abstract Num\nconcrete Int <: Num\n", encoding="utf-8-sig")
+        assert names(load_hierarchy(f).names) == ["Num", "Int"]
 
     def test_validation_errors_surface(self):
         with pytest.raises(CycleDetected):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import pickle
 import random
 from unittest import mock
@@ -813,6 +814,61 @@ NAMES_EQUAL_TO_ALL = [
     Name(NominalName(_AnyStr("Int"), False)),
 ]
 STR_FLT = T("Str|Flt")
+#: Names whose text is a list, which has no hash.
+LIST_X, ABSTRACT_LIST_X = Name(NominalName(["x"], False)), Name(NominalName(["x"], True))
+
+
+class _Incomparable:
+    """A value whose == raises, as an array's does."""
+
+    def __eq__(self, other):
+        raise TypeError("no truth value")
+
+    __hash__ = object.__hash__
+
+
+class _ShiftingPair(Pair):
+    """A subclass of Pair whose components read Int, Int, Str, Str and over
+    again: Int*Int to the first rule that takes it apart, Str*Str to the next."""
+
+    __slots__ = ("_reads",)
+
+    def __init__(self):
+        super().__init__(INT, INT)
+        object.__setattr__(self, "_reads", itertools.cycle([INT, INT, T("Str"), T("Str")]))
+
+    left = right = property(lambda self: next(self._reads))
+
+
+class _ShiftingName(Name):
+    """A subclass of Name whose name reads Int, Str and over again."""
+
+    __slots__ = ("_reads",)
+
+    def __init__(self):
+        super().__init__(INT.name)
+        object.__setattr__(self, "_reads", itertools.cycle([INT.name, T("Str").name]))
+
+    name = property(lambda self: next(self._reads))
+
+
+def _via(witness, first, second):
+    """SD-Trans from first's left side through witness to second's right side."""
+    return Derivation(SD_TRANS, first.lhs, second.rhs, (first, second), witness)
+
+
+def _rule_via(rule, lhs, witness, rhs):
+    """lhs <: rhs by SD-Trans through witness: lhs <: witness by rule, then
+    witness <: rhs by SD-Refl."""
+    return _via(witness, Derivation(rule, lhs, witness), Derivation(SD_REFL, witness, rhs))
+
+
+def _pairwise_via(witness, lhs, rhs):
+    """The pairs lhs <: rhs by SD-Trans through the pair witness, into it
+    and out of it by SD-Pair over SD-Refl nodes of the components."""
+    refl = [Derivation(SD_REFL, c, c) for c in (lhs.left, lhs.right, rhs.left, rhs.right)]
+    into = Derivation(SD_PAIR, lhs, witness, tuple(refl[:2]))
+    return _via(witness, into, Derivation(SD_PAIR, witness, rhs, tuple(refl[2:])))
 
 
 class _Premises(tuple):
@@ -911,6 +967,9 @@ class TestMalformedTrees:
             ReductiveTrace(
                 SR_UNION_R1, INT, T("Int|Flt"), (ReductiveTrace(SR_NOM, ABSTRACT_INT, ABSTRACT_INT),)
             ),
+            # A root judgement between a name that is no type of TOWER and
+            # itself, such as Int in a subclass of Name.
+            *(ReductiveTrace(SR_BASE_REFL, x, x) for x in NAMES_EQUAL_TO_ALL),
         ],
     )
     def test_trace(self, trace):
@@ -982,11 +1041,55 @@ class TestMalformedTrees:
             _through_witness(SD_NOM, GHOST, T("Real"), INT_REAL),
             _through_witness(SD_NOM, ABSTRACT_INT, T("Real"), INT_REAL),
             _through_witness(SD_ABS_UNION, ABSTRACT_GHOST, T("Int|Flt"), INT_INT_FLT),
+            # A witness that is no type of TOWER is the same as itself only.
+            # Int <: Str, Int*Int <: Str*Str and Int <: Str|Flt, false,
+            # through a witness equal to every type.
+            *(_rule_via(SD_REFL, INT, w, T("Str")) for w in (mock.ANY, *NAMES_EQUAL_TO_ALL)),
+            _rule_via(SD_REFL, T("Int*Int"), _AnyPair(INT, INT), T("Str*Str")),
+            _via(
+                Union(mock.ANY, mock.ANY),
+                Derivation(SD_UNION_R1, INT, Union(mock.ANY, mock.ANY)),
+                Derivation(
+                    SD_UNION_L,
+                    Union(mock.ANY, mock.ANY),
+                    STR_FLT,
+                    (Derivation(SD_UNION_R1, mock.ANY, STR_FLT),) * 2,
+                ),
+            ),
+            # Int*Int <: Str*Str, false, through a pair of another class whose
+            # components differ from one read to the next.
+            _pairwise_via(_ShiftingPair(), T("Int*Int"), T("Str*Str")),
+            # Names with a text that has no hash, read from a witness on
+            # either side of SD-Nom and by SD-AbsUnion.
+            _through_witness(SD_NOM, LIST_X, T("Real"), INT_REAL),
+            _through_witness(SD_ABS_UNION, ABSTRACT_LIST_X, T("Int|Flt"), INT_INT_FLT),
+            _via(LIST_X, Derivation(SD_NOM, INT, LIST_X), Derivation(SD_NOM, LIST_X, T("Real"))),
+            # A witness whose == raises, compared by each rule that reads a side.
+            _rule_via(SD_REFL, INT, _Incomparable(), T("Str")),
+            _rule_via(SD_ABS_UNION, T("Real"), _Incomparable(), T("Str")),
+            _rule_via(SD_DISTR1, T("(Int|Flt)*Str"), _Incomparable(), T("Str")),
+            _rule_via(SD_UNION_R1, INT, Union(_Incomparable(), _Incomparable()), T("Str")),
+            # A root judgement between a side that is no type of TOWER and
+            # itself, such as Int in a subclass of Name.
+            *(Derivation(SD_REFL, x, x) for x in (*NAMES_EQUAL_TO_ALL, _AnyPair(INT, INT))),
+            # Int <: Str, false, through a premise side of a subclass of Name
+            # whose name reads Int first, as the parent compares it, and Str
+            # next, as its own rule does.
+            _via(
+                INT,
+                Derivation(SD_REFL, INT, INT),
+                Derivation(SD_REFL, _ShiftingName(), T("Str")),
+            ),
         ],
     )
     def test_derivation(self, d):
         for mode in Mode:
             assert check_declarative(TOWER, d, mode) is False
+
+    def test_abs_union_on_a_childless_abstract_name(self):
+        void = T("Void", VOID)
+        for mode in Mode:
+            assert check_declarative(VOID, Derivation(SD_ABS_UNION, void, void), mode) is False
 
     def test_well_formed_neighbours_still_pass(self):
         # The same shapes with proper premises are accepted.

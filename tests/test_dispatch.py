@@ -29,6 +29,7 @@ from tagsub.dispatch import (
     _function,
     add_method,
     applicable,
+    load_methods,
     parse_methods,
     resolve,
     tuple_type,
@@ -1074,6 +1075,13 @@ class TestMethodFile:
     def test_replacement_applies_during_parse(self):
         text = METHODS_TEXT + "method plus Real*Real => mRR\n"
         assert bodies(parse_methods(text, TOWER).methods) == ["mII", "mFF", "mRR"]
+
+    def test_file_with_a_byte_order_mark(self, tmp_path):
+        f = tmp_path / "methods.txt"
+        f.write_text(METHODS_TEXT.lstrip(), encoding="utf-8-sig")
+        tbl = load_methods(f, TOWER)
+        assert tbl.mode is Mode.SEMANTIC
+        assert bodies(tbl.methods) == ["mII", "mFF", "mUU"]
 
     def test_mode_line_required(self):
         with pytest.raises(MethodFileError):

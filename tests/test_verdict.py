@@ -8,6 +8,7 @@ that it stays polynomial in pair arity, and that the search is deferred.
 
 import random
 import time
+from unittest import mock
 
 import pytest
 
@@ -29,7 +30,7 @@ from tagsub.derivation import (
     check_declarative,
     synthesize,
 )
-from tagsub.gen import random_hierarchy, random_type
+from tagsub.gen import random_hierarchy, random_type, types_up_to
 from tagsub.normalize import nf_for_mode, nf_weight
 from tagsub.semantics import Mode, semantic_sub
 from tagsub.subtyping import (
@@ -516,3 +517,31 @@ class TestMutatedProofs:
                         assert not check(h, changed, mode), format_trace(changed)
                         roots[check] += not path
         assert min(roots.values()) >= 100, roots
+
+
+class TestWitnessEqualToAll:
+    """False judgements t1 <: t2 over types of depth 2, each routed through
+    an SD-Trans whose witness w compares equal to every value: by SD-Refl
+    into w and out of it, or, where t2 is a union, by SD-UnionR1 into w|w
+    and out of it by SD-UnionL over SD-UnionR1 or SD-UnionR2 nodes w <: t2.
+    A rule that compared those sides with their own == would accept each."""
+
+    def test_rejected_in_both_modes(self):
+        rng = random.Random(3141)
+        types = types_up_to(TOWER, 2)
+        rejected = {mode: 0 for mode in Mode}
+        for mode in Mode:
+            while rejected[mode] < 150:
+                t1, t2 = rng.choice(types), rng.choice(types)
+                if semantic_sub(TOWER, t1, t2, mode):
+                    continue
+                w = rng.choice([mock.ANY, Name(NominalName(mock.ANY, False))])
+                if isinstance(t2, Union) and rng.random() < 0.5:
+                    w, arm = Union(w, w), rng.choice([SD_UNION_R1, SD_UNION_R2])
+                    into = Derivation(SD_UNION_R1, t1, w)
+                    out = Derivation(SD_UNION_L, w, t2, (Derivation(arm, w.left, t2),) * 2)
+                else:
+                    into, out = Derivation(SD_REFL, t1, w), Derivation(SD_REFL, w, t2)
+                d = Derivation(SD_TRANS, t1, t2, (into, out), w)
+                assert check_declarative(TOWER, d, mode) is False, format_trace(d)
+                rejected[mode] += 1
