@@ -22,9 +22,11 @@ taken over all of them, so runs of two checkouts can be alternated:
 order they were appended, per workload and seed.  For each end-to-end metric
 it prints the parent's median and quartiles, the change's median, their ratio,
 how many pairs the change won, whether the medians lie further apart than the
-parent's quartiles, and WORSE where the change's median is worse than the
-parent's by more than the metric's bound in ``BENCHMARK.json``.  It exits 1
-if any metric is WORSE:
+parent's quartiles, the change's median over the median of the same workload
+in ``BENCH_baseline.json`` (so that small rises that each pass their bound
+show as they add up; it is only printed), and WORSE where the change's median
+is worse than the parent's by more than the metric's bound in
+``BENCHMARK.json``.  It exits 1 if any metric is WORSE, and on nothing else:
 
     python3 scripts/bench_medians.py --compare baseline change
 """
@@ -104,13 +106,15 @@ def compare(parent: str, change: str) -> int:
     """Print the paired comparison of two BENCH files; 1 if a metric is WORSE."""
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as f:
         metrics = json.load(f)["end_to_end"]
+    with open(os.path.join(ROOT, "BENCH_baseline.json"), encoding="utf-8") as f:
+        baseline = json.load(f)["medians"]
     groups: dict = {}
     for label in (parent, change):
         with open(os.path.join(ROOT, f"BENCH_{label}.json"), encoding="utf-8") as f:
             for run in json.load(f)["runs"]:
                 groups.setdefault((run["workload"], run["seed"]), {}).setdefault(label, []).append(run)
     print(f"{'workload':<9} {'seed':>4} {'metric':<11} {'parent median [q1, q3]':<34}"
-          f" {'change':>10} {'ratio':>6} {'won':>5} {'>IQR':>4}")
+          f" {'change':>10} {'ratio':>6} {'won':>5} {'>IQR':>4} {'/base':>6}")
     worse = 0
     for (workload, seed), by_label in groups.items():
         pairs = list(zip(by_label.get(parent, []), by_label.get(change, [])))
@@ -128,8 +132,11 @@ def compare(parent: str, change: str) -> int:
             worse += flag
             spread = f"{med_old:.4g} [{q1:.4g}, {q3:.4g}]"
             clear = "yes" if abs(med_new - med_old) > q3 - q1 else "no"
+            base = baseline.get(workload, {}).get(name)
+            drift = f"{med_new / base['median']:.3f}" if base else "-"
             print(f"{workload:<9} {seed:>4} {name:<11} {spread:<34} {med_new:>10.4g}"
-                  f" {ratio:>6.3f} {f'{won}/{len(pairs)}':>5} {clear:>4}" + ("  WORSE" if flag else ""))
+                  f" {ratio:>6.3f} {f'{won}/{len(pairs)}':>5} {clear:>4} {drift:>6}"
+                  + ("  WORSE" if flag else ""))
     return 1 if worse else 0
 
 

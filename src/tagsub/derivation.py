@@ -28,6 +28,7 @@ from .subtyping import (
     _declared,
     _is_type,
     _ProofTree,
+    _root,
     _same,
     _set_lhs,
     _set_premises,
@@ -95,7 +96,12 @@ def check_declarative(
     SD-Nom and SD-AbsUnion read only names that h declares (``_declared``).
     Malformed trees yield False rather than raising.
     """
-    if not (isinstance(d, Derivation) and _is_type(h, d.lhs) and _is_type(h, d.rhs)):
+    if type(d) is not Derivation:
+        if not isinstance(d, Derivation):
+            return False
+        # Each field of a subclass's root is read once, as in _root.
+        d = Derivation(d.rule, d.lhs, d.rhs, d.premises, d.witness)
+    if not (_is_type(h, d.lhs) and _is_type(h, d.rhs)):
         return False
     return _check_derivation(h, d, mode)
 
@@ -127,9 +133,10 @@ def _check_derivation(h, d: Derivation, mode: Mode) -> bool:
         return False
     if d.rule == SD_REFL:
         return _same(lhs, rhs)
-    n = lhs.name if type(lhs) is Name else None
+    # A witness can carry in a Name whose slot was never set: it reads None.
+    n = getattr(lhs, "name", None) if type(lhs) is Name else None
     if d.rule == SD_NOM:
-        m = rhs.name if type(rhs) is Name else None
+        m = getattr(rhs, "name", None) if type(rhs) is Name else None
         return (
             _declared(h, n)
             and _declared(h, m)
@@ -145,9 +152,13 @@ def _check_derivation(h, d: Derivation, mode: Mode) -> bool:
             and _same(rhs, descendant_union(h, n))
         )
     if d.rule in (SD_UNION_R1, SD_UNION_R2):
-        return type(rhs) is Union and _same(
-            lhs, rhs.left if d.rule == SD_UNION_R1 else rhs.right
-        )
+        if type(rhs) is not Union:
+            return False
+        try:
+            arm = rhs.left if d.rule == SD_UNION_R1 else rhs.right
+        except AttributeError:  # a slot never set
+            return False
+        return _same(lhs, arm)
     if d.rule in (SD_DISTR1, SD_DISTR2):
         u = _distribute(lhs, d.rule) if type(lhs) is Pair else None
         return u is not None and _same(rhs, u)
@@ -164,7 +175,8 @@ def synthesize(
     normalization step becomes transitivity through the normal form, whose
     left half is supplied by :func:`derive_sub_nf`.
     """
-    if not check_reductive_trace(h, trace, mode):
+    trace = _root(trace)
+    if trace is None or not check_reductive_trace(h, trace, mode):
         raise InvalidTrace("trace does not satisfy the reductive rule schemas")
     return _synth(h, trace, mode)
 
@@ -268,11 +280,18 @@ def _nf_proof(
 def _distribute(p: Pair, rule: str) -> Union | None:
     """The union that one SD-Distr1 step distributes p into, over its left
     component, or one SD-Distr2 step, over its right; None if that
-    component is no union."""
-    x, y = p.left, p.right
+    component is no union, or if a slot that it reads was never set."""
+    try:
+        x, y = p.left, p.right
+        u = x if rule == SD_DISTR1 else y
+        if type(u) is not Union:
+            return None
+        a, b = u.left, u.right
+    except AttributeError:  # a slot never set
+        return None
     if rule == SD_DISTR1:
-        return Union(Pair(x.left, y), Pair(x.right, y)) if type(x) is Union else None
-    return Union(Pair(x, y.left), Pair(x, y.right)) if type(y) is Union else None
+        return Union(Pair(a, y), Pair(b, y))
+    return Union(Pair(x, a), Pair(x, b))
 
 
 def _pair_below_unprs(p: Pair) -> Derivation:

@@ -14,7 +14,11 @@ bit mask, so resolving makes no subtype call.  Equivalent signatures have
 equal up masks (the signatures at or above each).  A signature's up mask
 without its equivalents, its strict mask, orders the candidates.  A
 function's strict masks are worked out together, once: at build, or at its
-first resolve with two candidates or more.
+first resolve with two candidates or more.  The compiled function also
+keeps the outcome of each candidate mask it has resolved, so a call whose
+candidates an earlier call had costs its walk and one dict lookup.  The
+signatures bound the masks that calls can have, and a table never
+changes, so nothing there is ever invalidated.
 
 Insertion builds that same compiled function.  :func:`add_method` and
 :func:`parse_methods` both insert through one routine that takes a batch of
@@ -145,6 +149,7 @@ class _Function:
         self._root: _Node | None = None
         self._up: list[int | None] = [None] * len(self.methods)
         self._strict: list[int] | None = None
+        self.outcomes: dict[int, DispatchOutcome] = {}  # candidate mask -> outcome
 
     def root(self) -> _Node:
         if self._root is None:
@@ -177,6 +182,23 @@ class _Function:
             rest ^= low
             above |= strict[low.bit_length() - 1]
         return cands & ~above
+
+    def outcome(self, cands: int) -> DispatchOutcome:
+        """The outcome of a call whose candidates are cands.
+
+        The minimal candidates come from their strict masks (minimal).  Since
+        insertion keeps no two equivalent signatures of a function, a single
+        minimal candidate is the minimum and is selected; several (equivalent
+        signatures of a hand-built table among them) are an ambiguity, in
+        table order.
+        """
+        if cands & (cands - 1):  # two candidates or more
+            cands = self.minimal(cands)
+            if cands & (cands - 1):
+                return Ambiguous(tuple(self.methods[i] for i in _bits(cands)))
+        if cands:
+            return Selected(self.methods[cands.bit_length() - 1])
+        return NoApplicableMethod()
 
     def candidates(self, call: TypeExpr) -> int:
         """The bits of the signatures at or above the call."""
@@ -280,20 +302,17 @@ def applicable(tbl: MethodTable, function: str, call: TypeExpr) -> list[MethodDe
 def resolve(tbl: MethodTable, function: str, call: TypeExpr) -> DispatchOutcome:
     """The most specific applicable method, found by mask arithmetic.
 
-    The minimal candidates come from their strict masks (_Function.minimal).
-    Since insertion keeps no two equivalent signatures of a function, a single
-    minimal candidate is the minimum and is selected; several (equivalent
-    signatures of a hand-built table among them) are an ambiguity, in table order.
+    The call's walk gives its candidates and raises for a bad call (and, on
+    a hand-built table's first call, for a bad signature) before anything
+    is looked up; the outcome of each candidate set is built once per
+    compiled function (_Function.outcome) and then read from its table.
     """
     fn = _function(tbl, function)
     cands = fn.candidates(call)
-    if cands & (cands - 1):  # two candidates or more
-        cands = fn.minimal(cands)
-        if cands & (cands - 1):
-            return Ambiguous(tuple(fn.methods[i] for i in _bits(cands)))
-    if cands:
-        return Selected(fn.methods[cands.bit_length() - 1])
-    return NoApplicableMethod()
+    out = fn.outcomes.get(cands)
+    if out is None:
+        out = fn.outcomes[cands] = fn.outcome(cands)
+    return out
 
 
 # Method file format, one statement per line, '#' comments:

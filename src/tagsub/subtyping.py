@@ -237,23 +237,29 @@ class _Node:
         return out
 
     def mask(self, t: TypeExpr) -> int:
-        if isinstance(t, Union):
-            out = self.full
-            for x in _leaves(t, Union):
-                out &= self.mask(x)
-            return out
-        if isinstance(t, Name):
-            return self._name(t.name)
-        if not self.arms:
-            validate_type(self.h, t, self.mode is Mode.SEMANTIC)
-            return 0
-        if self.back:
-            out = self.full
-            for m in self.covers(t):
-                out &= m
-            return out
-        left, right = self.children or self._children()
-        return left.mask(t.left) & right.mask(t.right)
+        # One frame walks down the right spine of a pair chain, as argument
+        # lists are nested, and ANDs each left component's mask into out:
+        # a child's bits are its parent's targets wherever the parent has no
+        # fresh bits.  A name is read in place; other left components and
+        # union arms recurse, left first, so names are met left to right.
+        node, out = self, -1
+        while True:
+            if isinstance(t, Union):
+                for x in _leaves(t, Union):
+                    out &= node._name(x.name) if isinstance(x, Name) else node.mask(x)
+                return out & node.full
+            if isinstance(t, Name):
+                return out & node._name(t.name)
+            if not node.arms:
+                validate_type(node.h, t, node.mode is Mode.SEMANTIC)
+                return 0
+            if node.back:
+                for m in node.covers(t):
+                    out &= m
+                return out & node.full
+            left, node = node.children or node._children()
+            x, t = t.left, t.right
+            out &= left._name(x.name) if isinstance(x, Name) else left.mask(x)
 
     def covers(self, t: TypeExpr) -> set[int]:
         if isinstance(t, Union):
@@ -316,11 +322,14 @@ def _split_premises(componentwise: bool, lhs, rhs, prem: tuple) -> bool:
     # SR-UnionL and SD-UnionL share (lhs a union, each arm related to rhs).
     # Classes are tested exactly, so each component read is a slot's value.
     # The caller checks the two premises themselves, left first.
-    if componentwise and type(lhs) is Pair and type(rhs) is Pair:
-        a, b, c, d = lhs.left, rhs.left, lhs.right, rhs.right
-    elif not componentwise and type(lhs) is Union:
-        a, b, c, d = lhs.left, rhs, lhs.right, rhs
-    else:
+    try:
+        if componentwise and type(lhs) is Pair and type(rhs) is Pair:
+            a, b, c, d = lhs.left, rhs.left, lhs.right, rhs.right
+        elif not componentwise and type(lhs) is Union:
+            a, b, c, d = lhs.left, rhs, lhs.right, rhs
+        else:
+            return False
+    except AttributeError:  # a slot never set
         return False
     return len(prem) == 2 and _concludes(prem[0], a, b) and _concludes(prem[1], c, d)
 
@@ -334,16 +343,20 @@ def _concludes(p, lhs, rhs) -> bool:
 def _same(g, w) -> bool:
     # Whether g is w or a copy of it, compared class by class and name by
     # name, so that no value's own ==, which may equal everything, is asked.
+    # A value with a slot never set is the same as itself only.
     if g is w:
         return True
     kind = type(g)
-    if (kind is Pair or kind is Union) and type(w) is kind:
-        return _same(g.left, w.left) and _same(g.right, w.right)
-    if kind is not Name or type(w) is not Name:
+    try:
+        if (kind is Pair or kind is Union) and type(w) is kind:
+            return _same(g.left, w.left) and _same(g.right, w.right)
+        if kind is not Name or type(w) is not Name:
+            return False
+        m, n = g.name, w.name
+        texts = type(m) is type(n) is NominalName and type(m.text) is type(n.text) is str
+        return m is n or (texts and m.text == n.text and m.abstract is n.abstract)
+    except AttributeError:  # a slot never set
         return False
-    m, n = g.name, w.name
-    texts = type(m) is type(n) is NominalName and type(m.text) is type(n.text) is str
-    return m is n or (texts and m.text == n.text and m.abstract is n.abstract)
 
 
 def _decide(
@@ -409,9 +422,11 @@ def check_reductive_trace(
     once on any root-to-leaf path.  Malformed trees yield False rather than
     raising.  An accept is recorded on the root for this hierarchy object
     and mode, so checking the same trace again under both returns True
-    without a walk.
+    without a walk.  The root of a subclass of ``ReductiveTrace`` is checked
+    as a copy made from one read of each of its fields.
     """
-    if not isinstance(trace, ReductiveTrace):
+    trace = _root(trace)
+    if trace is None:
         return False
     accepts = getattr(trace, "_accepts", ())
     if (h, mode) in accepts:
@@ -422,6 +437,18 @@ def check_reductive_trace(
         return False
     _set_accepts(trace, (*accepts, (h, mode)))
     return True
+
+
+def _root(trace) -> ReductiveTrace | None:
+    # The root that the checker reads: a trace of the library's own classes,
+    # whose fields are slots that read alike each time, or else a plain copy
+    # of a subclass's, made from one read of each field, since a subclass
+    # could answer each read differently (and keeps no accept record).
+    if type(trace) is ReductiveTrace or type(trace) is _OnDemandTrace:
+        return trace
+    if isinstance(trace, ReductiveTrace):
+        return ReductiveTrace(trace.rule, trace.lhs, trace.rhs, trace.premises)
+    return None
 
 
 def _check(h, tr: ReductiveTrace, mode: Mode, nf_allowed: bool) -> bool:
@@ -456,14 +483,17 @@ def _check(h, tr: ReductiveTrace, mode: Mode, nf_allowed: bool) -> bool:
 
 def _is_type(h, t) -> bool:
     # A tree of pairs and unions, of exactly those classes, over names that
-    # h declares with their kind.
+    # h declares with their kind, whose every slot is set.
     todo = [t]
-    while todo:
-        x = todo.pop()
-        if type(x) is Pair or type(x) is Union:
-            todo += x.left, x.right
-        elif type(x) is not Name or not _declared(h, x.name):
-            return False
+    try:
+        while todo:
+            x = todo.pop()
+            if type(x) is Pair or type(x) is Union:
+                todo += x.left, x.right
+            elif type(x) is not Name or not _declared(h, x.name):
+                return False
+    except AttributeError:  # a slot never set, in a value made by __new__ alone
+        return False
     return True
 
 
@@ -471,10 +501,13 @@ def _declared(h, n) -> bool:
     # Whether n is a name that h declares with its kind: a NominalName of
     # exactly that class whose text is a str, so that no value's own == or
     # hash is asked.  The one name test of both checkers.
-    if type(n) is not NominalName or type(n.text) is not str:
+    try:
+        if type(n) is not NominalName or type(n.text) is not str:
+            return False
+        declared = h._names.get(n.text)
+        return declared is not None and declared.abstract is n.abstract
+    except AttributeError:  # a slot never set
         return False
-    declared = h._names.get(n.text)
-    return declared is not None and declared.abstract is n.abstract
 
 
 def format_trace(trace: ReductiveTrace) -> str:

@@ -170,6 +170,24 @@ class TestChecker:
         assert check_declarative(TOWER, Derivation(SD_DISTR2, t, over_right))
         assert not check_declarative(TOWER, Derivation(SD_DISTR2, t, over_left))
 
+    def test_no_distribution_over_a_pair_component(self):
+        # Taking a pair component apart as if it were a union is false.
+        d1 = Derivation(SD_DISTR1, T("(Int*Flt)*Str"), T("Int*Str|Flt*Str"))
+        d2 = Derivation(SD_DISTR2, T("Str*(Int*Flt)"), T("Str*Int|Str*Flt"))
+        for mode in Mode:
+            assert check_declarative(TOWER, d1, mode) is False
+            assert check_declarative(TOWER, d2, mode) is False
+
+    def test_no_pair_rule_to_a_union(self):
+        # Int*Int <: Int|Int is false, though the union's arms are the pair's
+        # components.
+        lhs, rhs = T("Int*Int"), T("Int|Int")
+        trace = ReductiveTrace(SR_PAIR, lhs, rhs, (REFL_INT, REFL_INT))
+        d = Derivation(SD_PAIR, lhs, rhs, (Derivation(SD_REFL, INT, INT),) * 2)
+        for mode in Mode:
+            assert check_reductive_trace(TOWER, trace, mode) is False
+            assert check_declarative(TOWER, d, mode) is False
+
 
 def D(rule, lhs, rhs, *premises, witness=None):
     """A derivation node; a side or witness given as text is parsed over TOWER."""
@@ -1111,3 +1129,139 @@ class TestMalformedTrees:
                 assert check_declarative(TOWER, d, mode)
         real = _through_witness(SD_ABS_UNION, T("Real"), T("Int|Flt"), INT_INT_FLT)
         assert check_declarative(TOWER, real, Mode.SEMANTIC)
+
+
+class _ShiftingRoot:
+    """Mixed into a proof node class: its left side reads the first of
+    sides on the first read and the last on every read after it, so a
+    checker that reads it twice sees two judgements."""
+
+    def __init__(self, rule, sides, rhs, *rest):
+        super().__init__(rule, sides[0], rhs, *rest)
+        object.__setattr__(self, "_sides", sides)
+        object.__setattr__(self, "_reads", 0)
+
+    @property
+    def lhs(self):
+        object.__setattr__(self, "_reads", self._reads + 1)
+        return self._sides[0] if self._reads == 1 else self._sides[-1]
+
+
+class _ShiftingTrace(_ShiftingRoot, ReductiveTrace):
+    __slots__ = ("_sides", "_reads")
+
+
+class _ShiftingDerivation(_ShiftingRoot, Derivation):
+    __slots__ = ("_sides", "_reads")
+
+
+class _SelfAcceptedTrace(ReductiveTrace):
+    """A subclass of ReductiveTrace whose accept record claims that it was
+    accepted under TOWER in semantic mode."""
+
+    _accepts = property(lambda self: ((TOWER, Mode.SEMANTIC),))
+
+
+def _unset(cls):
+    """An instance of cls whose slots were never set."""
+    return cls.__new__(cls)
+
+
+class TestRootReadOnce:
+    """Each checker decides one reading of the root's fields, and a
+    subclass of a proof node cannot answer for its own acceptance."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_root_whose_left_side_changes_between_reads(self, mode):
+        # First read Int <: Str, false; read again Str <: Str.
+        str_ = T("Str")
+        trace = _ShiftingTrace(SR_BASE_REFL, (INT, str_), str_)
+        assert check_reductive_trace(TOWER, trace, mode) is False
+        with pytest.raises(InvalidTrace):
+            synthesize(TOWER, _ShiftingTrace(SR_BASE_REFL, (INT, str_), str_), mode)
+        d = _ShiftingDerivation(SD_REFL, (INT, str_), str_)
+        assert check_declarative(TOWER, d, mode) is False
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_root_that_reads_true_once_is_accepted(self, mode):
+        # Read once, Str <: Str holds; the shift that follows is not read.
+        str_ = T("Str")
+        assert check_reductive_trace(TOWER, _ShiftingTrace(SR_BASE_REFL, (str_, INT), str_), mode)
+        assert check_declarative(TOWER, _ShiftingDerivation(SD_REFL, (str_, INT), str_), mode)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_synthesize_derives_the_judgement_it_checked(self, mode):
+        # Int <: Real by SR-Nom on the one read; Str <: Real, false, on every
+        # read after it.
+        trace = _ShiftingTrace(SR_NOM, (INT, INT, INT, T("Str")), T("Real"))
+        d = synthesize(TOWER, trace, mode)
+        assert (d.rule, d.lhs, d.rhs) == (SD_NOM, INT, T("Real"))
+        assert check_declarative(TOWER, d, mode)
+
+    def test_a_subclass_cannot_claim_an_accept(self):
+        # Int <: Str is false; the subclass's property claims an accept.
+        trace = _SelfAcceptedTrace(SR_BASE_REFL, INT, T("Str"))
+        for mode in Mode:
+            assert check_reductive_trace(TOWER, trace, mode) is False
+            with pytest.raises(InvalidTrace):
+                synthesize(TOWER, trace, mode)
+
+    def test_a_subclass_keeps_no_accept_record(self):
+        trace = _Trace(SR_BASE_REFL, INT, INT)
+        assert check_reductive_trace(TOWER, trace)
+        with pytest.raises(AttributeError):
+            trace._accepts
+
+
+def _refl_via(witness, side):
+    """side <: side by SD-Trans through witness, by SD-Refl on both sides."""
+    return _via(witness, Derivation(SD_REFL, side, witness), Derivation(SD_REFL, witness, side))
+
+
+_PAIR, _UNION = _unset(Pair), _unset(Union)
+_NAMES = [_unset(Name), Name(_unset(NominalName))]
+_INT_INT, _D_INT = T("Int*Int"), Derivation(SD_REFL, INT, INT)
+#: Int*Int <: Int*Int, Int|Int <: Int|Int and Int <: Int through an unset
+#: witness, which each rule that compares or takes apart a side reads.
+UNSET_WITNESSES = [
+    _refl_via(_PAIR, _INT_INT),
+    _refl_via(_UNION, T("Int|Int")),
+    *(_refl_via(x, INT) for x in _NAMES),
+    _via(
+        _PAIR,
+        Derivation(SD_PAIR, _INT_INT, _PAIR, (_D_INT, _D_INT)),
+        Derivation(SD_PAIR, _PAIR, _INT_INT, (_D_INT, _D_INT)),
+    ),
+    _via(_UNION, Derivation(SD_UNION_R1, INT, _UNION), Derivation(SD_REFL, _UNION, INT)),
+    *(_via(x, Derivation(SD_NOM, INT, x), Derivation(SD_REFL, x, INT)) for x in _NAMES),
+    # An unset arm of a witness, read by a rule of the left-union node out of it.
+    _through_witness(SD_DISTR1, _PAIR, T("Real"), INT_REAL),
+    _through_witness(SD_DISTR2, _PAIR, T("Real"), INT_REAL),
+    _through_witness(SD_UNION_L, _UNION, T("Real"), INT_REAL),
+    *(_through_witness(SD_NOM, x, T("Real"), INT_REAL) for x in _NAMES),
+    *(_through_witness(SD_ABS_UNION, x, T("Int|Flt"), INT_INT_FLT) for x in _NAMES),
+]
+
+
+class TestUnsetSlots:
+    """A type whose slots were never set, made by __new__ alone, is rejected
+    by the checkers rather than raising."""
+
+    @pytest.mark.parametrize("cls", [Pair, Union, Name])
+    def test_a_root_side(self, cls):
+        x = _unset(cls)
+        for mode in Mode:
+            assert check_reductive_trace(TOWER, ReductiveTrace(SR_BASE_REFL, x, x), mode) is False
+            assert check_declarative(TOWER, Derivation(SD_REFL, x, x), mode) is False
+            assert check_declarative(TOWER, Derivation(SD_REFL, INT, x), mode) is False
+
+    def test_a_name_around_an_unset_nominal_name(self):
+        x = Name(_unset(NominalName))
+        for mode in Mode:
+            assert check_reductive_trace(TOWER, ReductiveTrace(SR_BASE_REFL, x, x), mode) is False
+            assert check_declarative(TOWER, Derivation(SD_REFL, x, x), mode) is False
+
+    @pytest.mark.parametrize("d", UNSET_WITNESSES)
+    def test_a_witness(self, d):
+        for mode in Mode:
+            assert check_declarative(TOWER, d, mode) is False

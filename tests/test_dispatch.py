@@ -1019,6 +1019,116 @@ class TestStrictMasks:
         assert reads == []
 
 
+def count_minimal(monkeypatch):
+    """The candidate masks that _Function.minimal is called with, in order."""
+    seen, minimal = [], _Function.minimal
+    monkeypatch.setattr(_Function, "minimal", lambda fn, c: seen.append(c) or minimal(fn, c))
+    return seen
+
+
+class TestOutcomeCache:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_candidate_set_is_resolved_once(self, mode, monkeypatch):
+        # Str, Int and Str|Int each lie below all three signatures, and the
+        # first is the minimum.
+        tbl = table(mode, [mk("f", "Num|Str", "mN"), mk("f", "Str|Real", "mR"), mk("f", "Str|Int", "mI")])
+        seen = count_minimal(monkeypatch)
+        for call in ["Str", "Str", "Int", "Str|Int"]:
+            assert resolve(tbl, "f", T(call)) == Selected(tbl.methods[2])
+        assert seen == [0b111]
+        assert resolve(tbl, "f", T("Flt")) == Selected(tbl.methods[1])
+        assert resolve(tbl, "f", T("Cmplx")) == Selected(tbl.methods[0])
+        assert seen == [0b111, 0b011]
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_every_outcome_kind_is_kept(self, mode, monkeypatch):
+        tbl = table(mode, [mk("f", "Int*Real", "mIR"), mk("f", "Real*Int", "mRI")])
+        seen = count_minimal(monkeypatch)
+        calls = ["Int*Int", "Int*Flt", "Str*Int", "Flt*Int"]
+        first = [resolve(tbl, "f", T(c)) for c in calls]
+        assert [type(o) for o in first] == [Ambiguous, Selected, NoApplicableMethod, Selected]
+        assert [resolve(tbl, "f", T(c)) for c in calls] == first
+        assert seen == [0b11] and len(_function(tbl, "f").outcomes) == 4
+
+    @pytest.mark.parametrize(
+        "mode, void",
+        [pytest.param(mode, False, id=str(mode)) for mode in Mode]
+        + [pytest.param(mode, True, id=f"{mode}-void") for mode in Mode],
+    )
+    def test_warm_tables_agree_with_fresh_ones(self, mode, void):
+        # TestResolveByDefinition's tables and calls, drawn from the same
+        # stream; each table then meets every call twice, in shuffled order.
+        rng, order = random.Random(4242), random.Random(5)
+        for _ in range(60):
+            h = random_hierarchy(rng, 8)
+            if void:
+                h = validate_hierarchy(h.decls + (Decl("Void", True),))
+            empty = void and mode is Mode.SEMANTIC
+            tbl = MethodTable(h, mode)
+            for i in range(8):
+                sig = random_signature(rng, h, 3)
+                m = MethodDef(rng.choice("fg"), sig, f"m{i}")
+                if not (empty and names_void(sig)):
+                    tbl = add_method(tbl, m)
+            functions = sorted({m.function for m in tbl.methods})
+            calls = [
+                (rng.choice(functions), random_signature(rng, h, 1))
+                for _ in range(30 if functions else 0)
+            ]
+            stream = calls * 2
+            order.shuffle(stream)
+            for fn, call in stream:
+                warm = outcome(lambda: resolve(tbl, fn, call))
+                fresh = MethodTable(h, mode, tbl.methods)
+                assert warm == outcome(lambda: resolve(fresh, fn, call)), (fn, str(call))
+                if empty and names_void(call):
+                    assert warm.startswith("EmptyAbstract")
+                else:
+                    assert warm == resolve_by_definition(tbl, fn, call), (fn, str(call))
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_bad_call_raises_on_a_warm_table(self, mode):
+        # Each bad call has the shape of the good one before it.
+        tbl = table(mode, [vmk("f", "Int*Int", "mII"), vmk("f", "Int*(Int|Str)", "mIU")], VOID)
+        good, int_ = T("Int*Int", VOID), T("Int", VOID)
+        for _ in range(2):
+            assert resolve(tbl, "f", good) == Selected(tbl.methods[0])
+            with pytest.raises(UnknownName, match="Ghost"):
+                resolve(tbl, "f", Pair(int_, GHOST))
+            with pytest.raises(UnknownName, match="Ghost"):
+                resolve(tbl, "f", Pair(GHOST, int_))
+            void = T("Int*Void", VOID)
+            if mode is Mode.SEMANTIC:
+                with pytest.raises(EmptyAbstract, match="Void"):
+                    resolve(tbl, "f", void)
+            else:
+                assert resolve(tbl, "f", void) == NoApplicableMethod()
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_hand_built_table_checks_its_signatures_on_a_repeated_call(self, mode):
+        # The outcome of the good call's candidates is never stored, since
+        # the first call raises for the unchecked signature after its walk.
+        methods = (mk("f", "Int", "mI"), MethodDef("f", Union(T("Str"), GHOST), "mG"))
+        tbl = MethodTable(TOWER, mode, methods=methods)
+        for _ in range(2):
+            with pytest.raises(UnknownName, match="Ghost"):
+                resolve(tbl, "f", T("Int"))
+        assert _function(tbl, "f").outcomes == {}
+
+
+class TestDeepCalls:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_right_nested_argument_list_of_1500_pairs(self, mode):
+        # Argument lists nest to the right; the walk takes that spine in one frame.
+        args = tuple_type([T("Int")] * 1501)
+        tbl = add_method(MethodTable(TOWER, mode), MethodDef("f", args, "m"))
+        tbl = add_method(tbl, MethodDef("f", tuple_type([T("Real")] * 1501), "mR"))
+        for call in (args, tuple_type([T("Int")] * 1501)):
+            out = resolve(tbl, "f", call)
+            assert type(out) is Selected and out.method is tbl.methods[0]
+        assert resolve(tbl, "f", tuple_type([T("Int")] * 1500 + [T("Str")])) == NoApplicableMethod()
+
+
 class TestStabilityScenario:
     """The four-method program, before and after the Int8 extension."""
 

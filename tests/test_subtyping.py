@@ -550,3 +550,24 @@ class TestRelationalProperties:
                 reductive_sub(TOWER, t1, t2, mode, Strategy.NORMALIZE_FIRST)[0]
                 == reductive_sub(TOWER, t1, t2, mode, Strategy.SHORT_PATH_FIRST)[0]
             )
+
+
+def right_nested(parts):
+    """The pair chain parts[0]*(parts[1]*(…)), nested to the right."""
+    out = parts[-1]
+    for p in reversed(parts[:-1]):
+        out = Pair(p, out)
+    return out
+
+
+class TestDeepPairChains:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_right_nested_chain_of_1500_pairs(self, mode):
+        # The verdict's walk takes a right spine in one frame.
+        int_, real = T("Int"), T("Real")
+        t = right_nested([int_] * 1501)
+        assert reductive_sub(TOWER, t, t, mode)[0] is True
+        assert reductive_sub(TOWER, t, right_nested([int_] * 1500 + [real]), mode)[0] is True
+        assert reductive_sub(TOWER, t, right_nested([int_] * 1500 + [T("Str")]), mode)[0] is False
+        with pytest.raises(UnknownName, match="Foo"):
+            reductive_sub(TOWER, right_nested([int_] * 1500 + [FOO]), t, mode)
