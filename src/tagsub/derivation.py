@@ -24,18 +24,17 @@ from .subtyping import (
     SR_UNION_R1,
     SR_UNION_R2,
     ReductiveTrace,
-    _concludes,
+    _accepted,
     _declared,
-    _is_type,
+    _kernel,
+    _pair,
     _ProofTree,
-    _root,
     _same,
     _set_lhs,
     _set_premises,
     _set_rhs,
     _set_rule,
-    _split_premises,
-    check_reductive_trace,
+    _union_l,
     format_trace,
 )
 
@@ -88,81 +87,50 @@ def check_declarative(
     instantiates its rule schema under the mode.
 
     The atomic mode rejects SD-AbsUnion nodes; everything else is shared.
-    As in :func:`check_reductive_trace`, every side that a rule reads is
-    compared class by class and name by name (``_same``), never by a value's
-    own ``==``.  An SD-Trans witness is not tested, and need not be: a value
-    that is no type of h is then the same as itself only, so it acts as a
-    fresh name that only SD-Refl and the structural rules can relate, and
-    SD-Nom and SD-AbsUnion read only names that h declares (``_declared``).
-    Malformed trees yield False rather than raising.
+    As in :func:`check_reductive_trace`, whose walk this is, every side that
+    a rule reads is compared class by class and name by name (``_same``),
+    never by a value's own ``==``.  An SD-Trans witness is not tested, and
+    need not be: a value that is no type of h is then the same as itself
+    only, so it acts as a fresh name that only SD-Refl and the structural
+    rules can relate, and SD-Nom and SD-AbsUnion read only names that h
+    declares (``_declared``).  Depth is unbounded, and malformed trees, a
+    node or a type whose slots were never set among them, yield False
+    rather than raising.
     """
-    if type(d) is not Derivation:
-        if not isinstance(d, Derivation):
-            return False
-        # Each field of a subclass's root is read once, as in _root.
-        d = Derivation(d.rule, d.lhs, d.rhs, d.premises, d.witness)
-    if not (_is_type(h, d.lhs) and _is_type(h, d.rhs)):
-        return False
-    return _check_derivation(h, d, mode)
+    return _kernel(h, d, Derivation, mode, _step, True) is not None
 
 
-def _check_derivation(h, d: Derivation, mode: Mode) -> bool:
-    lhs, rhs, prem = d.lhs, d.rhs, d.premises
-    if type(prem) is not tuple:
-        return False
-    for p in prem:
-        if type(p) is not Derivation:
-            return False
-    if d.rule == SD_TRANS:
-        return (
-            len(prem) == 2
-            and _concludes(prem[0], lhs, d.witness)
-            and _concludes(prem[1], d.witness, rhs)
-            and _check_derivation(h, prem[0], mode)
-            and _check_derivation(h, prem[1], mode)
-        )
-    if d.witness is not None:
-        return False
-    if d.rule in (SD_PAIR, SD_UNION_L):
-        return (
-            _split_premises(d.rule == SD_PAIR, lhs, rhs, prem)
-            and _check_derivation(h, prem[0], mode)
-            and _check_derivation(h, prem[1], mode)
-        )
-    if prem:  # every other rule is an axiom
-        return False
-    if d.rule == SD_REFL:
-        return _same(lhs, rhs)
-    # A witness can carry in a Name whose slot was never set: it reads None.
-    n = getattr(lhs, "name", None) if type(lhs) is Name else None
-    if d.rule == SD_NOM:
-        m = getattr(rhs, "name", None) if type(rhs) is Name else None
-        return (
-            _declared(h, n)
-            and _declared(h, m)
-            and m.text != n.text
-            and m.text in h._above[n.text]
-        )
-    if d.rule == SD_ABS_UNION:
-        return (
-            mode is not Mode.ATOMIC
-            and _declared(h, n)
-            and n.abstract
-            and bool(h._concrete_desc[n.text])
-            and _same(rhs, descendant_union(h, n))
-        )
-    if d.rule in (SD_UNION_R1, SD_UNION_R2):
-        if type(rhs) is not Union:
-            return False
-        try:
-            arm = rhs.left if d.rule == SD_UNION_R1 else rhs.right
-        except AttributeError:  # a slot never set
-            return False
-        return _same(lhs, arm)
-    if d.rule in (SD_DISTR1, SD_DISTR2):
-        u = _distribute(lhs, d.rule) if type(lhs) is Pair else None
-        return u is not None and _same(rhs, u)
-    return False
+def _step(h, d: Derivation, mode: Mode, flag: bool):
+    # The declarative rule table, as _check is the reductive one.
+    rule, lhs, rhs, w = d.rule, d.lhs, d.rhs, d.witness
+    if type(rule) is not str:
+        return None
+    if rule == SD_TRANS:
+        return (lhs, w, flag), (w, rhs, flag)
+    if w is not None:
+        return None
+    if rule == SD_NOM:
+        n = lhs.name if type(lhs) is Name else None
+        m = rhs.name if type(rhs) is Name else None
+        ok = _declared(h, n) and _declared(h, m) and m.text != n.text and m.text in h._above[n.text]
+    elif rule == SD_UNION_R1 or rule == SD_UNION_R2:
+        ok = type(rhs) is Union and _same(lhs, rhs.left if rule == SD_UNION_R1 else rhs.right)
+    elif rule == SD_UNION_L:
+        return _union_l(lhs, rhs, flag)
+    elif rule == SD_REFL:
+        ok = _same(lhs, rhs)
+    elif rule == SD_PAIR:
+        return _pair(lhs, rhs, flag)
+    elif rule == SD_ABS_UNION:
+        n = lhs.name if type(lhs) is Name else None
+        ok = mode is not Mode.ATOMIC and _declared(h, n) and n.abstract
+        ok = ok and bool(h._concrete_desc[n.text]) and _same(rhs, descendant_union(h, n))
+    elif rule == SD_DISTR1 or rule == SD_DISTR2:
+        u = _distribute(lhs, rule) if type(lhs) is Pair else None
+        ok = u is not None and _same(rhs, u)
+    else:
+        return None
+    return () if ok else None
 
 
 def synthesize(
@@ -175,8 +143,8 @@ def synthesize(
     normalization step becomes transitivity through the normal form, whose
     left half is supplied by :func:`derive_sub_nf`.
     """
-    trace = _root(trace)
-    if trace is None or not check_reductive_trace(h, trace, mode):
+    trace = _accepted(h, trace, mode)
+    if trace is None:
         raise InvalidTrace("trace does not satisfy the reductive rule schemas")
     return _synth(h, trace, mode)
 
@@ -279,16 +247,12 @@ def _nf_proof(
 
 def _distribute(p: Pair, rule: str) -> Union | None:
     """The union that one SD-Distr1 step distributes p into, over its left
-    component, or one SD-Distr2 step, over its right; None if that
-    component is no union, or if a slot that it reads was never set."""
-    try:
-        x, y = p.left, p.right
-        u = x if rule == SD_DISTR1 else y
-        if type(u) is not Union:
-            return None
-        a, b = u.left, u.right
-    except AttributeError:  # a slot never set
+    component, or one SD-Distr2 step, over its right; None if no union is there."""
+    x, y = p.left, p.right
+    u = x if rule == SD_DISTR1 else y
+    if type(u) is not Union:
         return None
+    a, b = u.left, u.right
     if rule == SD_DISTR1:
         return Union(Pair(a, y), Pair(b, y))
     return Union(Pair(x, a), Pair(x, b))

@@ -316,47 +316,19 @@ def _name_rule(h, lhs, rhs, mode: Mode) -> str | None:
     return SR_NOM if n2.text in h._above[n1.text] else None
 
 
-def _split_premises(componentwise: bool, lhs, rhs, prem: tuple) -> bool:
-    # The premise schema that SR-Pair and SD-Pair share (componentwise: pairs
-    # lhs and rhs, related left to left and right to right) and that
-    # SR-UnionL and SD-UnionL share (lhs a union, each arm related to rhs).
-    # Classes are tested exactly, so each component read is a slot's value.
-    # The caller checks the two premises themselves, left first.
-    try:
-        if componentwise and type(lhs) is Pair and type(rhs) is Pair:
-            a, b, c, d = lhs.left, rhs.left, lhs.right, rhs.right
-        elif not componentwise and type(lhs) is Union:
-            a, b, c, d = lhs.left, rhs, lhs.right, rhs
-        else:
-            return False
-    except AttributeError:  # a slot never set
-        return False
-    return len(prem) == 2 and _concludes(prem[0], a, b) and _concludes(prem[1], c, d)
-
-
-def _concludes(p, lhs, rhs) -> bool:
-    # Whether premise p's sides are lhs and rhs, which a rule gives them, or
-    # copies of them.  They are most often the very objects.
-    return (p.lhs is lhs or _same(p.lhs, lhs)) and (p.rhs is rhs or _same(p.rhs, rhs))
-
-
 def _same(g, w) -> bool:
     # Whether g is w or a copy of it, compared class by class and name by
     # name, so that no value's own ==, which may equal everything, is asked.
-    # A value with a slot never set is the same as itself only.
     if g is w:
         return True
     kind = type(g)
-    try:
-        if (kind is Pair or kind is Union) and type(w) is kind:
-            return _same(g.left, w.left) and _same(g.right, w.right)
-        if kind is not Name or type(w) is not Name:
-            return False
-        m, n = g.name, w.name
-        texts = type(m) is type(n) is NominalName and type(m.text) is type(n.text) is str
-        return m is n or (texts and m.text == n.text and m.abstract is n.abstract)
-    except AttributeError:  # a slot never set
+    if (kind is Pair or kind is Union) and type(w) is kind:
+        return _same(g.left, w.left) and _same(g.right, w.right)
+    if kind is not Name or type(w) is not Name:
         return False
+    m, n = g.name, w.name
+    texts = type(m) is type(n) is NominalName and type(m.text) is type(n.text) is str
+    return m is n or (texts and m.text == n.text and m.abstract is n.abstract)
 
 
 def _decide(
@@ -419,81 +391,127 @@ def check_reductive_trace(
     must be the very sides its node's rule gives it or copies of them (see
     ``_same``), so every side that a rule reads is a type of h and the rules
     need not test names again.  The normalization rule may occur at most
-    once on any root-to-leaf path.  Malformed trees yield False rather than
-    raising.  An accept is recorded on the root for this hierarchy object
-    and mode, so checking the same trace again under both returns True
-    without a walk.  The root of a subclass of ``ReductiveTrace`` is checked
-    as a copy made from one read of each of its fields.
+    once on any root-to-leaf path.  The walk keeps its own stack, so depth
+    is unbounded, and malformed trees, a node or a type whose slots were
+    never set among them, yield False rather than raising.  An accept is
+    recorded on the root for this hierarchy object and mode, so checking
+    the same trace again under both returns True without a walk.  The root
+    of a subclass of ``ReductiveTrace`` is checked as a copy made from one
+    read of each of its fields.
     """
-    trace = _root(trace)
-    if trace is None:
-        return False
-    accepts = getattr(trace, "_accepts", ())
+    return _accepted(h, trace, mode) is not None
+
+
+def _accepted(h, trace, mode: Mode) -> ReductiveTrace | None:
+    # The root that check_reductive_trace accepts, or None; see _root.
+    own = type(trace) is ReductiveTrace or type(trace) is _OnDemandTrace
+    accepts = getattr(trace, "_accepts", ()) if own else ()
     if (h, mode) in accepts:
-        return True
-    if not (_is_type(h, trace.lhs) and _is_type(h, trace.rhs)):
-        return False
-    if not _check(h, trace, mode, nf_allowed=True):
-        return False
-    _set_accepts(trace, (*accepts, (h, mode)))
-    return True
-
-
-def _root(trace) -> ReductiveTrace | None:
-    # The root that the checker reads: a trace of the library's own classes,
-    # whose fields are slots that read alike each time, or else a plain copy
-    # of a subclass's, made from one read of each field, since a subclass
-    # could answer each read differently (and keeps no accept record).
-    if type(trace) is ReductiveTrace or type(trace) is _OnDemandTrace:
         return trace
-    if isinstance(trace, ReductiveTrace):
-        return ReductiveTrace(trace.rule, trace.lhs, trace.rhs, trace.premises)
+    root = _kernel(h, trace, ReductiveTrace, mode, _check, True)
+    if root is not None:
+        _set_accepts(root, (*accepts, (h, mode)))
+    return root
+
+
+def _kernel(h, root, cls, mode: Mode, step, flag):
+    # The one walk of both proof checkers: the root that it accepts, or
+    # None.  The root's sides must be types of h.  step gives the (lhs, rhs,
+    # flag) judgements that a node's rule requires of its premises, or None;
+    # the premises must be a tuple of as many nodes of exactly cls, whose
+    # fields then read alike each time, concluding those judgements with the
+    # very sides or copies (_same).  They are checked next, left first, the
+    # others kept on an explicit stack.  Every slot is read under one try: a
+    # value whose slot was never set (__new__ alone) is no type and no proof.
+    try:
+        root = _root(root, cls)
+        if root is None or not (_is_type(h, root.lhs) and _is_type(h, root.rhs)):
+            return None
+        node, todo = root, []
+        while True:
+            want, prem = step(h, node, mode, flag), node.premises
+            if want is None or type(prem) is not tuple:
+                return None
+            if want:
+                n = len(want)
+                if len(prem) != n:
+                    return None
+                while n:  # right to left, so that the left premise comes next
+                    n -= 1
+                    p = prem[n]
+                    lhs, rhs, flag = want[n]
+                    ok = type(p) is cls and (p.lhs is lhs or _same(p.lhs, lhs))
+                    if not (ok and (p.rhs is rhs or _same(p.rhs, rhs))):
+                        return None
+                    if n:
+                        todo.append((p, flag))
+                node = p
+            elif prem:
+                return None
+            elif todo:
+                node, flag = todo.pop()
+            else:
+                return root
+    except AttributeError:
+        return None
+
+
+def _root(node, cls):
+    # The root that a checker reads: a node of the library's own classes,
+    # whose slots read alike each time and keep its accept record, or else a
+    # copy made from one read of each field of a subclass's, which may not.
+    if type(node) is cls or (type(node) is _OnDemandTrace and cls is ReductiveTrace):
+        return node
+    return cls(*[getattr(node, f) for f in cls.__match_args__]) if isinstance(node, cls) else None
+
+
+def _check(h, tr: ReductiveTrace, mode: Mode, nf_allowed: bool):
+    # The reductive rule table, one row per rule, as _kernel's step; nf_allowed
+    # is whether SR-NF may occur at tr.
+    rule, lhs, rhs = tr.rule, tr.lhs, tr.rhs
+    if type(rule) is not str:
+        return None
+    if rule == SR_BASE_REFL or rule == SR_NOM:
+        return () if _name_rule(h, lhs, rhs, mode) == rule else None
+    if rule == SR_PAIR:
+        return _pair(lhs, rhs, nf_allowed)
+    if rule == SR_UNION_L:
+        return _union_l(lhs, rhs, nf_allowed)
+    if (rule == SR_UNION_R1 or rule == SR_UNION_R2) and type(rhs) is Union:
+        return ((lhs, rhs.left if rule == SR_UNION_R1 else rhs.right, nf_allowed),)
+    if rule == SR_NF and nf_allowed:
+        try:
+            return ((nf_for_mode(h, lhs, mode), rhs, False),)
+        except EmptyAbstract:
+            return None
     return None
 
 
-def _check(h, tr: ReductiveTrace, mode: Mode, nf_allowed: bool) -> bool:
-    # Premises of exactly these classes, so that every read of a field gives
-    # the value that the parent node compared.
-    lhs, rhs, prem = tr.lhs, tr.rhs, tr.premises
-    if type(prem) is not tuple:
-        return False
-    for p in prem:
-        if type(p) is not ReductiveTrace:
-            return False
-    if tr.rule in (SR_BASE_REFL, SR_NOM):
-        rule = _name_rule(h, lhs, rhs, mode)
-        return not prem and rule is not None and rule == tr.rule
-    if tr.rule in (SR_PAIR, SR_UNION_L):
-        return (
-            _split_premises(tr.rule == SR_PAIR, lhs, rhs, prem)
-            and _check(h, prem[0], mode, nf_allowed)
-            and _check(h, prem[1], mode, nf_allowed)
-        )
-    if tr.rule in (SR_UNION_R1, SR_UNION_R2) and isinstance(rhs, Union) and len(prem) == 1:
-        arm = rhs.left if tr.rule == SR_UNION_R1 else rhs.right
-        return _concludes(prem[0], lhs, arm) and _check(h, prem[0], mode, nf_allowed)
-    if tr.rule == SR_NF and nf_allowed and len(prem) == 1:
-        try:
-            normed = nf_for_mode(h, lhs, mode)
-        except EmptyAbstract:
-            return False
-        return _concludes(prem[0], normed, rhs) and _check(h, prem[0], mode, nf_allowed=False)
-    return False
+def _pair(lhs, rhs, flag):
+    # The row of SR-Pair and SD-Pair: pairs related componentwise.
+    if type(lhs) is Pair and type(rhs) is Pair:
+        return (lhs.left, rhs.left, flag), (lhs.right, rhs.right, flag)
+    return None
+
+
+def _union_l(lhs, rhs, flag):
+    # The row of SR-UnionL and SD-UnionL: each arm of a left union related to rhs.
+    if type(lhs) is Union:
+        return (lhs.left, rhs, flag), (lhs.right, rhs, flag)
+    return None
 
 
 def _is_type(h, t) -> bool:
     # A tree of pairs and unions, of exactly those classes, over names that
-    # h declares with their kind, whose every slot is set.
+    # h declares with their kind.
     todo = [t]
-    try:
-        while todo:
-            x = todo.pop()
-            if type(x) is Pair or type(x) is Union:
-                todo += x.left, x.right
-            elif type(x) is not Name or not _declared(h, x.name):
-                return False
-    except AttributeError:  # a slot never set, in a value made by __new__ alone
-        return False
+    while todo:
+        x = todo.pop()
+        kind = type(x)
+        if kind is Pair or kind is Union:
+            todo += x.left, x.right
+        elif kind is not Name or not _declared(h, x.name):
+            return False
     return True
 
 
@@ -501,13 +519,10 @@ def _declared(h, n) -> bool:
     # Whether n is a name that h declares with its kind: a NominalName of
     # exactly that class whose text is a str, so that no value's own == or
     # hash is asked.  The one name test of both checkers.
-    try:
-        if type(n) is not NominalName or type(n.text) is not str:
-            return False
-        declared = h._names.get(n.text)
-        return declared is not None and declared.abstract is n.abstract
-    except AttributeError:  # a slot never set
+    if type(n) is not NominalName or type(n.text) is not str:
         return False
+    declared = h._names.get(n.text)
+    return declared is not None and declared.abstract is n.abstract
 
 
 def format_trace(trace: ReductiveTrace) -> str:

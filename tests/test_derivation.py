@@ -988,6 +988,9 @@ class TestMalformedTrees:
             # A root judgement between a name that is no type of TOWER and
             # itself, such as Int in a subclass of Name.
             *(ReductiveTrace(SR_BASE_REFL, x, x) for x in NAMES_EQUAL_TO_ALL),
+            # Int <: Real under a rule label of a subclass of str that equals
+            # every string, which SR-BaseRefl would read as Int <: Int.
+            ReductiveTrace(_AnyStr(SR_NOM), INT, T("Real")),
         ],
     )
     def test_trace(self, trace):
@@ -1097,6 +1100,15 @@ class TestMalformedTrees:
                 INT,
                 Derivation(SD_REFL, INT, INT),
                 Derivation(SD_REFL, _ShiftingName(), T("Str")),
+            ),
+            # Int <: Real under a rule label of a subclass of str that equals
+            # every string, on a node that SD-Trans would conclude.
+            Derivation(
+                _AnyStr(SD_NOM),
+                INT,
+                T("Real"),
+                (Derivation(SD_NOM, INT, T("Real")), Derivation(SD_REFL, T("Real"), T("Real"))),
+                T("Real"),
             ),
         ],
     )
@@ -1265,3 +1277,57 @@ class TestUnsetSlots:
     def test_a_witness(self, d):
         for mode in Mode:
             assert check_declarative(TOWER, d, mode) is False
+
+    @pytest.mark.parametrize("cls", [ReductiveTrace, _Trace])
+    def test_a_trace_root(self, cls):
+        for mode in Mode:
+            assert check_reductive_trace(TOWER, _unset(cls), mode) is False
+            with pytest.raises(InvalidTrace):
+                synthesize(TOWER, _unset(cls), mode)
+
+    @pytest.mark.parametrize("cls", [Derivation, _Derivation])
+    def test_a_derivation_root(self, cls):
+        for mode in Mode:
+            assert check_declarative(TOWER, _unset(cls), mode) is False
+
+    def test_a_premise(self):
+        # Int <: Int|Flt holds, by SR-UnionR1 over Int <: Int.
+        trace = ReductiveTrace(SR_UNION_R1, INT, T("Int|Flt"), (_unset(ReductiveTrace),))
+        d = Derivation(SD_TRANS, INT, INT, (_D_INT, _unset(Derivation)), INT)
+        for mode in Mode:
+            assert check_reductive_trace(TOWER, trace, mode) is False
+            with pytest.raises(InvalidTrace):
+                synthesize(TOWER, trace, mode)
+            assert check_declarative(TOWER, d, mode) is False
+
+
+class TestDeepProofs:
+    """Both checkers keep their own stack, so a valid 3,000-deep tree is
+    accepted and a wrong rule at its deepest leaf is found."""
+
+    DEPTH = 3000
+
+    def deep(self, node, rule, leaf, bottom):
+        # ((Int|Int)|Int)|... <: Int: one union rule per level, the level
+        # below on the left and the leaf Int <: Int on the right.
+        tree, lhs = bottom, INT
+        for _ in range(self.DEPTH):
+            lhs = Union(lhs, INT)
+            tree = node(rule, lhs, INT, (tree, leaf))
+        return tree
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_trace(self, mode):
+        good = self.deep(ReductiveTrace, SR_UNION_L, REFL_INT, REFL_INT)
+        assert good.size() == 2 * self.DEPTH + 1
+        assert check_reductive_trace(TOWER, good, mode)
+        wrong = ReductiveTrace(SR_NOM, INT, INT)  # Int <: Int is SR-BaseRefl's
+        bad = self.deep(ReductiveTrace, SR_UNION_L, REFL_INT, wrong)
+        assert not check_reductive_trace(TOWER, bad, mode)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_derivation(self, mode):
+        good = self.deep(Derivation, SD_UNION_L, _D_INT, _D_INT)
+        assert check_declarative(TOWER, good, mode)
+        wrong = Derivation(SD_NOM, INT, INT)  # SD-Nom relates distinct names
+        assert not check_declarative(TOWER, self.deep(Derivation, SD_UNION_L, _D_INT, wrong), mode)

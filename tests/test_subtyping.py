@@ -326,6 +326,14 @@ class TestTraceChecker:
         assert not check_reductive_trace(h, trace, Mode.SEMANTIC)
         assert check_reductive_trace(h, trace, Mode.ATOMIC)
 
+    def test_rejects_nf_of_a_childless_abstract_name_as_an_axiom(self):
+        # Read as the empty type, a childless Void would be below every
+        # type; SR-NF over it is still no axiom, in either mode.
+        h = validate_hierarchy([Decl("Void", True), Decl("Int", False)])
+        trace = ReductiveTrace(SR_NF, Name(h.lookup("Void")), Name(h.lookup("Int")))
+        for mode in Mode:
+            assert not check_reductive_trace(h, trace, mode)
+
     def test_accepts_short_path_traces_with_inner_nf(self):
         verdict, trace = sub(
             "Int*Real", "Int*(Int|Flt)", strategy=Strategy.SHORT_PATH_FIRST
