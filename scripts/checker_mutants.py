@@ -10,12 +10,15 @@ survives when every test passes.  The default tests are the proof test files:
     pytest -x -q tests/test_subtyping.py tests/test_derivation.py \\
         tests/test_verdict.py tests/test_acceptance.py
 
+with the mutated module's own test file moved to the front, since it is the
+likeliest to fail first.
+
 Exits 0 when every mutant is killed, 1 when one survives, and 2 when the
 unmutated copy fails or a mutant no longer matches the source exactly once.
 It tests as many mutants at once as the process may use CPUs, each on its
-own copy; on 2 CPUs the 81 mutants took 4 min 5 s and 4 min 30 s in two
-runs.  It uses the standard library only; the tests need pytest and
-hypothesis.
+own copy; on 2 CPUs the 81 mutants took 2 min 32 s and 2 min 38 s in two
+runs (3 min 29 s and 3 min 40 s in the fixed file order).  It uses the
+standard library only; the tests need pytest and hypothesis.
 
     python3 scripts/checker_mutants.py
 
@@ -551,9 +554,12 @@ def run(mutants: list[tuple[str, str, str, str]], tests: list[str]) -> int:
             label, module, text, replacement = mutant
             copy = copies.get()
             path = copy / "src" / "tagsub" / module
+            # Every file still runs until the first failure, so the order
+            # changes no verdict, only how soon a killed mutant stops.
+            own = f"tests/test_{module}"
             try:
                 path.write_text(sources[module].replace(text, replacement))
-                passed, seconds = run_tests(copy, tests)
+                passed, seconds = run_tests(copy, sorted(tests, key=lambda t: t != own))
             finally:
                 path.write_text(sources[module])
                 copies.put(copy)

@@ -39,7 +39,12 @@ byte-identical.  Each line digests one section:
   ``resolve`` calls on tables built with ``add_method`` in both modes; each
   query or call holds one bad name, on either side and at any position: an
   undeclared name, a declared name of the other kind, or the childless name;
-  each verdict or outcome, or the error's class and message.
+  each verdict or outcome, or the error's class and message;
+- ``interp``: every type of depth at most two over the built-in hierarchy and
+  seeded weight-bounded random types over ``random_hierarchy``: its tag set
+  under ``format_tag_set(interp(...))`` in both modes, the outcome of
+  ``matches`` for every value type of depth at most two, and its
+  ``type_to_tag``, or the error's class and message.
 
 Usage:
     PYTHONPATH=src python3 scripts/output_digests.py [--seed 808] [--random 9000]
@@ -76,9 +81,9 @@ from tagsub.dispatch import (
     resolve,
 )
 from tagsub.frontend import ParseError, parse_type
-from tagsub.gen import random_hierarchy, random_type, types_up_to
+from tagsub.gen import random_hierarchy, random_type, types_up_to, value_types_up_to
 from tagsub.normalize import descendant_union
-from tagsub.semantics import Mode
+from tagsub.semantics import Mode, NotAValueType, format_tag_set, interp, matches, type_to_tag
 from tagsub.subtyping import Strategy, format_trace, reductive_sub
 
 
@@ -367,6 +372,28 @@ def error_outcomes(seed, digest, hierarchies=100, queries=40, defs=8, calls=30):
     return count
 
 
+def interp_outcomes(seed, digest, hierarchies=200, types=25):
+    rng = random.Random(seed)
+    cases = [(DEFAULT_HIERARCHY, types_up_to(DEFAULT_HIERARCHY, 2))]
+    for _ in range(hierarchies):
+        h = random_hierarchy(rng, 8)
+        cases.append((h, [random_type(rng, h, 3, 64) for _ in range(types)]))
+    count = 0
+    for h, ts in cases:
+        vs = value_types_up_to(h, 2)
+        for t in ts:
+            for mode in Mode:
+                digest.update(f"{t} [{mode.value}] -> {format_tag_set(interp(h, t, mode))}\n".encode())
+            digest.update("".join("1" if matches(h, v, t) else "0" for v in vs).encode() + b"\n")
+            try:
+                tag = str(type_to_tag(t))
+            except NotAValueType as e:
+                tag = f"{type(e).__name__}: {e}"
+            digest.update(f"tag {tag}\n".encode())
+            count += 1
+    return count
+
+
 def decisions(h, pairs, digest):
     count = 0
     for t1, t2 in pairs:
@@ -438,6 +465,10 @@ def main() -> None:
     digest = hashlib.sha256()
     n = error_outcomes(args.seed, digest)
     print(f"errors          {n:6d} outcomes   {digest.hexdigest()}")
+
+    digest = hashlib.sha256()
+    n = interp_outcomes(args.seed, digest)
+    print(f"interp          {n:6d} types      {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -136,6 +136,9 @@ def _render(t: TypeExpr) -> str:
         if isinstance(x, Name):
             out.append(x.name.text)
             continue
+        if not isinstance(x, (Pair, Union)):  # another leaf, such as a sentinel tag
+            out.append(str(x))
+            continue
         prec, op = (1, "*") if isinstance(x, Pair) else (0, "|")
         paren = prec < parent_prec or (prec == parent_prec and is_right)
         if paren:
@@ -156,6 +159,8 @@ def _repr(t: TypeExpr) -> str:
             out.append(x)
         elif isinstance(x, Name):
             out.append(f"{type(x).__qualname__}(name={x.name!r})")
+        elif not isinstance(x, (Pair, Union)):
+            out.append(repr(x))
         else:
             out.append(f"{type(x).__qualname__}(left=")
             todo += [")", x.right, ", right=", x.left]

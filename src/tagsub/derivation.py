@@ -25,6 +25,7 @@ from .subtyping import (
     SR_UNION_R2,
     ReductiveTrace,
     _accepted,
+    _decide,
     _declared,
     _kernel,
     _pair,
@@ -219,9 +220,10 @@ def _nf_proof(
         if normed == t:
             return t, _refl(t)
         # Abstract name in the plain mode; its normal form is the canonical
-        # union of concrete descendants.
+        # union of concrete descendants, which the search proves below t by
+        # SR-UnionL over SR-Nom leaves.
         if down:
-            return normed, _union_below_name(normed, t)
+            return normed, _synth(h, _decide(h, normed, t, mode), mode)
         return normed, Derivation(SD_ABS_UNION, t, normed)
     ln, dl = _nf_proof(h, t.left, mode, down)
     rn, dr = _nf_proof(h, t.right, mode, down)
@@ -268,18 +270,6 @@ def _pair_below_unprs(p: Pair) -> Derivation:
     da, db = _pair_below_unprs(u.left), _pair_below_unprs(u.right)
     rest = _armwise(Union(da.rhs, db.rhs), da, db)
     return _trans(Derivation(rule, p, u), rest)
-
-
-def _union_below_name(u: TypeExpr, t: Name) -> Derivation:
-    # u is a left-nested union of concrete names strictly below t.
-    if isinstance(u, Union):
-        return Derivation(
-            SD_UNION_L,
-            u,
-            t,
-            (_union_below_name(u.left, t), _union_below_name(u.right, t)),
-        )
-    return Derivation(SD_NOM, u, t)
 
 
 def _unprs_below_pair(target: Pair) -> Derivation:

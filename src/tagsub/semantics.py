@@ -1,10 +1,14 @@
 """Tag interpretation of types and the set-based subtyping oracles.
 
-A type denotes a finite set of run-time tags.  Two interpretations exist:
-the plain one, where an abstract name denotes its concrete descendants, and
-the atomic one, which additionally seeds every abstract name with a sentinel
-standing for a not-yet-declared future subtype.  Subtyping is set inclusion
-of interpretations; the matching relation gives an equivalent, syntactic
+A type denotes a finite set of run-time tags.  A tag is a value type: the
+tag of a value of a concrete name is that ``Name``, and the tag of a pair
+value is the ``Pair`` of its components' tags, so ``Concrete`` and
+``PairTag`` are other names for ``Name`` and ``Pair``.  Only ``Sentinel`` is
+a tag of its own kind.  Two interpretations exist: the plain one, where an
+abstract name denotes its concrete descendants, and the atomic one, which
+additionally seeds every abstract name with a sentinel standing for a
+not-yet-declared future subtype.  Subtyping is set inclusion of
+interpretations; the matching relation gives an equivalent, syntactic
 account of tag membership.
 """
 
@@ -40,50 +44,12 @@ class Mode(Enum):
     ATOMIC = "atomic"
 
 
-@dataclass(init=False, repr=False, eq=False, slots=True)
-class Concrete(_Value):
-    """The tag of a value of a concrete name."""
-
-    name: NominalName
-
-    def __init__(self, name: NominalName):
-        _set_concrete_name(self, name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name,) == (other.name,)
-
-    def __hash__(self):
-        return hash((self.name,))
-
-    def __str__(self) -> str:
-        return _render_tag(self, False)
+Concrete = Name
+PairTag = Pair
 
 
-@dataclass(init=False, repr=False, eq=False, slots=True)
-class PairTag(_Value):
-    """The tag of a pair value: the tags of its two components."""
-
-    left: "Tag"
-    right: "Tag"
-
-    def __init__(self, left: Tag, right: Tag):
-        _set_pair_tag_left(self, left)
-        _set_pair_tag_right(self, right)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.left, self.right) == (other.left, other.right)
-
-    def __hash__(self):
-        return hash((self.left, self.right))
-
-    def __str__(self) -> str:
-        return _render_tag(self, False)
-
-
+# The set-based oracle builds and hashes tags in its inner loops, so the
+# sentinel spells out the methods that _Value would give it generically.
 @dataclass(init=False, repr=False, eq=False, slots=True)
 class Sentinel(_Value):
     """Placeholder tag for a future concrete subtype of an abstract name."""
@@ -102,32 +68,19 @@ class Sentinel(_Value):
         return hash((self.owner,))
 
     def __str__(self) -> str:
-        return _render_tag(self, False)
+        return f"E({self.owner.text})"
 
 
-# The set-based oracle builds and hashes tags in its inner loops, so each tag
-# spells out the methods that _Value would give it generically, as Name does.
-_set_concrete_name = Concrete.name.__set__
-_set_pair_tag_left, _set_pair_tag_right = PairTag.left.__set__, PairTag.right.__set__
 _set_sentinel_owner = Sentinel.owner.__set__
 
-Tag = Concrete | PairTag | Sentinel
-
-
-def _render_tag(t: Tag, is_right: bool) -> str:
-    if isinstance(t, Concrete):
-        return t.name.text
-    if isinstance(t, Sentinel):
-        return f"E({t.owner.text})"
-    body = _render_tag(t.left, False) + "*" + _render_tag(t.right, True)
-    return f"({body})" if is_right else body
+Tag = Name | Pair | Sentinel
 
 
 def tag_key(t: Tag):
     """Total order on tags: concrete < pair < sentinel, then lexicographic."""
-    if isinstance(t, Concrete):
+    if isinstance(t, Name):
         return (0, t.name.text)
-    if isinstance(t, PairTag):
+    if isinstance(t, Pair):
         return (1, tag_key(t.left), tag_key(t.right))
     return (2, t.owner.text)
 
@@ -137,20 +90,19 @@ def format_tag_set(tags: frozenset[Tag] | set[Tag]) -> str:
 
 
 def tag_to_type(t: Tag) -> TypeExpr:
-    """The value type a (sentinel-free) tag corresponds to."""
-    if isinstance(t, Concrete):
-        return Name(t.name)
-    if isinstance(t, PairTag):
-        return Pair(tag_to_type(t.left), tag_to_type(t.right))
-    raise NotAValueType(f"sentinel tag {t} has no syntactic counterpart")
+    """The value type a sentinel-free tag is: the tag itself."""
+    for x in _leaves(t, Pair):
+        if isinstance(x, Sentinel):
+            raise NotAValueType(f"sentinel tag {x} has no syntactic counterpart")
+    return t
 
 
 def type_to_tag(v: TypeExpr) -> Tag:
-    if isinstance(v, Name) and not v.name.abstract:
-        return Concrete(v.name)
-    if isinstance(v, Pair):
-        return PairTag(type_to_tag(v.left), type_to_tag(v.right))
-    raise NotAValueType(f"not a value type: {v}")
+    """The tag of the values of the value type v: v itself."""
+    for x in _leaves(v, Pair):
+        if not isinstance(x, Name) or x.name.abstract:
+            raise NotAValueType(f"not a value type: {x}")
+    return v
 
 
 def interp(h: NominalHierarchy, t: TypeExpr, mode: Mode = Mode.SEMANTIC) -> frozenset[Tag]:
@@ -158,14 +110,14 @@ def interp(h: NominalHierarchy, t: TypeExpr, mode: Mode = Mode.SEMANTIC) -> froz
     if isinstance(t, Name):
         n = h.lookup(t.name)
         if not n.abstract:
-            return frozenset((Concrete(n),))
-        tags: list[Tag] = [Concrete(c) for c in concrete_descendants(h, n)]
+            return frozenset((Name(n),))
+        tags: list[Tag] = [Name(c) for c in concrete_descendants(h, n)]
         if mode is Mode.ATOMIC:
             tags.extend(Sentinel(a) for a in abstract_descendants(h, n))
         return frozenset(tags)
     if isinstance(t, Pair):
         return frozenset(
-            PairTag(l, r)
+            Pair(l, r)
             for l in interp(h, t.left, mode)
             for r in interp(h, t.right, mode)
         )
@@ -210,4 +162,4 @@ def matching_sub(h: NominalHierarchy, t1: TypeExpr, t2: TypeExpr) -> bool:
     """
     tags = interp(h, t1, Mode.SEMANTIC)
     validate_type(h, t2)
-    return all(_matches(h, tag_to_type(v), t2) for v in tags)
+    return all(_matches(h, v, t2) for v in tags)

@@ -1,4 +1,6 @@
+import codecs
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,8 @@ import pytest
 
 import tagsub
 from tagsub.cli import main
+from tagsub.core import DEFAULT_HIERARCHY, Pair
+from tagsub.gen import random_type
 
 HIERARCHY = """
 abstract Num
@@ -240,6 +244,120 @@ class TestDispatchCommand:
             capsys, "dispatch", "--methods", str(f), "--call", "plus Int*Int"
         )
         assert code == 2 and out == "" and err.startswith("error: ") and "UTF-8" in err
+
+
+# The type parser's alphabet: names of each kind, an undeclared name, every
+# operator spelling, two spaces and three characters that start no token.
+TOKENS = (
+    "Int", "Real", "Num", "Str", "Foo", "*", "×", "|", "∪", "(", ")", " ", "\u2003", "\u200b", "3", "_",
+)
+NAMES = ("Num", "Real", "Int", "Flt", "Cmplx", "Str", "Foo")
+
+#: The exit codes that each command documents; argparse's usage error is 2.
+EXIT_CODES = {
+    "check": {0, 1, 2},
+    "match": {0, 1, 2},
+    "eq": {0, 1, 2},
+    "nf": {0, 2},
+    "interp": {0, 2},
+    "hierarchy": {0, 2},
+    "dispatch": {0, 2, 3, 4},
+}
+
+
+def _tokens(rng, most=7):
+    return "".join(rng.choice(TOKENS) for _ in range(rng.randint(0, most)))
+
+
+def _random_type(rng, depth=2):
+    return random_type(rng, DEFAULT_HIERARCHY, depth)
+
+
+def _type_text(rng):
+    # Half the time a well-formed type over the built-in hierarchy.
+    return str(_random_type(rng, 3)) if rng.random() < 0.5 else _tokens(rng)
+
+
+def _line(rng):
+    # A hierarchy or method line, now and then a malformed one.
+    kind = rng.randrange(5)
+    if kind == 0:
+        parent = f" <: {rng.choice(NAMES)}" if rng.random() < 0.6 else ""
+        return f"{rng.choice(['abstract', 'concrete'])} {rng.choice(NAMES)}{parent}"
+    if kind == 1:
+        return f"mode {rng.choice(['semantic', 'atomic', 'lazy'])}"
+    if kind in (2, 3):
+        return f"method {rng.choice('fg')} {_type_text(rng)} => m{rng.randrange(4)}"
+    return _tokens(rng)
+
+
+def _random_files(rng, tmp_path):
+    """Paths of a missing file, the files above, files of random bytes, of
+    random lines and of methods; about a third begin with a byte-order mark."""
+    texts = [HIERARCHY.encode(), METHODS.encode()]
+    texts += [bytes(rng.randrange(256) for _ in range(rng.randint(0, 40))) for _ in range(10)]
+    texts += ["\n".join(_line(rng) for _ in range(rng.randint(0, 6))).encode() for _ in range(30)]
+    for _ in range(30):  # well-formed method files, so that calls can resolve
+        sigs = [Pair(_random_type(rng), _random_type(rng)) for _ in range(rng.randint(1, 8))]
+        lines = [f"mode {rng.choice(['semantic', 'atomic'])}"]
+        lines += [f"method f {sig} => m{i}" for i, sig in enumerate(sigs)]
+        texts.append("\n".join(lines).encode())
+    paths = [str(tmp_path / "missing")]
+    for i, data in enumerate(texts):
+        path = tmp_path / f"file{i}"
+        path.write_bytes(codecs.BOM_UTF8 + data if rng.random() < 0.3 else data)
+        paths.append(str(path))
+    return paths, paths[-30:]
+
+
+def _random_argv(rng, command, files, methods):
+    if command == "hierarchy":
+        argv = ["hierarchy", "validate", "--file", rng.choice(files)]
+    elif command == "dispatch":
+        call = f"f {Pair(_random_type(rng), _random_type(rng))}"
+        if rng.random() < 0.3:
+            call = f"{rng.choice(['f', 'g', 'plus', ''])} {_type_text(rng)}"
+        argv = ["dispatch", "--methods", rng.choice(methods if rng.random() < 0.7 else files), "--call", call]
+    else:
+        arity = 1 if command in ("nf", "interp") else 2
+        argv = [command, *(_type_text(rng) for _ in range(arity))]
+        if command in ("check", "eq", "interp") and rng.random() < 0.3:
+            argv += ["--mode", "atomic"]
+        if command == "check" and rng.random() < 0.3:
+            argv += ["--trace", "--derivation", "--strategy", "short-path-first"]
+        if command == "nf" and rng.random() < 0.3:
+            argv.append("--atomic")
+    if command != "hierarchy" and rng.random() < 0.2:
+        argv += ["--hierarchy", rng.choice(files)]
+    if rng.random() < 0.05:
+        del argv[rng.randrange(1, len(argv))]  # a usage error, now and then
+    return argv
+
+
+class TestRandomInput:
+    """Seeded random arguments and files: every run exits with a code that
+    its command documents, an error (2) writes stderr only, and any other
+    outcome writes stdout only."""
+
+    @pytest.mark.parametrize("command", sorted(EXIT_CODES))
+    def test_exit_codes(self, capsys, tmp_path, command):
+        rng = random.Random(f"cli {command}")
+        files, methods = _random_files(rng, tmp_path)
+        seen = set()
+        for _ in range(300):
+            argv = _random_argv(rng, command, files, methods)
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                code = stop.code
+            out, err = capsys.readouterr()
+            assert code in EXIT_CODES[command], argv
+            if code == 2:
+                assert out == "" and err != "", argv
+            else:
+                assert err == "", argv
+            seen.add(code)
+        assert seen == EXIT_CODES[command]
 
 
 def python(*args):

@@ -193,8 +193,6 @@ VALUE_FIELDS = {
     Pair: ["left", "right"],
     Union: ["left", "right"],
     Decl: ["name", "abstract", "parent"],
-    Concrete: ["name"],
-    PairTag: ["left", "right"],
     Sentinel: ["owner"],
     MethodDef: ["function", "signature", "body"],
     MethodTable: ["hierarchy", "mode", "methods", "_compiled"],
@@ -247,16 +245,26 @@ def value_samples():
     m1, m2 = MethodDef("f", T("Int*Real"), "a"), MethodDef("f", T("Num*Num"), "b")
     return {
         NominalName: [NominalName("Int", False), int_, NominalName("Int", True)],
-        Name: [T("Int"), Name(NominalName("Int", False)), T("Num")],
-        Pair: [T("Int*Str"), T("Int*Str"), T("Str*Int"), T("Int*(Str|Real)")],
-        Union: [T("Int|Str"), T("Int|Str"), T("Str|Int"), T("Int|Str*Real")],
-        Decl: [Decl("Int", False, "Real"), Decl("Int", abstract=False, parent="Real"), Decl("Num", True)],
-        Concrete: [Concrete(int_), Concrete(NominalName("Int", False)), Concrete(TOWER.lookup("Flt"))],
-        PairTag: [
+        # A tag is a value type: Concrete is Name and PairTag is Pair.
+        Name: [
+            T("Int"),
+            Name(NominalName("Int", False)),
+            T("Num"),
+            Concrete(int_),
+            Concrete(NominalName("Int", False)),
+            Concrete(TOWER.lookup("Flt")),
+        ],
+        Pair: [
+            T("Int*Str"),
+            T("Int*Str"),
+            T("Str*Int"),
+            T("Int*(Str|Real)"),
             PairTag(Concrete(int_), Sentinel(num)),
             PairTag(Concrete(int_), Sentinel(num)),
             PairTag(Sentinel(num), Concrete(int_)),
         ],
+        Union: [T("Int|Str"), T("Int|Str"), T("Str|Int"), T("Int|Str*Real")],
+        Decl: [Decl("Int", False, "Real"), Decl("Int", abstract=False, parent="Real"), Decl("Num", True)],
         Sentinel: [Sentinel(num), Sentinel(NominalName("Num", True)), Sentinel(TOWER.lookup("Real"))],
         MethodDef: [m1, MethodDef("f", T("Int*Real"), "a"), m2, MethodDef("g", T("Int*Real"), "a")],
         MethodTable: [

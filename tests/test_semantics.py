@@ -2,7 +2,17 @@ import pytest
 from hypothesis import given
 
 from conftest import EXTENDED, TOWER, T, nested, type_exprs, value_type_exprs
-from tagsub.core import Decl, Name, NominalName, Pair, UnknownName, Union, validate_hierarchy
+from tagsub.core import (
+    Decl,
+    Name,
+    NominalName,
+    Pair,
+    UnknownName,
+    Union,
+    is_value_type,
+    validate_hierarchy,
+    validate_type,
+)
 from tagsub.gen import types_up_to, value_types_up_to
 from tagsub.normalize import nf_weight
 from tagsub.semantics import (
@@ -154,6 +164,62 @@ class TestTagConversions:
     def test_an_abstract_name_has_no_tag(self):
         with pytest.raises(NotAValueType):
             type_to_tag(T("Real"))
+
+    def test_type_to_tag_names_the_first_leaf_that_is_no_concrete_name(self):
+        with pytest.raises(NotAValueType, match=r"^not a value type: Real$"):
+            type_to_tag(T("Int*(Real*Int)"))
+
+    def test_tag_to_type_names_the_first_sentinel(self):
+        num, real = TOWER.lookup("Num"), TOWER.lookup("Real")
+        tag = PairTag(Concrete(TOWER.lookup("Int")), PairTag(Sentinel(num), Sentinel(real)))
+        with pytest.raises(NotAValueType, match=r"^sentinel tag E\(Num\) has no syntactic counterpart$"):
+            tag_to_type(tag)
+
+
+class TestTagsAreValueTypes:
+    """A tag is the value type of the values that carry it; only a sentinel
+    is a tag of its own kind."""
+
+    def test_the_tag_classes_are_the_type_classes(self):
+        assert Concrete is Name and PairTag is Pair
+
+    def test_a_value_type_is_its_own_tag(self):
+        for v in value_types_up_to(TOWER, 3):
+            assert type_to_tag(v) is v and tag_to_type(v) is v
+
+    def test_every_member_of_interp_is_a_value_type_or_holds_a_sentinel(self):
+        for h in (TOWER, EXTENDED):
+            for t in types_up_to(h, 2):
+                for mode in Mode:
+                    for tag in interp(h, t, mode):
+                        if _has_sentinel(tag):
+                            assert mode is Mode.ATOMIC
+                        else:
+                            assert is_value_type(tag) and validate_type(h, tag) is None
+
+    def test_a_sentinel_in_a_pair_tag_prints_itself(self):
+        int_ = Concrete(TOWER.lookup("Int"))
+        tag = PairTag(int_, PairTag(Sentinel(TOWER.lookup("Num")), int_))
+        assert str(tag) == "Int*(E(Num)*Int)"
+
+    def test_a_pair_tag_reprs_as_a_pair(self):
+        tag = Pair(T("Int"), Pair(Sentinel(TOWER.lookup("Num")), T("Int")))
+        assert repr(tag) == (
+            "Pair(left=Name(name=NominalName(text='Int', abstract=False)), "
+            "right=Pair(left=Sentinel(owner=NominalName(text='Num', abstract=True)), "
+            "right=Name(name=NominalName(text='Int', abstract=False))))"
+        )
+
+    def test_a_1500_deep_pair_tag_is_answered(self):
+        deep = nested(Pair, [T("Int")] * 1501, right=True)
+        assert str(deep) == "Int*(" * 1499 + "Int*Int" + ")" * 1499
+        assert type_to_tag(deep) is deep and tag_to_type(deep) is deep
+        last = nested(Pair, [T("Int")] * 1500 + [Sentinel(TOWER.lookup("Num"))], right=True)
+        assert str(last).endswith("Int*E(Num)" + ")" * 1499)
+        with pytest.raises(NotAValueType, match="sentinel tag E"):
+            tag_to_type(last)
+        with pytest.raises(NotAValueType, match="not a value type: E"):
+            type_to_tag(last)
 
 
 class TestOracles:
