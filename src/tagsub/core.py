@@ -326,6 +326,13 @@ class NominalHierarchy:
             table = self._abstract_desc if m.abstract else self._concrete_desc
             for a in self._above[m.text]:
                 table[a] += (m,)
+        # The abstract names without concrete descendants, where normalizing
+        # in semantic mode raises EmptyAbstract.  A type whose every name is
+        # h's own leaf, as parse_type builds, can fail validate_type only on
+        # one of them, so a hierarchy without them needs no such check.
+        self._childless = frozenset(
+            n.text for n in self.names if n.abstract and not self._concrete_desc[n.text]
+        )
         # Each name's descendant union, built on first use by
         # normalize.descendant_union and shared by every caller.
         self._unions: dict[str, Name | Union] = {}
@@ -384,17 +391,17 @@ def abstract_descendants(
 def _leaves(t: TypeExpr, kind: type) -> list[TypeExpr]:
     """The subterms of t just below its top-level nodes of class kind, left to
     right: a union's arms for Union, a pair tree's components for Pair."""
-    if not isinstance(t, kind):
-        return [t]
-    out, todo = [], [t]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, kind):
+    # Down the left children, each right child kept on a stack until
+    # everything left of it is listed; one loop, so any shape and depth.
+    out, todo, x = [], [], t
+    while True:
+        while isinstance(x, kind):
             todo.append(x.right)
-            todo.append(x.left)
-        else:
-            out.append(x)
-    return out
+            x = x.left
+        out.append(x)
+        if not todo:
+            return out
+        x = todo.pop()
 
 
 def is_value_type(t: TypeExpr) -> bool:
@@ -416,7 +423,7 @@ def validate_type(h: NominalHierarchy, t: TypeExpr, nonempty: bool = False) -> N
             # The hierarchy's own leaf needs no lookup.
             if x is not leaves.get(n.text):
                 n = h.lookup(n)
-            if nonempty and n.abstract and not h._concrete_desc[n.text]:
+            if nonempty and n.text in h._childless:
                 raise EmptyAbstract(f"abstract name {n} has no concrete descendants")
         else:
             todo.append(x.right)

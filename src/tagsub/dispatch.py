@@ -30,7 +30,9 @@ function is appended the node and its masks become the new table's compiled
 function, so the first resolve walks only the call.  Each new signature is
 checked in full once, where it enters: :func:`add_method` checks its one
 signature, and :func:`parse_methods` each line's signature as it reads the
-line, so that errors come in line order.  The record that a function's
+line, so that errors come in line order; a signature parsed over the table's
+hierarchy can fail only on a childless abstract name in semantic mode, so it
+is walked only where the hierarchy declares one.  The record that a function's
 signatures are all checked is its compiled function, marked checked by the
 insertion that hands it over or by its first call, after whose walk a
 hand-built function is checked in table order.  Without that record,
@@ -326,6 +328,7 @@ def parse_methods(text: str, h: NominalHierarchy) -> MethodTable:
     from .frontend import parse_type
 
     mode: Mode | None = None
+    check = False
     defs: list[MethodDef] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -336,6 +339,9 @@ def parse_methods(text: str, h: NominalHierarchy) -> MethodTable:
             if mode is not None:
                 raise MethodFileError(f"line {lineno}: duplicate mode declaration")
             mode = Mode(m.group(1))
+            # A parsed signature can fail its check only where h._childless
+            # says so (core.NominalHierarchy).
+            check = mode is Mode.SEMANTIC and bool(h._childless)
             continue
         m = _METHOD_RE.match(line)
         if m is None:
@@ -344,7 +350,8 @@ def parse_methods(text: str, h: NominalHierarchy) -> MethodTable:
             raise MethodFileError(f"line {lineno}: method before mode declaration")
         fn, sig_src, body = m.groups()
         sig = parse_type(sig_src, h)
-        validate_type(h, sig, mode is Mode.SEMANTIC)
+        if check:
+            validate_type(h, sig, True)
         defs.append(MethodDef(fn, sig, body))
     if mode is None:
         raise MethodFileError("missing mode declaration")

@@ -82,7 +82,7 @@ def _position(src: str, tokens: list[str], i: int) -> int:
 
 
 def parse_type(src: str, h: NominalHierarchy) -> TypeExpr:
-    """Parse a type expression, resolving every name against h."""
+    """Parse a type expression, resolving every name to h's own leaf."""
     tokens = _tokens(src)
     leaves = h._name_types
     groups: list[tuple[TypeExpr | None, TypeExpr | None]] = []  # (union, prod) outside each open '('

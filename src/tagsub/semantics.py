@@ -76,13 +76,25 @@ _set_sentinel_owner = Sentinel.owner.__set__
 Tag = Name | Pair | Sentinel
 
 
-def tag_key(t: Tag):
-    """Total order on tags: concrete < pair < sentinel, then lexicographic."""
-    if isinstance(t, Name):
-        return (0, t.name.text)
-    if isinstance(t, Pair):
-        return (1, tag_key(t.left), tag_key(t.right))
-    return (2, t.owner.text)
+def tag_key(t: Tag) -> tuple:
+    """Total order on tags: concrete < pair < sentinel, then lexicographic.
+
+    The key is flat, in pre-order: ``(0, text)`` for a name, ``1`` followed
+    by both children's keys for a pair, ``(2, owner)`` for a sentinel.  No
+    key is a prefix of another, so it sorts as the nested key would; it is
+    built by one loop and compared without recursion, so depth is unbounded.
+    """
+    out, todo = [], [t]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Name):
+            out += 0, x.name.text
+        elif isinstance(x, Pair):
+            out.append(1)
+            todo += x.right, x.left
+        else:
+            out += 2, x.owner.text
+    return tuple(out)
 
 
 def format_tag_set(tags: frozenset[Tag] | set[Tag]) -> str:

@@ -182,6 +182,21 @@ class _Node:
     __slots__ = ("h", "mode", "full", "entries", "arms", "back", "children", "names")
 
     def __init__(self, h, mode: Mode, parts: list[tuple[int, TypeExpr]]):
+        self.h = h
+        self.mode = mode
+        self.back = ()  # (fresh bits, target bits) of each target with several pair arms
+        self.children = None
+        self.names = {}  # name text -> mask, memoized
+        if len(parts) == 1:
+            # One name or one pair, as every level of a one-target verdict
+            # files, is set in place: no loop, and no fresh bits to hand out.
+            bits, t = parts[0]
+            if isinstance(t, Name):
+                self.full, self.entries, self.arms = bits, {t.name.text: bits}, []
+                return
+            if isinstance(t, Pair):
+                self.full, self.entries, self.arms = bits, {}, [(bits, t)]
+                return
         full, entries, arms, several = 0, {}, [], []
         for bits, t in parts:
             full |= bits
@@ -202,14 +217,9 @@ class _Node:
                     arms.append((bits, pairs[0]))
                 elif pairs:
                     several.append((bits, pairs))
-        self.h = h
-        self.mode = mode
         self.full = full
         self.entries = entries
         self.arms = arms
-        self.back = ()  # (fresh bits, target bits) of each target with several pair arms
-        self.children = None
-        self.names = {}  # name text -> mask, memoized
         if several:
             self.back, fresh = [], 1 << full.bit_length()
             for bits, pairs in several:
@@ -284,7 +294,7 @@ class _Node:
             self.h.lookup(n)  # raises for a name not declared with this kind
         out = self.names.get(n.text)
         if out is None:
-            if self.mode is Mode.SEMANTIC and n.abstract and not self.h._concrete_desc[n.text]:
+            if self.mode is Mode.SEMANTIC and n.text in self.h._childless:
                 raise EmptyAbstract(f"abstract name {n} has no concrete descendants")
             out, above = 0, self.h._above[n.text]
             for e, bits in self.entries.items():

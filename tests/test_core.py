@@ -15,6 +15,7 @@ from tagsub.core import (
     CycleDetected,
     Decl,
     DuplicateName,
+    EmptyAbstract,
     HierarchySyntaxError,
     MultipleParents,
     Name,
@@ -23,6 +24,7 @@ from tagsub.core import (
     Union,
     UnknownName,
     UnknownParent,
+    _leaves,
     concrete_descendants,
     is_value_type,
     load_hierarchy,
@@ -173,6 +175,32 @@ class TestIsValueType:
         assert not is_value_type(nested(Union, ints * 2, right))
 
 
+class TestLeaves:
+    @pytest.mark.parametrize("kind", [Union, Pair])
+    def test_any_shape_is_listed_left_to_right(self, kind):
+        # Random trees of both kinds, and 3,000-deep spines nested either way.
+        rng = random.Random(3)
+        leaf = [T(n) for n in ("Int", "Flt", "Str", "Num")]
+
+        def tree(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return rng.choice(leaf)
+            return rng.choice([Union, Pair])(tree(depth - 1), tree(depth - 1))
+
+        def reference(t):
+            if not isinstance(t, kind):
+                return [t]
+            return reference(t.left) + reference(t.right)
+
+        for _ in range(500):
+            t = tree(rng.randint(0, 6))
+            assert [id(x) for x in _leaves(t, kind)] == [id(x) for x in reference(t)]
+        items = [rng.choice(leaf) for _ in range(3000)]
+        for right in (False, True):
+            got = _leaves(nested(kind, items, right), kind)
+            assert [id(x) for x in got] == [id(x) for x in items]
+
+
 class TestValidateType:
     def test_leftmost_undeclared_name_is_reported(self):
         other = validate_hierarchy([Decl("Foo", False), Decl("Bar", False)])
@@ -184,6 +212,16 @@ class TestValidateType:
 
     def test_wide_union(self):
         assert validate_type(TOWER, T("|".join(["Int", "Str"] * 1500))) is None
+
+    def test_a_childless_abstract_name_fails_only_when_nonempty(self):
+        h = validate_hierarchy([Decl("Void", True), Decl("Top", True), Decl("A", False, "Top")])
+        assert h._childless == {"Void"}
+        void, top, a = (Name(h.lookup(n)) for n in ("Void", "Top", "A"))
+        assert validate_type(h, Pair(top, Union(a, void))) is None
+        with pytest.raises(EmptyAbstract, match="Void"):
+            validate_type(h, Pair(top, Union(a, void)), True)
+        assert validate_type(h, Pair(top, a), True) is None
+        assert TOWER._childless == frozenset()
 
 
 # The package's immutable records, with their field names in order.

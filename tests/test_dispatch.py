@@ -659,7 +659,12 @@ class TestCheckedRecord:
         assert len(calls) == 81
         calls.clear()
         assert len(parse_methods(arity_file(mode, 4), TOWER).methods) == 81
-        assert len(calls) == 81
+        # A parsed signature can fail its check only on a childless abstract
+        # name in semantic mode, so only a hierarchy declaring one has it walked.
+        assert calls == []
+        with_void = validate_hierarchy([*TOWER.decls, Decl("Void", True)])
+        assert len(parse_methods(arity_file(mode, 4), with_void).methods) == 81
+        assert len(calls) == (81 if mode is Mode.SEMANTIC else 0)
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_the_record_changes_no_answer(self, mode):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 
@@ -26,6 +28,7 @@ from tagsub.semantics import (
     matches,
     matching_sub,
     semantic_sub,
+    tag_key,
     tag_to_type,
     type_to_tag,
 )
@@ -220,6 +223,36 @@ class TestTagsAreValueTypes:
             tag_to_type(last)
         with pytest.raises(NotAValueType, match="not a value type: E"):
             type_to_tag(last)
+
+    def test_1500_deep_pair_tags_are_sorted(self):
+        # The two keys agree up to the last leaf: a nested key would recurse
+        # once per level to compare them.
+        ints = nested(Pair, [T("Int")] * 1501, right=True)
+        flt = nested(Pair, [T("Int")] * 1500 + [T("Flt")], right=True)
+        assert format_tag_set([ints, flt]) == "{" + str(flt) + ", " + str(ints) + "}"
+
+    def test_the_flat_key_sorts_as_the_nested_key(self):
+        def nested_key(t):
+            if isinstance(t, Name):
+                return (0, t.name.text)
+            if isinstance(t, Pair):
+                return (1, nested_key(t.left), nested_key(t.right))
+            return (2, t.owner.text)
+
+        rng = random.Random(81)
+        owners = [n for n in TOWER.names if n.abstract]
+
+        def tag(depth):
+            if depth == 0 or rng.random() < 0.35:
+                if rng.random() < 0.3:
+                    return Sentinel(rng.choice(owners))
+                return Name(rng.choice(TOWER.concrete_names))
+            return Pair(tag(depth - 1), tag(depth - 1))
+
+        for _ in range(300):
+            batch = [tag(rng.randint(0, 4)) for _ in range(8)]
+            got = sorted(batch, key=tag_key)
+            assert [id(t) for t in got] == [id(t) for t in sorted(batch, key=nested_key)]
 
 
 class TestOracles:

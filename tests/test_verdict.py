@@ -14,7 +14,16 @@ import pytest
 
 from conftest import TOWER, T
 from tagsub import subtyping
-from tagsub.core import Name, NominalName, Pair, Union, nominal_subtype
+from tagsub.core import (
+    Decl,
+    Name,
+    NominalName,
+    Pair,
+    TagsubError,
+    Union,
+    nominal_subtype,
+    validate_hierarchy,
+)
 from tagsub.derivation import (
     SD_ABS_UNION,
     SD_DISTR1,
@@ -334,6 +343,45 @@ class TestSeveralPairArms:
         # The union is walked in a loop, not one Python frame per arm.
         wide = T("Real*(" + "|".join(["Int"] * 3000) + ")")
         assert reductive_sub(TOWER, wide, T("Real*Int|Int*Real"), mode)[0] is True
+
+
+def _outcome(f):
+    # What f returns, or the class and message of the library error it raises.
+    try:
+        return f()
+    except TagsubError as err:
+        return type(err), str(err)
+
+
+class TestOnePartNode:
+    """A node over one name or one pair, as each level of a one-target verdict
+    files, is built by a short path; the same target filed twice takes the
+    general one, and bit 0 must read alike in both."""
+
+    def test_one_part_agrees_with_the_general_path(self):
+        rng = random.Random(606)
+        ghost = Name(NominalName("Ghost", False))
+        seen = {True: 0, False: 0, "error": 0, "short": 0}
+        for i in range(40):
+            h = random_hierarchy(rng, 8)
+            if i % 4 == 0:  # a childless abstract name, an error in semantic mode
+                h = validate_hierarchy([*h.decls, Decl("Void", True)])
+            for q in range(40):
+                if q % 2:
+                    t = random_type(rng, h, 4, 128)
+                else:
+                    k = rng.randint(2, 4)
+                    t = chain([random_type(rng, h, 2, max_nf_weight=4) for _ in range(k)], q % 4 == 0)
+                x = t if q % 5 == 0 else random_type(rng, h, 4, 128)
+                if q % 13 == 0:
+                    x = Pair(x, ghost)
+                seen["short"] += isinstance(t, (Name, Pair))
+                for mode in Mode:
+                    one = _outcome(lambda: subtyping._Node(h, mode, [(1, t)]).mask(x) & 1)
+                    two = _outcome(lambda: subtyping._Node(h, mode, [(1, t), (2, t)]).mask(x) & 1)
+                    assert one == two, f"{x} against {t} [{mode}]"
+                    seen[bool(one) if type(one) is int else "error"] += 1
+        assert min(seen.values()) >= 50, seen
 
 
 class TestOneWalk:
