@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation check of the proof kernel and its rule tables, and of _Node's short path.
+"""Mutation check of the proof checkers, the derivation builder and _Node's short path.
 
 Each listed mutant is one textual change to a module of ``src/tagsub``.  The
 script copies ``src/`` and ``tests/`` to a temporary directory, runs the
@@ -16,9 +16,10 @@ likeliest to fail first.
 Exits 0 when every mutant is killed, 1 when one survives, and 2 when the
 unmutated copy fails or a mutant no longer matches the source exactly once.
 It tests as many mutants at once as the process may use CPUs, each on its
-own copy; on 2 CPUs the 83 mutants took 2 min 2 s (the 81 before the
-``_Node`` ones, 2 min 32 s and 2 min 38 s in two runs, and 3 min 29 s and
-3 min 40 s in the fixed file order).  It uses the
+own copy; on 2 CPUs the 88 mutants took 2 min 24 s (the 83 before the
+builder ones, 2 min 2 s; the 81 before the ``_Node`` ones, 2 min 32 s and
+2 min 38 s in two runs, and 3 min 29 s and 3 min 40 s in the fixed file
+order).  It uses the
 standard library only; the tests need pytest and hypothesis.
 
     python3 scripts/checker_mutants.py
@@ -498,6 +499,40 @@ MUTANTS = [
         D,
         "    if type(u) is not Union:\n        return None\n",
         "",
+    ),
+    # The derivation builder behind synthesize, derive_sub_nf and
+    # derive_nf_sub: the injection, the SD-Trans witness, the SD-Refl premise
+    # that a componentwise SD-Pair keeps, and the side tests that must fall
+    # back from identity to _same (the tests over fresh copies kill them).
+    (
+        "_inj: SD-UnionR1 and SD-UnionR2 swapped",
+        D,
+        "target.left if rule == SD_UNION_R1 else target.right",
+        "target.right if rule == SD_UNION_R1 else target.left",
+    ),
+    (
+        "_trans: the witness taken from the second premise",
+        D,
+        "(d1, d2), d1.rhs)",
+        "(d1, d2), d2.rhs)",
+    ),
+    (
+        "_nf_proof: the SD-Refl premise of a componentwise SD-Pair dropped",
+        D,
+        "(dl or _refl(ln), dr or _refl(rn))",
+        "tuple(d for d in (dl, dr) if d)",
+    ),
+    (
+        "_synth: an injection's arm tested by identity only",
+        D,
+        "d = None if lhs is arm or _same(lhs, arm) else",
+        "d = None if lhs is arm else",
+    ),
+    (
+        "_synth: SR-Nom's sides tested by identity only",
+        D,
+        "_refl(lhs) if lhs is rhs or _same(lhs, rhs) else",
+        "_refl(lhs) if lhs is rhs else",
     ),
     # _Node's short path for one part, which every level of a one-target
     # verdict takes: a name's bits and a pair's arm.

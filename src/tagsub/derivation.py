@@ -7,7 +7,8 @@ distribute pairs over unions.  :func:`synthesize` compiles a reductive trace
 into a declarative derivation; :func:`derive_sub_nf` and
 :func:`derive_nf_sub` construct the two halves of the proof that a type is
 equivalent to its normal form.  Both come from one bottom-up builder, which
-normalizes each subterm once and only orients the rules per direction.
+normalizes each subterm once, builds each node once and only if it returns
+it, and only orients the rules per direction.
 """
 
 from __future__ import annotations
@@ -151,74 +152,73 @@ def synthesize(
 
 
 def _synth(h, tr: ReductiveTrace, mode: Mode) -> Derivation:
-    if tr.rule == SR_BASE_REFL:
-        return _refl(tr.lhs)
-    if tr.rule == SR_NOM:
-        if tr.lhs == tr.rhs:
-            return _refl(tr.lhs)
-        return Derivation(SD_NOM, tr.lhs, tr.rhs)
-    if tr.rule in (SR_PAIR, SR_UNION_L):
-        rule = SD_PAIR if tr.rule == SR_PAIR else SD_UNION_L
-        premises = tuple(_synth(h, p, mode) for p in tr.premises)
-        return Derivation(rule, tr.lhs, tr.rhs, premises)
-    if tr.rule in (SR_UNION_R1, SR_UNION_R2):
-        inj = SD_UNION_R1 if tr.rule == SR_UNION_R1 else SD_UNION_R2
-        return _inj(_synth(h, tr.premises[0], mode), tr.rhs, inj)
-    if tr.rule == SR_NF:
-        left = derive_sub_nf(h, tr.lhs, mode)
-        return _trans(left, _synth(h, tr.premises[0], mode))
-    raise InvalidTrace(f"unknown rule {tr.rule!r}")
+    # An SR-UnionR step whose left side is its arm itself becomes the bare
+    # axiom, so the premise's derivation of arm <: arm is never built.
+    rule, lhs = tr.rule, tr.lhs
+    if rule == SR_BASE_REFL:
+        return _refl(lhs)
+    if rule == SR_NOM:
+        rhs = tr.rhs
+        return _refl(lhs) if lhs is rhs or _same(lhs, rhs) else Derivation(SD_NOM, lhs, rhs)
+    if rule == SR_PAIR or rule == SR_UNION_L:
+        p, q = tr.premises
+        premises = (_synth(h, p, mode), _synth(h, q, mode))
+        return Derivation(SD_PAIR if rule == SR_PAIR else SD_UNION_L, lhs, tr.rhs, premises)
+    if rule == SR_UNION_R1 or rule == SR_UNION_R2:
+        target = tr.rhs
+        arm = target.left if rule == SR_UNION_R1 else target.right
+        d = None if lhs is arm or _same(lhs, arm) else _synth(h, tr.premises[0], mode)
+        return _inj(d, target, SD_UNION_R1 if rule == SR_UNION_R1 else SD_UNION_R2)
+    if rule == SR_NF:
+        return _trans(derive_sub_nf(h, lhs, mode), _synth(h, tr.premises[0], mode))
+    raise InvalidTrace(f"unknown rule {rule!r}")
 
 
 def _trans(d1: Derivation, d2: Derivation) -> Derivation:
     """SD-Trans from d1: a <: b and d2: b <: c, with witness b."""
-    return Derivation(SD_TRANS, d1.lhs, d2.rhs, (d1, d2), witness=d1.rhs)
+    return Derivation(SD_TRANS, d1.lhs, d2.rhs, (d1, d2), d1.rhs)
 
 
-def _inj(d: Derivation, target: Union, rule: str) -> Derivation:
+def _inj(d: Derivation | None, target: Union, rule: str) -> Derivation:
     """Lift d: a <: arm to a <: target, arm being the side of target that
-    the injection rule (SD-UnionR1 or SD-UnionR2) names."""
-    arm = target.left if rule == SD_UNION_R1 else target.right
-    axiom = Derivation(rule, arm, target)
-    if d.lhs == arm:
-        return axiom
-    return _trans(d, axiom)
+    the injection rule (SD-UnionR1 or SD-UnionR2) names; d is None when a
+    is arm itself, which the bare axiom derives."""
+    axiom = Derivation(rule, target.left if rule == SD_UNION_R1 else target.right, target)
+    return axiom if d is None else _trans(d, axiom)
 
 
-def _armwise(target: Union, d1: Derivation, d2: Derivation) -> Derivation:
-    """Derive a1|a2 <: target from d1: a1 <: target.left, d2: a2 <: target.right."""
-    return Derivation(
-        SD_UNION_L,
-        Union(d1.lhs, d2.lhs),
-        target,
-        (_inj(d1, target, SD_UNION_R1), _inj(d2, target, SD_UNION_R2)),
-    )
+def _armwise(lhs: Union, target: Union, d1, d2) -> Derivation:
+    """Derive lhs <: target from d1: lhs.left <: target.left and d2:
+    lhs.right <: target.right, None standing for an arm that is its target's."""
+    premises = (_inj(d1, target, SD_UNION_R1), _inj(d2, target, SD_UNION_R2))
+    return Derivation(SD_UNION_L, lhs, target, premises)
 
 
 def derive_sub_nf(
     h: NominalHierarchy, t: TypeExpr, mode: Mode = Mode.SEMANTIC
 ) -> Derivation:
     """A checkable derivation of t <: NF(t) (mode-appropriate normal form)."""
-    return _nf_proof(h, t, mode, down=False)[1]
+    return _nf_proof(h, t, mode, False)[1] or _refl(t)
 
 
 def derive_nf_sub(
     h: NominalHierarchy, t: TypeExpr, mode: Mode = Mode.SEMANTIC
 ) -> Derivation:
     """A checkable derivation of NF(t) <: t (mode-appropriate normal form)."""
-    return _nf_proof(h, t, mode, down=True)[1]
+    return _nf_proof(h, t, mode, True)[1] or _refl(t)
 
 
 def _nf_proof(
     h: NominalHierarchy, t: TypeExpr, mode: Mode, down: bool
-) -> tuple[TypeExpr, Derivation]:
-    """NF(t) and a derivation of t <: NF(t), or of NF(t) <: t when down,
-    built bottom up: a name is normalized once, and a union or a pair builds
-    its normal form from its children's.  ``down`` only orients the rules."""
+) -> tuple[TypeExpr, Derivation | None]:
+    """NF(t) and a derivation of t <: NF(t), or of NF(t) <: t when down, or
+    None if NF(t) is t, built bottom up: a name is normalized once, and a
+    union or a pair builds its normal form from its children's.  ``down``
+    only orients the rules."""
     if isinstance(t, Name):
         normed = nf_for_mode(h, t, mode)
-        if normed == t:
-            return t, _refl(t)
+        if normed is t:  # nf_for_mode returns a name it keeps as the name itself
+            return t, None
         # Abstract name in the plain mode; its normal form is the canonical
         # union of concrete descendants, which the search proves below t by
         # SR-UnionL over SR-Nom leaves.
@@ -227,17 +227,19 @@ def _nf_proof(
         return normed, Derivation(SD_ABS_UNION, t, normed)
     ln, dl = _nf_proof(h, t.left, mode, down)
     rn, dr = _nf_proof(h, t.right, mode, down)
-    spread = isinstance(t, Pair) and (isinstance(ln, Union) or isinstance(rn, Union))
-    if dl.rule == dr.rule == SD_REFL and not spread:
-        return t, _refl(t)
     if isinstance(t, Union):
+        if dl is None and dr is None:
+            return t, None
         normed = Union(ln, rn)
-        return normed, _armwise(t if down else normed, dl, dr)
+        return normed, _armwise(normed, t, dl, dr) if down else _armwise(t, normed, dl, dr)
+    spread = isinstance(ln, Union) or isinstance(rn, Union)
+    if dl is None and dr is None and not spread:
+        return t, None
     # Pair: componentwise between t and the pair of normal forms, and
     # distribution between that pair and NF(t).
     mid = Pair(ln, rn)
     lhs, rhs = (mid, t) if down else (t, mid)
-    componentwise = Derivation(SD_PAIR, lhs, rhs, (dl, dr))
+    componentwise = Derivation(SD_PAIR, lhs, rhs, (dl or _refl(ln), dr or _refl(rn)))
     if not spread:
         return mid, componentwise
     if down:
@@ -260,25 +262,25 @@ def _distribute(p: Pair, rule: str) -> Union | None:
     return Union(Pair(x, a), Pair(x, b))
 
 
-def _pair_below_unprs(p: Pair) -> Derivation:
+def _pair_below_unprs(p: Pair) -> Derivation | None:
     """Derivation of p <: u, u being the union that distributing p reaches,
-    for p a pair of normalized types."""
+    for p a pair of normalized types; None if p has no union to distribute."""
     rule = SD_DISTR1 if type(p.left) is Union else SD_DISTR2
     u = _distribute(p, rule)
     if u is None:
-        return _refl(p)
+        return None
     da, db = _pair_below_unprs(u.left), _pair_below_unprs(u.right)
-    rest = _armwise(Union(da.rhs, db.rhs), da, db)
-    return _trans(Derivation(rule, p, u), rest)
+    target = Union(u.left if da is None else da.rhs, u.right if db is None else db.rhs)
+    return _trans(Derivation(rule, p, u), _armwise(u, target, da, db))
 
 
-def _unprs_below_pair(target: Pair) -> Derivation:
+def _unprs_below_pair(target: Pair) -> Derivation | None:
     """Derivation of u <: target, u being the union that distributing target
-    reaches, for target a pair of normalized types."""
+    reaches, for target a pair of normalized types; None if it has no union."""
     rule = SD_DISTR1 if type(target.left) is Union else SD_DISTR2
     u = _distribute(target, rule)
     if u is None:
-        return _refl(target)
+        return None
 
     def arm(p: Pair, inj: str) -> Derivation:
         # u_p <: p <: target, widening the component that was split.
@@ -288,9 +290,7 @@ def _unprs_below_pair(target: Pair) -> Derivation:
             widen_parts = (_refl(p.left), Derivation(inj, p.right, target.right))
         widen = Derivation(SD_PAIR, p, target, widen_parts)
         sub = _unprs_below_pair(p)
-        if sub.rule == SD_REFL:
-            return widen
-        return _trans(sub, widen)
+        return widen if sub is None else _trans(sub, widen)
 
     da, db = arm(u.left, SD_UNION_R1), arm(u.right, SD_UNION_R2)
     return Derivation(SD_UNION_L, Union(da.lhs, db.lhs), target, (da, db))

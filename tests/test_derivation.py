@@ -39,7 +39,7 @@ from tagsub.derivation import (
     format_derivation,
     synthesize,
 )
-from tagsub.gen import random_hierarchy, random_type
+from tagsub.gen import random_hierarchy, random_type, types_up_to
 from tagsub.normalize import EmptyAbstract, nf, nf_atomic, nf_for_mode
 from tagsub.semantics import Mode, semantic_sub
 from tagsub.subtyping import (
@@ -532,6 +532,116 @@ class TestNormalizesEachNameOnce:
         verdict, trace = reductive_sub(TOWER, t, t)
         assert verdict and trace.rule == SR_NF
         assert self.count(monkeypatch, lambda: synthesize(TOWER, trace)) == 4
+
+
+def _seeded_queries():
+    """(h, t1, t2) over 30 seeded random hierarchies: each random pair, and
+    t1 against itself and against t1|t2, so that many verdicts are true."""
+    rng = random.Random(14)
+    for _ in range(30):
+        h = random_hierarchy(rng)
+        for _ in range(6):
+            t1, t2 = (random_type(rng, h, 3, max_nf_weight=64) for _ in range(2))
+            yield from ((h, t1, t2), (h, t1, t1), (h, t1, Union(t1, t2)))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """One entry per Derivation node constructed while the test runs."""
+    calls = []
+    real = Derivation.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(None)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Derivation, "__init__", counted)
+    return calls
+
+
+class TestBuildsOnlyWhatItReturns:
+    """The builder constructs no node that the tree it returns leaves out."""
+
+    def keeps(self, built, make):
+        built.clear()
+        d = make()
+        return len(built) <= d.size()
+
+    def test_nf_derivations_up_to_depth_three(self, built):
+        for t in types_up_to(TOWER, 3):
+            for mode in Mode:
+                assert self.keeps(built, lambda: derive_sub_nf(TOWER, t, mode)), t
+                assert self.keeps(built, lambda: derive_nf_sub(TOWER, t, mode)), t
+
+    def test_synthesized_reflexive_queries_up_to_depth_two(self, built):
+        for t in types_up_to(TOWER, 2):
+            for mode in Mode:
+                for strategy in Strategy:
+                    _, trace = reductive_sub(TOWER, t, t, mode, strategy)
+                    assert self.keeps(built, lambda: synthesize(TOWER, trace, mode)), t
+
+    def test_seeded_queries(self, built):
+        for h, t1, t2 in _seeded_queries():
+            for mode in Mode:
+                assert self.keeps(built, lambda: derive_sub_nf(h, t1, mode))
+                assert self.keeps(built, lambda: derive_nf_sub(h, t1, mode))
+                for strategy in Strategy:
+                    verdict, trace = reductive_sub(h, t1, t2, mode, strategy)
+                    if verdict:
+                        assert self.keeps(built, lambda: synthesize(h, trace, mode))
+
+    def test_an_injection_from_its_arm_builds_no_premise(self, built):
+        t = T("Int|Flt")
+        _, trace = reductive_sub(TOWER, t, t, strategy=Strategy.SHORT_PATH_FIRST)
+        d = synthesize(TOWER, trace)
+        assert [p.rule for p in d.premises] == [SD_UNION_R1, SD_UNION_R2]
+        assert len(built) == d.size() == 3
+
+
+def _fresh(t):
+    """A structurally equal copy of t that shares no node with t or with any
+    other copy, its names included."""
+    if type(t) is Name:
+        return Name(NominalName(t.name.text, t.name.abstract))
+    return type(t)(_fresh(t.left), _fresh(t.right))
+
+
+def _rebuilt(tr):
+    """The trace tr, eagerly, with every side a fresh copy."""
+    premises = tuple(_rebuilt(p) for p in tr.premises)
+    return ReductiveTrace(tr.rule, _fresh(tr.lhs), _fresh(tr.rhs), premises)
+
+
+class TestSidesComparedByStructure:
+    """The builder tests sides by identity first and then by structure, so a
+    trace over copies that share no object yields the same derivation."""
+
+    def test_traces_over_fresh_copies(self):
+        types = types_up_to(TOWER, 2)
+        rng = random.Random(5)
+        queries = [(t, t) for t in types] + [tuple(rng.sample(types, 2)) for _ in range(300)]
+        seen = 0
+        for t1, t2 in queries:
+            for mode in Mode:
+                for strategy in Strategy:
+                    verdict, trace = reductive_sub(TOWER, t1, t2, mode, strategy)
+                    if not verdict:
+                        continue
+                    copied = _rebuilt(trace)
+                    d = synthesize(TOWER, copied, mode)
+                    assert format_derivation(d) == format_derivation(synthesize(TOWER, trace, mode))
+                    assert check_declarative(TOWER, d, mode)
+                    seen += 1
+        assert seen > 400
+
+    def test_nf_derivations_of_fresh_copies(self):
+        for t in types_up_to(TOWER, 2):
+            copied = _fresh(t)
+            for mode in Mode:
+                for derive in (derive_sub_nf, derive_nf_sub):
+                    d = derive(TOWER, copied, mode)
+                    assert format_derivation(d) == format_derivation(derive(TOWER, t, mode))
+                    assert check_declarative(TOWER, d, mode)
 
 
 VOID = validate_hierarchy(
