@@ -4,17 +4,22 @@
     python3 scripts/bench_medians.py --label baseline --workload queries --seed 9
 
 For each chosen workload and seed this runs ``perfbench/run.py --trace 0``
-once, in the checkout given by ``--root`` (this repository by default), after
-deleting that checkout's ``src/tagsub/__pycache__`` so that it imports from
-source, and writes ``BENCH_<label>.json`` at the root of this repository.
-The file holds, per workload, each end-to-end metric's median over the runs,
-its per-run values and its unit, plus the commit, whether ``src/`` differed
-from it, the source digest, the Python version and the CPU count of the runs.
-With ``--append`` the runs are added to an existing file and the medians are
-taken over all of them, so runs of two checkouts can be alternated:
+once, in a fresh ``git archive`` export of this repository's revision
+``--rev REV``, made in a new temporary directory and deleted after the runs.
+The default, ``--rev worktree``, exports the tracked files as they are in
+the working tree and the index (``git stash create``, which changes no file
+and no ref).  Every run thus comes from the same kind of checkout at the
+same path depth, since a checkout's location alone can move ``peak_rss_mb``
+by more than its run spread.  The medians go to ``BENCH_<label>.json`` at
+the root of this repository.  The file holds, per workload, each end-to-end
+metric's median over the runs, its per-run values and its unit, plus the
+revision, the commit, whether ``src/`` differed from it, the source digest,
+the Python version, the CPU count and the directory of the runs.  With
+``--append`` the runs are added to an existing file and the medians are
+taken over all of them, so runs of two revisions can be alternated:
 
-    for i in 1 2 3; do
-        python3 scripts/bench_medians.py --label baseline --root ../parent --append
+    for i in 1 2 3 4 5; do
+        python3 scripts/bench_medians.py --label change_parent --rev HEAD --append
         python3 scripts/bench_medians.py --label change --append
     done
 
@@ -40,6 +45,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("queries", "arity", "dispatch")
@@ -48,9 +54,8 @@ WORKLOADS = ("queries", "arity", "dispatch")
 def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py --trace 0`` run: its report and its result line.
 
-    ``<root>/src/tagsub/__pycache__`` is deleted first, so that the run
-    imports the package from source even where bytecode compiled from other
-    sources was left behind; both sides of a pair are then measured alike.
+    ``<root>/src/tagsub/__pycache__`` is deleted first, so that every run
+    in an export imports the package from source, as its first run does.
     """
     shutil.rmtree(os.path.join(root, "src", "tagsub", "__pycache__"), ignore_errors=True)
     proc = subprocess.run(
@@ -72,12 +77,21 @@ def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
     return {"report": json.loads(report)["report"], "result": json.loads(result)}
 
 
-def src_modified(root: str) -> bool | None:
-    """Whether ``src/`` differs from the checkout's commit (None without git)."""
-    proc = subprocess.run(
-        ["git", "status", "--porcelain", "--", "src"], capture_output=True, text=True, cwd=root
-    )
-    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+def export(rev: str, into: str) -> tuple[str, bool]:
+    """Write the tracked files of REV (``worktree``: of the working tree) to
+    into; return the commit they are taken against (HEAD for the working
+    tree) and whether ``src/`` differs from it."""
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], capture_output=True, text=True, cwd=ROOT, check=True
+        ).stdout.strip()
+
+    base = git("rev-parse", "--verify", "HEAD" if rev == "worktree" else f"{rev}^{{commit}}")
+    tree = (git("stash", "create") or base) if rev == "worktree" else base
+    os.makedirs(into)
+    archive = subprocess.run(["git", "archive", tree], capture_output=True, cwd=ROOT, check=True)
+    subprocess.run(["tar", "-x", "-C", into], input=archive.stdout, check=True)
+    return base, bool(git("diff", "--name-only", base, tree, "--", "src"))
 
 
 def medians(runs: list[dict]) -> dict:
@@ -150,7 +164,8 @@ def main(argv=None) -> int:
                     help="repeat for several; default: all")
     ap.add_argument("--seed", action="append", type=int, help="repeat for several; default: 1")
     ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--root", default=ROOT, help="the checkout to benchmark")
+    ap.add_argument("--rev", default="worktree",
+                    help="benchmark a fresh export of this revision, or of 'worktree' (default)")
     ap.add_argument("--append", action="store_true", help="add to an existing file")
     args = ap.parse_args(argv)
     if args.compare:
@@ -161,8 +176,19 @@ def main(argv=None) -> int:
     if args.append and os.path.exists(path):
         with open(path, encoding="utf-8") as f:
             runs = json.load(f)["runs"]
-    root = os.path.abspath(args.root)
-    modified = src_modified(root)
+    with tempfile.TemporaryDirectory(prefix="bench-medians-") as tmp:
+        root = os.path.join(tmp, "checkout")
+        runs += bench(root, args, *export(args.rev, root))
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump({"label": args.label, "medians": medians(runs), "runs": runs}, f, indent=1)
+        f.write("\n")
+    return 0
+
+
+def bench(root: str, args, commit: str, modified: bool) -> list[dict]:
+    """Run each chosen workload and seed once in root; one record per run,
+    with the commit and where it ran."""
+    runs = []
     for workload in args.workload or WORKLOADS:
         for seed in args.seed or [1]:
             got = run_once(root, workload, seed, args.seconds)
@@ -171,8 +197,10 @@ def main(argv=None) -> int:
                 "workload": workload,
                 "seed": seed,
                 "seconds": args.seconds,
-                "commit": report["commit"],
+                "commit": commit,
                 "src_modified": modified,
+                "rev": args.rev,
+                "root": root,
                 "src_sha256": report["src_sha256"],
                 "python": report["python"],
                 "nproc": report["nproc"],
@@ -183,10 +211,7 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{k}={m['value']:.4g}" for k, m in result["metrics"].items()
             ), file=sys.stderr)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump({"label": args.label, "medians": medians(runs), "runs": runs}, f, indent=1)
-        f.write("\n")
-    return 0
+    return runs
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation check of the proof checkers, the derivation builder and _Node's short path.
+"""Mutation check of the proof checkers, the derivation builder and _Node's short paths.
 
 Each listed mutant is one textual change to a module of ``src/tagsub``.  The
 script copies ``src/`` and ``tests/`` to a temporary directory, runs the
@@ -16,10 +16,10 @@ likeliest to fail first.
 Exits 0 when every mutant is killed, 1 when one survives, and 2 when the
 unmutated copy fails or a mutant no longer matches the source exactly once.
 It tests as many mutants at once as the process may use CPUs, each on its
-own copy; on 2 CPUs the 88 mutants took 2 min 24 s (the 83 before the
-builder ones, 2 min 2 s; the 81 before the ``_Node`` ones, 2 min 32 s and
-2 min 38 s in two runs, and 3 min 29 s and 3 min 40 s in the fixed file
-order).  It uses the
+own copy; on 2 CPUs the 92 mutants took 3 min 39 s (the 88 before the
+early-exit ones, 2 min 24 s; the 83 before the builder ones, 2 min 2 s;
+the 81 before the ``_Node`` ones, 2 min 32 s and 2 min 38 s in two runs,
+and 3 min 29 s and 3 min 40 s in the fixed file order).  It uses the
 standard library only; the tests need pytest and hypothesis.
 
     python3 scripts/checker_mutants.py
@@ -547,6 +547,33 @@ MUTANTS = [
         S,
         "bits, {}, [(bits, t)]",
         "bits, {}, []",
+    ),
+    # _Node's early exits, where a false verdict stops: what is left of t1
+    # is still checked, only a zero ends an AND, and a right child is built
+    # from the right components.
+    (
+        "_Node.mask: the rest of the spine not validated after a zero",
+        S,
+        "if not out:\n                validate_type(node.h, t, node.mode is Mode.SEMANTIC)\n",
+        "if not out:\n",
+    ),
+    (
+        "_Node.mask: the remaining union arms not validated after a zero",
+        S,
+        "if not out:\n                    validate_type(node.h, x, node.mode is Mode.SEMANTIC)\n",
+        "if not out:\n                    pass\n",
+    ),
+    (
+        "_Node._name: the descendant AND stopping on a nonzero mask",
+        S,
+        "if not out:\n                        break\n",
+        "if out:\n                        break\n",
+    ),
+    (
+        "_Node._child: the right child built from the left components",
+        S,
+        "p.right if right else p.left",
+        "p.left",
     ),
 ]
 

@@ -100,6 +100,7 @@ class _OnDemandTrace(ReductiveTrace):
         _set_lhs(self, lhs)
         _set_rhs(self, rhs)
         _set_query(self, (h, mode, strategy))
+        _set_accepts(self, ())  # read by _accepted before the search, not through __getattr__
 
     def __getattr__(self, name):
         # Reached only for an unset slot: rule and premises before the search.
@@ -177,15 +178,19 @@ class _Node:
     Names are keyed by their text; no type is ever hashed, since that
     recurses.  A walk meets t's names left to right and raises what
     ``validate_type`` raises (``nonempty`` in semantic mode) for the first bad one.
+    ``mask``'s AND stops once it is zero, since no later tag of t brings a
+    target back, and hands what is left of t to ``validate_type``, so the
+    error is the same; child nodes are built on first use, so a pair's
+    right child only once its left component has left some target.
     """
 
-    __slots__ = ("h", "mode", "full", "entries", "arms", "back", "children", "names")
+    __slots__ = ("h", "mode", "full", "entries", "arms", "back", "left", "right", "names")
 
     def __init__(self, h, mode: Mode, parts: list[tuple[int, TypeExpr]]):
         self.h = h
         self.mode = mode
         self.back = ()  # (fresh bits, target bits) of each target with several pair arms
-        self.children = None
+        self.left = self.right = None  # child nodes, built by _child on first use
         self.names = {}  # name text -> mask, memoized
         if len(parts) == 1:
             # One name or one pair, as every level of a one-target verdict
@@ -230,13 +235,16 @@ class _Node:
                     fresh <<= 1
                 self.back.append((mine, bits))
 
-    def _children(self) -> tuple[_Node, _Node]:
-        lefts, rights = [], []
+    def _child(self, right: bool) -> _Node:
+        parts = []
         for bits, p in self.arms:
-            lefts.append((bits, p.left))
-            rights.append((bits, p.right))
-        self.children = (_Node(self.h, self.mode, lefts), _Node(self.h, self.mode, rights))
-        return self.children
+            parts.append((bits, p.right if right else p.left))
+        node = _Node(self.h, self.mode, parts)
+        if right:
+            self.right = node
+        else:
+            self.left = node
+        return node
 
     def _lift(self, z: int) -> int:
         # The targets holding a pair tag whose arms' child bits are z.
@@ -252,14 +260,10 @@ class _Node:
         # a child's bits are its parent's targets wherever the parent has no
         # fresh bits.  A name is read in place; other left components and
         # union arms recurse, left first, so names are met left to right.
+        # Once out is zero, the rest of the spine or the remaining arms are
+        # only validated.
         node, out = self, -1
-        while True:
-            if isinstance(t, Union):
-                for x in _leaves(t, Union):
-                    out &= node._name(x.name) if isinstance(x, Name) else node.mask(x)
-                return out & node.full
-            if isinstance(t, Name):
-                return out & node._name(t.name)
+        while isinstance(t, Pair):
             if not node.arms:
                 validate_type(node.h, t, node.mode is Mode.SEMANTIC)
                 return 0
@@ -267,9 +271,23 @@ class _Node:
                 for m in node.covers(t):
                     out &= m
                 return out & node.full
-            left, node = node.children or node._children()
+            left = node.left or node._child(False)
             x, t = t.left, t.right
             out &= left._name(x.name) if isinstance(x, Name) else left.mask(x)
+            if not out:
+                validate_type(node.h, t, node.mode is Mode.SEMANTIC)
+                return 0
+            node = node.right or node._child(True)
+        if isinstance(t, Union):
+            for x in _leaves(t, Union):
+                if not out:
+                    validate_type(node.h, x, node.mode is Mode.SEMANTIC)
+                elif isinstance(x, Name):
+                    out &= node._name(x.name)
+                else:
+                    out &= node.mask(x)
+            return out & node.full
+        return out & node._name(t.name)
 
     def covers(self, t: TypeExpr) -> set[int]:
         if isinstance(t, Union):
@@ -285,26 +303,30 @@ class _Node:
         if not self.arms:
             validate_type(self.h, t, self.mode is Mode.SEMANTIC)
             return {0}
-        left, right = self.children or self._children()
-        ls, rs = left.covers(t.left), right.covers(t.right)
+        ls = (self.left or self._child(False)).covers(t.left)
+        rs = (self.right or self._child(True)).covers(t.right)
         return {self._lift(l & r) for l in ls for r in rs}
 
     def _name(self, n: NominalName) -> int:
-        if self.h._names.get(n.text) is not n:
-            self.h.lookup(n)  # raises for a name not declared with this kind
-        out = self.names.get(n.text)
+        h, text = self.h, n.text
+        if h._names.get(text) is not n:
+            h.lookup(n)  # raises for a name not declared with this kind
+        out = self.names.get(text)
         if out is None:
-            if self.mode is Mode.SEMANTIC and n.text in self.h._childless:
+            semantic = self.mode is Mode.SEMANTIC
+            if semantic and text in h._childless:
                 raise EmptyAbstract(f"abstract name {n} has no concrete descendants")
-            out, above = 0, self.h._above[n.text]
+            out, above = 0, h._above[text]
             for e, bits in self.entries.items():
                 if e in above:
                     out |= bits
-            if self.mode is Mode.SEMANTIC and n.abstract and out != self.full:
+            if semantic and n.abstract and out != self.full:
                 out = self.full
-                for c in concrete_descendants(self.h, n):
+                for c in concrete_descendants(h, n):
                     out &= self._name(c)
-            self.names[n.text] = out
+                    if not out:
+                        break
+            self.names[text] = out
         return out
 
 

@@ -23,6 +23,7 @@ from tagsub.core import (
     Union,
     nominal_subtype,
     validate_hierarchy,
+    validate_type,
 )
 from tagsub.derivation import (
     SD_ABS_UNION,
@@ -382,6 +383,85 @@ class TestOnePartNode:
                     assert one == two, f"{x} against {t} [{mode}]"
                     seen[bool(one) if type(one) is int else "error"] += 1
         assert min(seen.values()) >= 50, seen
+
+
+def _leaf_count(t) -> int:
+    return 1 if isinstance(t, Name) else _leaf_count(t.left) + _leaf_count(t.right)
+
+
+def _with_leaves(t, new: dict):
+    """t with its i-th name, left to right, replaced by new[i]."""
+    def walk(x, i):
+        if isinstance(x, Name):
+            return new.get(i, x), i + 1
+        left, i = walk(x.left, i)
+        right, i = walk(x.right, i)
+        return type(x)(left, right), i
+
+    return walk(t, 0)[0]
+
+
+class TestErrorsAfterTheZero:
+    """A false verdict stops walking t1 where its AND reaches zero and checks
+    the rest of t1 with validate_type, so a query raises what
+    ``validate_type(h, t1, semantic)`` and then ``validate_type(h, t2)``
+    raise, wherever the first bad name lies: behind the zero in a pair's
+    right component or in a later union arm, or in t2."""
+
+    def test_the_error_of_the_first_bad_name(self):
+        rng = random.Random(3101)
+        ghost = Name(NominalName("Ghost", False))
+        seen = {"in t1": 0, "in t2": 0, "UnknownName": 0, "EmptyAbstract": 0, False: 0}
+        for i in range(40):
+            base = random_hierarchy(rng, 8)
+            decls = [*base.decls, Decl("Left", False), Decl("Right", False)]
+            h = validate_hierarchy([*decls, Decl("Void", True)] if i % 2 else decls)
+            left, right = Name(h.lookup("Left")), Name(h.lookup("Right"))
+            bads = [ghost, *[Name(h.lookup("Void"))] * 2] if i % 2 else [ghost]
+            for q in range(30):
+                # Left lies in no type over base, so the AND is zero at its
+                # leaf at the latest; t2 holds Right where t1 holds Left.
+                t1 = random_type(rng, base, 4, 128)
+                n = _leaf_count(t1)
+                at = rng.randrange(n)
+                t2 = random_type(rng, base, 3, 32)
+                if rng.random() < 0.5:
+                    t2 = _with_leaves(t1, {at: right})
+                new = {at: left}
+                if q % 3 and at + 1 < n:
+                    new[rng.randrange(at + 1, n)] = rng.choice(bads)
+                    seen["in t1"] += 1
+                elif q % 3:
+                    t2 = _with_leaves(t2, {rng.randrange(_leaf_count(t2)): rng.choice(bads)})
+                    seen["in t2"] += 1
+                t1 = _with_leaves(t1, new)
+                for mode in Mode:
+                    want = _outcome(lambda: validate_type(h, t1, mode is Mode.SEMANTIC))
+                    if want is None:
+                        want = _outcome(lambda: validate_type(h, t2)) or False
+                    got = _outcome(lambda: reductive_sub(h, t1, t2, mode)[0])
+                    assert got == want, f"{t1} <: {t2} [{mode}]"
+                    seen[want if want is False else want[0].__name__] += 1
+        assert min(seen.values()) >= 80, seen
+
+
+class TestLazyRightChild:
+    def test_a_zero_left_component_builds_no_right_child(self, monkeypatch):
+        built, init = [], subtyping._Node.__init__
+
+        def building(node, h, mode, parts):
+            built.append([t for _, t in parts])
+            init(node, h, mode, parts)
+
+        monkeypatch.setattr(subtyping._Node, "__init__", building)
+        t2 = T("Str*Num")
+        for mode in Mode:
+            built.clear()
+            assert reductive_sub(TOWER, T("Int*Num"), t2, mode) == (False, None)
+            assert built == [[t2], [t2.left]]
+            built.clear()
+            assert reductive_sub(TOWER, T("Str*Int"), t2, mode)[0] is True
+            assert built == [[t2], [t2.left], [t2.right]]
 
 
 class TestOneWalk:
