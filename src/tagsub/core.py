@@ -188,10 +188,24 @@ class Name(_Value):
     __repr__ = _repr
 
 
+class _Tree(_Value):
+    """The base of Pair and Union, for one slot that is no field.
+
+    ``_parsed`` is the hierarchy whose own name leaves make up the whole
+    tree.  ``parse_type`` sets it on every pair and union it builds; every
+    other way of building one leaves it unset, which reads as no record.  It
+    takes no part in ``==``, ``hash``, ``repr``, copies or pickles, and a
+    name leaf has none, since a leaf that held its hierarchy would make a
+    reference cycle.
+    """
+
+    __slots__ = ("_parsed",)
+
+
 # Pair and Union each spell out their methods: with one body for both, whose
 # attribute reads cannot be specialized to one class, == took 1.6-1.9 times as long.
 @dataclass(init=False, repr=False, eq=False, slots=True)
-class Pair(_Value):
+class Pair(_Tree):
     """The covariant pair type ``left * right``."""
 
     left: "TypeExpr"
@@ -216,7 +230,7 @@ class Pair(_Value):
 
 
 @dataclass(init=False, repr=False, eq=False, slots=True)
-class Union(_Value):
+class Union(_Tree):
     """The untagged union type ``left | right``."""
 
     left: "TypeExpr"
@@ -243,6 +257,7 @@ class Union(_Value):
 _set_name = Name.name.__set__
 _set_pair_left, _set_pair_right = Pair.left.__set__, Pair.right.__set__
 _set_union_left, _set_union_right = Union.left.__set__, Union.right.__set__
+_set_parsed = _Tree._parsed.__set__
 
 TypeExpr = Name | Pair | Union
 
@@ -409,11 +424,27 @@ def is_value_type(t: TypeExpr) -> bool:
     return all(isinstance(x, Name) and not x.name.abstract for x in _leaves(t, Pair))
 
 
+def _parsed_by(h: NominalHierarchy, t) -> bool:
+    """Whether t is a Pair or Union, of exactly those classes, that
+    ``parse_type`` built over this very hierarchy object, so that it holds
+    only h's own leaves.  A value without a record (built by a constructor,
+    copied, unpickled, or made by __new__) reads as None through getattr's
+    default, which costs an unparsed root about half of what catching the
+    unset slot's AttributeError costs."""
+    kind = type(t)
+    return (kind is Pair or kind is Union) and getattr(t, "_parsed", None) is h
+
+
 def validate_type(h: NominalHierarchy, t: TypeExpr, nonempty: bool = False) -> None:
     """Raise UnknownName for the leftmost name in t that h does not declare
     with the same text and kind; with nonempty, raise EmptyAbstract there
     instead if the name is abstract without concrete descendants.  That is
-    what normalizing t raises in semantic mode, without building it."""
+    what normalizing t raises in semantic mode, without building it.
+
+    A tree that ``parse_type`` built over h (``_parsed_by``) needs no walk
+    unless nonempty asks and h declares a childless abstract name."""
+    if not (nonempty and h._childless) and _parsed_by(h, t):
+        return
     leaves = h._name_types
     todo = [t]
     while todo:

@@ -28,7 +28,21 @@ from __future__ import annotations
 
 import re
 
-from .core import NominalHierarchy, Pair, TagsubError, TypeExpr, Union, UnknownName
+from .core import (
+    NominalHierarchy,
+    Pair,
+    TagsubError,
+    TypeExpr,
+    Union,
+    UnknownName,
+    _set_pair_left,
+    _set_pair_right,
+    _set_parsed,
+    _set_union_left,
+    _set_union_right,
+)
+
+_new = object.__new__  # a node of parse_type, before its slots are set
 
 
 class ParseError(TagsubError):
@@ -82,7 +96,11 @@ def _position(src: str, tokens: list[str], i: int) -> int:
 
 
 def parse_type(src: str, h: NominalHierarchy) -> TypeExpr:
-    """Parse a type expression, resolving every name to h's own leaf."""
+    """Parse a type expression, resolving every name to h's own leaf.
+
+    Every pair and union it builds records h (``core._parsed_by``), so that
+    ``validate_type`` and the proof checkers need not walk it again.
+    """
     tokens = _tokens(src)
     leaves = h._name_types
     groups: list[tuple[TypeExpr | None, TypeExpr | None]] = []  # (union, prod) outside each open '('
@@ -105,13 +123,27 @@ def parse_type(src: str, h: NominalHierarchy) -> TypeExpr:
             raise ParseError(f"expected a name or '(', got {tok!r}", pos)
         # Fold the operand in, then close groups until an operator asks for the next one.
         while True:
-            prod = t if prod is None else Pair(prod, t)
+            if prod is not None:
+                # Made by __new__ and its three slot setters: the third
+                # setter costs about what the constructor's call of
+                # __init__ does, so a parse costs what it did.
+                p = _new(Pair)
+                _set_pair_left(p, prod)
+                _set_pair_right(p, t)
+                _set_parsed(p, h)
+                t = p
+            prod = t
             tok = tokens[i]
             i += 1
             if tok == "*" or tok == "×":
                 break
-            union = prod if union is None else Union(union, prod)
-            prod = None
+            if union is not None:
+                u = _new(Union)
+                _set_union_left(u, union)
+                _set_union_right(u, prod)
+                _set_parsed(u, h)
+                prod = u
+            union, prod = prod, None
             if tok == "|" or tok == "∪":
                 break
             if not groups:

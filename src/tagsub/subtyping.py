@@ -25,6 +25,7 @@ from .core import (
     TypeExpr,
     Union,
     _leaves,
+    _parsed_by,
     _Value,
     concrete_descendants,
     validate_type,
@@ -179,8 +180,9 @@ class _Node:
     recurses.  A walk meets t's names left to right and raises what
     ``validate_type`` raises (``nonempty`` in semantic mode) for the first bad one.
     ``mask``'s AND stops once it is zero, since no later tag of t brings a
-    target back, and hands what is left of t to ``validate_type``, so the
-    error is the same; child nodes are built on first use, so a pair's
+    target back, and ``covers`` stops at a pair whose left set is {0}, whose
+    product is {0}; each hands what is left of t to ``validate_type``, so
+    the error is the same.  Child nodes are built on first use, so a pair's
     right child only once its left component has left some target.
     """
 
@@ -304,6 +306,9 @@ class _Node:
             validate_type(self.h, t, self.mode is Mode.SEMANTIC)
             return {0}
         ls = (self.left or self._child(False)).covers(t.left)
+        if ls == {0}:  # no target holds a left tag: the product is {0}
+            validate_type(self.h, t.right, self.mode is Mode.SEMANTIC)
+            return ls
         rs = (self.right or self._child(True)).covers(t.right)
         return {self._lift(l & r) for l in ls for r in rs}
 
@@ -535,7 +540,10 @@ def _union_l(lhs, rhs, flag):
 
 def _is_type(h, t) -> bool:
     # A tree of pairs and unions, of exactly those classes, over names that
-    # h declares with their kind.
+    # h declares with their kind: at once for such a tree that parse_type
+    # built over h (core._parsed_by), else by a walk.
+    if _parsed_by(h, t):
+        return True
     todo = [t]
     while todo:
         x = todo.pop()

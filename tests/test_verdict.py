@@ -6,6 +6,8 @@ verdict agrees with the set-based oracle and with the normal-form search,
 that it stays polynomial in pair arity, and that the search is deferred.
 """
 
+import copy
+import pickle
 import random
 import time
 from unittest import mock
@@ -13,7 +15,7 @@ from unittest import mock
 import pytest
 
 from conftest import TOWER, T
-from tagsub import subtyping
+from tagsub import core, subtyping
 from tagsub.core import (
     Decl,
     Name,
@@ -40,6 +42,7 @@ from tagsub.derivation import (
     check_declarative,
     synthesize,
 )
+from tagsub.frontend import parse_type
 from tagsub.gen import random_hierarchy, random_type, types_up_to
 from tagsub.normalize import nf_for_mode, nf_weight
 from tagsub.semantics import Mode, semantic_sub
@@ -474,6 +477,217 @@ class TestOneWalk:
         )
         assert reductive_sub(TOWER, T("Int*Flt"), T("Real*Real"))[0] is True
         assert calls == [T("Real*Real")]
+
+
+class TestCoversZeroLeft:
+    """``_Node.covers`` over a pair whose left set is {0} returns {0} after
+    ``validate_type`` of the right component, which it never walks."""
+
+    def test_a_zero_left_set_builds_no_right_child(self, monkeypatch):
+        built, init = [], subtyping._Node.__init__
+
+        def building(node, h, mode, parts):
+            built.append([t for _, t in parts])
+            init(node, h, mode, parts)
+
+        monkeypatch.setattr(subtyping._Node, "__init__", building)
+        t2 = T("Int*Num|Flt*Num")  # one target with two pair arms: fresh bits
+        for mode in Mode:
+            built.clear()
+            assert reductive_sub(TOWER, T("Str*Num"), t2, mode) == (False, None)
+            assert built == [[t2], [t2.left.left, t2.right.left]]
+            built.clear()
+            assert reductive_sub(TOWER, T("Int*Num"), t2, mode)[0] is True
+            assert built == [[t2], [t2.left.left, t2.right.left], [t2.left.right, t2.right.right]]
+
+    def test_the_error_of_the_first_bad_name(self):
+        # Targets with several pair arms take covers; Left lies in no type
+        # over base, so a left component that holds only Left has the set
+        # {0}, and a bad name may lie behind it, later in t1, or in t2.
+        rng = random.Random(3201)
+        ghost = Name(NominalName("Ghost", False))
+        seen = {"in t1": 0, "in t2": 0, "UnknownName": 0, "EmptyAbstract": 0, True: 0, False: 0}
+        for i in range(40):
+            base = random_hierarchy(rng, 8)
+            decls = [*base.decls, Decl("Left", False)]
+            h = validate_hierarchy([*decls, Decl("Void", True)] if i % 2 else decls)
+            left = Name(h.lookup("Left"))
+            bads = [ghost, *[Name(h.lookup("Void"))] * 2] if i % 2 else [ghost]
+            for q in range(30):
+                arms = [
+                    Pair(random_type(rng, base, 2), random_type(rng, base, 2))
+                    for _ in range(rng.randint(2, 3))
+                ]
+                if q % 4 == 0:
+                    arms.insert(rng.randrange(len(arms) + 1), random_type(rng, base, 1))
+                t2 = union_of(arms)
+                # t1: some of t2's pair arms, or random pairs, with Left at
+                # one or two leaves unless the query is one that may hold.
+                pairs = [a for a in arms if isinstance(a, Pair)]
+                if q % 2:
+                    t1 = union_of(rng.sample(pairs, rng.randint(1, len(pairs))))
+                else:
+                    t1 = Pair(random_type(rng, base, 3), random_type(rng, base, 3))
+                n = _leaf_count(t1)
+                case = q % 5
+                new = {} if case == 4 else {at: left for at in rng.sample(range(n), min(n, rng.randint(1, 2)))}
+                if case in (1, 2):
+                    new[rng.randrange(n)] = rng.choice(bads)
+                    seen["in t1"] += 1
+                elif case == 3:
+                    t2 = _with_leaves(t2, {rng.randrange(_leaf_count(t2)): rng.choice(bads)})
+                    seen["in t2"] += 1
+                t1 = _with_leaves(t1, new)
+                for mode in Mode:
+                    want = _outcome(lambda: validate_type(h, t1, mode is Mode.SEMANTIC))
+                    if want is None:
+                        want = _outcome(lambda: validate_type(h, t2))
+                    if want is None:
+                        want = semantic_sub(h, t1, t2, mode)
+                    got = _outcome(lambda: reductive_sub(h, t1, t2, mode)[0])
+                    assert got == want, f"{t1} <: {t2} [{mode}]"
+                    seen[want if type(want) is bool else want[0].__name__] += 1
+        assert min(seen.values()) >= 60, seen
+
+
+class _SubPair(Pair):
+    """A subclass of Pair: no type of the checkers, walked by validate_type."""
+
+
+def _fresh(t):
+    """A structural copy of t, each node made again by its class's
+    constructor, so that no node of it has a record."""
+    if isinstance(t, Name):
+        return t
+    return type(t)(_fresh(t.left), _fresh(t.right))
+
+
+class TestParsedRecord:
+    """A pair or union that parse_type builds records its hierarchy, and
+    ``validate_type`` and the checkers' root test trust the record only when
+    it is this hierarchy object's and the root is of exactly class Pair or
+    Union.  Every other value is walked, so it answers as a structural copy
+    that has no record."""
+
+    def _variants(self, h, t, others):
+        # The values that each stand for t: parsed over h, by hand, over
+        # another hierarchy object, copied, pickled, of a subclass, and
+        # made by __new__ with no record.
+        out = [t]
+        for o in (h, *others):
+            try:
+                out.append(parse_type(str(t), o))
+            except TagsubError:  # a name that o does not declare
+                pass
+        parsed = out[1]
+        out.append(_fresh(parsed))
+        out += [copy.copy(parsed), copy.deepcopy(parsed), pickle.loads(pickle.dumps(parsed))]
+        if isinstance(parsed, (Pair, Union)):
+            sub = _SubPair(parsed.left, parsed.right)
+            core._set_parsed(sub, h)  # a record that no parse could give it
+            bare = type(parsed).__new__(type(parsed))
+            object.__setattr__(bare, "left", parsed.left)
+            object.__setattr__(bare, "right", parsed.right)
+            out += [sub, bare]
+        return out
+
+    def test_the_record_answers_as_the_walk(self):
+        rng = random.Random(3202)
+        seen = {"None": 0, "UnknownName": 0, "EmptyAbstract": 0, "checked": 0, "accepted": 0}
+        for i in range(24):
+            base = random_hierarchy(rng, 6)
+            decls = [*base.decls, Decl("Void", True)] if i % 2 else list(base.decls)
+            h = validate_hierarchy(decls)
+            # The same declarations in another object, and one with a name more.
+            others = [validate_hierarchy(decls), validate_hierarchy([*decls, Decl("Ghost", False)])]
+            names = [Name(n) for n in others[1].names]
+            names += [Name(others[1].lookup("Void"))] * 4 if i % 2 else []
+            for _ in range(12):
+                t0 = t = random_type(rng, base, 4, 64)
+                if rng.random() < 0.5:  # a name of h or of the larger hierarchy only
+                    t = _with_leaves(t, {rng.randrange(_leaf_count(t)): rng.choice(names)})
+                proofs = self._proofs(h, t0)
+                for x in self._variants(h, t, others):
+                    for nonempty in (False, True):
+                        got = _outcome(lambda: validate_type(h, x, nonempty))
+                        want = _outcome(lambda: validate_type(h, _fresh(x), nonempty))
+                        assert got == want, f"{x!r} [{nonempty}]"
+                        seen["None" if got is None else got[0].__name__] += 1
+                    seen["checked"] += 1
+                    seen["accepted"] += self._checkers_agree(h, proofs, x)
+        assert min(seen.values()) >= 100, seen
+
+    def _proofs(self, h, t):
+        # The trace and the derivation of t <: t in each mode, with their checkers.
+        out = []
+        for mode in Mode:
+            tr = reductive_sub(h, t, t, mode)[1]
+            out += [(tr, check_reductive_trace, mode), (synthesize(h, tr, mode), check_declarative, mode)]
+        return out
+
+    def _checkers_agree(self, h, proofs, x) -> int:
+        # The proofs' roots with x in the place of one side, each checked
+        # as the same root with a structural copy of x there.
+        accepted = 0
+        for root, check, mode in proofs:
+            for side in ("lhs", "rhs"):
+                def as_root(v):
+                    lhs, rhs = (v, root.rhs) if side == "lhs" else (root.lhs, v)
+                    if isinstance(root, Derivation):
+                        return Derivation(root.rule, lhs, rhs, root.premises, root.witness)
+                    return ReductiveTrace(root.rule, lhs, rhs, root.premises)
+
+                got = _outcome(lambda: check(h, as_root(x), mode))
+                want = _outcome(lambda: check(h, as_root(_fresh(x)), mode))
+                assert got == want, f"{check.__name__} {side} {x!r} [{mode}]"
+                accepted += got is True
+        return accepted
+
+    def test_a_subclass_record_is_not_trusted_at_a_root(self):
+        # SR-NF at the root reads its left side only through nf, so a root
+        # whose left side is a subclass value passes every test but the
+        # root's own, which must walk it and reject it.
+        for mode in Mode:
+            t = T("Real*Int")
+            tr = reductive_sub(TOWER, t, t, mode)[1]
+            assert tr.rule == SR_NF
+            sub = _SubPair(t.left, t.right)
+            core._set_parsed(sub, TOWER)
+            root = ReductiveTrace(tr.rule, sub, tr.rhs, tr.premises)
+            assert check_reductive_trace(TOWER, root, mode) is False
+            assert check_reductive_trace(TOWER, ReductiveTrace(tr.rule, t, tr.rhs, tr.premises), mode)
+
+    def test_parsed_types_are_not_walked(self, monkeypatch):
+        # validate_type's walk reads h._name_types at each name, and the
+        # checkers' root walk calls subtyping._declared; a query over parsed
+        # types does neither, and the same query over copies does both.
+        walked, declared = [], []
+
+        class Counting(dict):
+            def get(self, key, default=None):
+                walked.append(key)
+                return dict.get(self, key, default)
+
+        check = subtyping._declared
+        monkeypatch.setattr(TOWER, "_name_types", Counting(TOWER._name_types))
+        monkeypatch.setattr(
+            subtyping, "_declared", lambda h, n: declared.append(n) or check(h, n)
+        )
+        queries = [("Int*Flt", "Real*Real"), ("Str*(Int|Flt)", "Int*Num"), ("Str|Int*Flt", "Real|Str")]
+        for mode in Mode:
+            for a, b in queries:
+                t1, t2 = parse_type(a, TOWER), parse_type(b, TOWER)
+                for copied in (False, True):
+                    if copied:
+                        t1, t2 = _fresh(t1), _fresh(t2)
+                    walked.clear()
+                    declared.clear()
+                    ok, tr = reductive_sub(TOWER, t1, t2, mode)
+                    if ok:
+                        assert check_reductive_trace(TOWER, tr, mode)
+                        assert check_declarative(TOWER, synthesize(TOWER, tr, mode), mode)
+                    assert bool(walked) is copied, (a, b, mode)
+                    assert bool(declared) is (copied and ok), (a, b, mode)
 
 
 SR_RULES = (SR_BASE_REFL, SR_NOM, SR_PAIR, SR_UNION_L, SR_UNION_R1, SR_UNION_R2, SR_NF)
