@@ -5,8 +5,8 @@
 
 The tracked files of REV are exported with ``git archive`` into a new
 temporary directory, and its ``src/tagsub`` is imported twice, as the
-packages ``tagsub_parent`` and ``tagsub_parent_aa``, beside the working
-tree's ``src/tagsub``, imported as ``tagsub_change``.  Every operation of the
+packages ``tagsub_parent_aa`` and then ``tagsub_parent``, before the working
+tree's ``src/tagsub`` is imported as ``tagsub_change``.  Every operation of the
 seed-1 ``queries`` and ``arity`` workloads of ``perfbench/inputs.py`` is then
 run on the three, back to back, for ROUNDS rounds, each round in the next
 order of a rotation so that none runs first more often.  A ``queries``
@@ -18,12 +18,14 @@ compares with the worker's own on a slice.
 
 Per workload it prints the number of operations, then change/parent for the
 mean, p50, p99 and p99.9 of the per-operation medians over the rounds, and
-the same for the parent's second import over its first: an A/A line, which
-reads what the harness alone moves.  Two imports of one source have read up
-to 3% apart, so a ratio that close to 1 is no finding; time one package per
-process, alternating processes, for changes of that size.  The package is
-imported from source, no bytecode is written, and only the standard library
-is used.
+the parent's first import over its second: an A/A line.  The first of
+several imports of one source has read up to 1.4% slower than the later
+ones, which read within 0.5% of each other; so change/parent compares two
+later imports, and the A/A line shows what load position alone moves.  A
+change/parent ratio within about 1% of 1 is no finding; time one package
+per process, alternating processes, for changes of that size.  The package
+is imported from source, no bytecode is written, and only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -136,10 +138,12 @@ def sliced(workload: str, inp: dict, limit: int) -> dict:
 def ab(parent_dir: Path, limit: int | None = None) -> dict:
     """The ratios change/parent and parent_aa/parent per workload and
     statistic; limit, if given, slices each workload's inputs (``sliced``)."""
+    # The first import of a source has read the slowest, so the change is
+    # compared with the parent's second import, and the A/A line is the first.
     libs = {
-        "change": load("tagsub_change", ROOT / "src" / "tagsub"),
-        "parent": load("tagsub_parent", parent_dir),
         "parent_aa": load("tagsub_parent_aa", parent_dir),
+        "parent": load("tagsub_parent", parent_dir),
+        "change": load("tagsub_change", ROOT / "src" / "tagsub"),
     }
     gen = inputs_module()
     build = {"queries": queries_ops, "arity": arity_ops}

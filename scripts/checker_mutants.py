@@ -16,11 +16,7 @@ likeliest to fail first.
 Exits 0 when every mutant is killed, 1 when one survives, and 2 when the
 unmutated copy fails or a mutant no longer matches the source exactly once.
 It tests as many mutants at once as the process may use CPUs, each on its
-own copy; on 2 CPUs the 96 mutants took 3 min 9 s and 3 min 39 s in two
-runs (the 92 before the parsed-record ones, 3 min 39 s; the 88 before the
-early-exit ones, 2 min 24 s; the 83 before the builder ones, 2 min 2 s; the
-81 before the ``_Node`` ones, 2 min 32 s and 2 min 38 s in two runs, and
-3 min 29 s and 3 min 40 s in the fixed file order).  It uses the standard
+own copy; on 2 CPUs the 96 mutants took 3 min 7 s.  It uses the standard
 library only; the tests need pytest and hypothesis.
 
     python3 scripts/checker_mutants.py

@@ -74,19 +74,14 @@ def _tokens(src: str) -> list[str]:
     return out
 
 
-def _check(src: str) -> None:
-    """Raise at the first bad character of src, if it holds one."""
+def _error_position(src: str, tokens: list[str], i: int) -> int:
+    """Raise at src's first bad character, if any; else return where
+    tokens[i] starts: each token is the first occurrence of its text after
+    the one before it, since only whitespace lies between them.
+    """
     bad = _CHECK_RE.match(src).end()
     if bad < len(src):
         raise ParseError(f"unexpected character {src[bad]!r}", bad)
-
-
-def _position(src: str, tokens: list[str], i: int) -> int:
-    """Where tokens[i] starts in src, a checked source split into tokens.
-
-    Only whitespace lies between two tokens of a checked source, so each token
-    is the first occurrence of its text after the one before it.
-    """
     if not tokens[i]:
         return len(src)
     pos = 0
@@ -116,8 +111,7 @@ def parse_type(src: str, h: NominalHierarchy) -> TypeExpr:
             continue
         t = leaves.get(tok)
         if t is None:
-            _check(src)
-            pos = _position(src, tokens, i - 1)
+            pos = _error_position(src, tokens, i - 1)
             if tok[:1].isalpha():
                 raise UnknownName(f"unknown name {tok!r} at position {pos}", pos)
             raise ParseError(f"expected a name or '(', got {tok!r}", pos)
@@ -148,12 +142,10 @@ def parse_type(src: str, h: NominalHierarchy) -> TypeExpr:
                 break
             if not groups:
                 if tok:
-                    _check(src)
-                    raise ParseError(f"unexpected {tok!r}", _position(src, tokens, i - 1))
+                    raise ParseError(f"unexpected {tok!r}", _error_position(src, tokens, i - 1))
                 return union
             if tok != ")":
-                _check(src)
-                raise ParseError("expected ')'", _position(src, tokens, i - 1))
+                raise ParseError("expected ')'", _error_position(src, tokens, i - 1))
             t = union
             union, prod = groups.pop()
 

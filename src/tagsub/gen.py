@@ -26,28 +26,22 @@ def atom_types(h: NominalHierarchy) -> list[TypeExpr]:
     return [Name(n) for n in h.names]
 
 
+def _layers(base: list[TypeExpr], depth: int, ctors) -> list[TypeExpr]:
+    # base, then depth - 1 times base followed by each of ctors over every
+    # ordered pair of the layer before.
+    out = base
+    for _ in range(depth - 1):
+        out = base + [ctor(a, b) for ctor in ctors for a in out for b in out]
+    return out
+
+
 def types_up_to(h: NominalHierarchy, depth: int) -> list[TypeExpr]:
     """All types of depth <= depth, duplicate-free, in a deterministic order."""
-    out: list[TypeExpr] = atom_types(h)
-    for _ in range(depth - 1):
-        prev = list(out)
-        out = atom_types(h)
-        for a in prev:
-            for b in prev:
-                out.append(Pair(a, b))
-        for a in prev:
-            for b in prev:
-                out.append(Union(a, b))
-    return out
+    return _layers(atom_types(h), depth, (Pair, Union))
 
 
 def value_types_up_to(h: NominalHierarchy, depth: int) -> list[TypeExpr]:
-    out: list[TypeExpr] = [Name(n) for n in h.concrete_names]
-    for _ in range(depth - 1):
-        prev = list(out)
-        out = [Name(n) for n in h.concrete_names]
-        out.extend(Pair(a, b) for a in prev for b in prev)
-    return out
+    return _layers([Name(n) for n in h.concrete_names], depth, (Pair,))
 
 
 def random_type(

@@ -57,12 +57,15 @@ class TestParse:
         "src,error,message,position",
         [
             # A character no token starts with; every character is scanned
-            # before any name is resolved, so it wins over an unknown name.
+            # before any name is resolved, so it wins over an unknown name
+            # and over every other error exit.
             ("3", ParseError, "unexpected character '3' (at position 0)", 0),
             ("_", ParseError, "unexpected character '_' (at position 0)", 0),
             ("Int&Flt", ParseError, "unexpected character '&' (at position 3)", 3),
             ("Int\u200bFlt", ParseError, "unexpected character '\\u200b' (at position 3)", 3),
             ("Foo 3", ParseError, "unexpected character '3' (at position 4)", 4),
+            ("Int) 3", ParseError, "unexpected character '3' (at position 5)", 5),
+            ("(Int Flt 3", ParseError, "unexpected character '3' (at position 9)", 9),
             # A missing operand: at the start, after an operator, at the end.
             ("", ParseError, "expected a name or '(', got '' (at position 0)", 0),
             ("*Int", ParseError, "expected a name or '(', got '*' (at position 0)", 0),
